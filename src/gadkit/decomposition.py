@@ -8,9 +8,9 @@ the fitted ones; the invertibility operator collects the kernel projector of
 the modeled block and the identity on the nescient coordinates.  Sweeping m
 produces the label-independent anatomy of the risk curve.
 
-Regularized variants augment the modeled training block with sqrt(n*lambda)
-times the identity; lambda = 0 routes through the unregularized code path so
-the two agree exactly.
+Every per-m quantity derives from one SVD of the modeled training block.
+Ridge filters its singular values by s / (s**2 + n*lambda) instead of
+inverting them; lambda = 0 takes the unregularized path, so the two agree.
 """
 
 from __future__ import annotations
@@ -23,15 +23,8 @@ import numpy as np
 from .bases import BasisSpec, evaluate_columns
 from .designs import ParameterSpec, SampleDesign, make_theta
 from .errors import DecompositionMismatchError, GadkitError, InvalidInputError
-from .linalg import (
-    DEFAULT_REL_TOL,
-    as_matrix,
-    as_vector,
-    kernel_projector,
-    pseudoinverse,
-    spectral_norm,
-    svd,
-)
+from .linalg import DEFAULT_REL_TOL, SvdResult, as_matrix, as_vector, spectral_norm, spectrum, svd
+from .linalg import kernel_projector, pseudoinverse  # noqa: F401  (perfbench/spans.py wraps these)
 
 
 @dataclass(frozen=True, eq=False)
@@ -43,8 +36,11 @@ class OperatorPanel:
     train_nescient: np.ndarray
     pred_modeled: np.ndarray
     pred_nescient: np.ndarray
-    rank: int
-    rel_tol: float
+    factor: SvdResult  # of train_modeled: the one factorization at this model size
+
+    @property
+    def rank(self) -> int:
+        return self.factor.numerical_rank
 
     @property
     def n_train(self) -> int:
@@ -135,32 +131,37 @@ def build_panels(M_full, design: SampleDesign, m: int,
     if not 1 <= m <= budget:
         raise InvalidInputError(f"model size {m} outside [1, {budget}]")
     train_modeled = full[:n, :m]
-    rank = svd(train_modeled, rel_tol).numerical_rank
     return OperatorPanel(
         m=int(m),
         train_modeled=train_modeled,
         train_nescient=full[:n, m:],
         pred_modeled=full[n:, :m],
         pred_nescient=full[n:, m:],
-        rank=rank,
-        rel_tol=rel_tol,
+        factor=svd(train_modeled, rel_tol),
     )
 
 
-def _augmented_block(panel: OperatorPanel, ridge: RidgeConfig) -> np.ndarray:
+def _ridge_shift(panel: OperatorPanel, ridge: RidgeConfig) -> float:
+    """n*lambda, once the ridge config is known to match the panel's training rows."""
     if ridge.n != panel.n_train:
         raise InvalidInputError(
             f"ridge config n={ridge.n} does not match the design's {panel.n_train} training rows"
         )
-    x = panel.train_modeled
-    dtype = x.dtype if np.issubdtype(x.dtype, np.complexfloating) else float
-    mu = np.sqrt(ridge.n * ridge.lam)
-    return np.vstack([x, mu * np.eye(panel.m, dtype=dtype)])
+    return ridge.n * ridge.lam
 
 
-def _zero_padded(block: np.ndarray, extra_rows: int) -> np.ndarray:
-    pad = np.zeros((extra_rows, block.shape[1]), dtype=block.dtype)
-    return np.vstack([block, pad])
+def _fit_map(panel: OperatorPanel, ridge: RidgeConfig | None) -> np.ndarray:
+    """Map from training labels to fitted modeled coefficients, from the panel's factor.
+
+    pinv(T_M) unregularized; under ridge V diag(s / (s**2 + n*lambda)) U^H,
+    which equals pinv([T_M; sqrt(n*lambda) I]) applied to zero-padded labels.
+    """
+    if ridge is None or not ridge.active:
+        return panel.factor.pinv()
+    shift = _ridge_shift(panel, ridge)
+    f = panel.factor
+    s = f.singular_values
+    return (f.right_vectors * (s / (s**2 + shift))) @ f.left_vectors.conj().T
 
 
 def ridge_panels(panel: OperatorPanel, ridge: RidgeConfig) -> tuple[np.ndarray, float]:
@@ -168,18 +169,20 @@ def ridge_panels(panel: OperatorPanel, ridge: RidgeConfig) -> tuple[np.ndarray, 
 
     Asserts the shifted-spectrum identity: each singular value of the
     augmented block equals sqrt(sigma_i**2 + n*lambda) over the m base
-    singular values (zeros included), to 1e-9 relative.  The returned norm
-    is bounded by 1/sqrt(n*lambda) whenever lambda is positive.
+    singular values (zeros included, taken from the panel's factor), to 1e-9
+    relative.  The returned norm is bounded by 1/sqrt(n*lambda) whenever
+    lambda is positive.
     """
-    aug = _augmented_block(panel, ridge)
+    shift = _ridge_shift(panel, ridge)
+    x = panel.train_modeled
+    aug = np.vstack([x, np.sqrt(shift) * np.eye(panel.m, dtype=x.dtype)])
     if not ridge.active:
-        base = svd(panel.train_modeled, panel.rel_tol)
-        return aug, (1.0 / base.min_positive_singular() if base.numerical_rank else 0.0)
+        return aug, panel.factor.pinv_norm()
     s_aug = np.linalg.svd(aug, compute_uv=False)
-    s_base = np.linalg.svd(panel.train_modeled, compute_uv=False)
+    s_base = panel.factor.singular_values
     padded = np.zeros(panel.m)
     padded[: s_base.size] = s_base
-    expected = np.sqrt(padded**2 + ridge.n * ridge.lam)
+    expected = np.sqrt(padded**2 + shift)
     scale = max(float(expected[0]), 1.0)
     if not np.allclose(s_aug, expected, rtol=1e-9, atol=1e-12 * scale):
         worst = float(np.max(np.abs(s_aug - expected)))
@@ -191,13 +194,7 @@ def ridge_panels(panel: OperatorPanel, ridge: RidgeConfig) -> tuple[np.ndarray, 
 
 def aliasing_operator(panel: OperatorPanel, ridge: RidgeConfig | None = None) -> np.ndarray:
     """Pseudoinverse of the modeled training block applied to the nescient block."""
-    if panel.train_nescient.shape[1] == 0:
-        dtype = panel.train_modeled.dtype
-        return np.zeros((panel.m, 0), dtype=dtype)
-    if ridge is None or not ridge.active:
-        return pseudoinverse(panel.train_modeled, panel.rel_tol) @ panel.train_nescient
-    aug, _ = ridge_panels(panel, ridge)
-    return pseudoinverse(aug, panel.rel_tol) @ _zero_padded(panel.train_nescient, panel.m)
+    return _fit_map(panel, ridge) @ panel.train_nescient
 
 
 def b_operator(panel: OperatorPanel, ridge: RidgeConfig | None = None) -> np.ndarray:
@@ -207,21 +204,13 @@ def b_operator(panel: OperatorPanel, ridge: RidgeConfig | None = None) -> np.nda
     modeled training block (identity minus the kernel projector); with ridge
     it contracts instead of projecting.
     """
-    if ridge is None or not ridge.active:
-        return pseudoinverse(panel.train_modeled, panel.rel_tol) @ panel.train_modeled
-    aug, _ = ridge_panels(panel, ridge)
-    return pseudoinverse(aug, panel.rel_tol) @ _zero_padded(panel.train_modeled, panel.m)
+    return _fit_map(panel, ridge) @ panel.train_modeled
 
 
 def infer_theta(panel: OperatorPanel, y_train, ridge: RidgeConfig | None = None) -> np.ndarray:
     """Minimum-norm least-squares fit, zero-padded to the full budget length."""
     y = as_vector(y_train, length=panel.n_train)
-    if ridge is None or not ridge.active:
-        theta_m = pseudoinverse(panel.train_modeled, panel.rel_tol) @ y
-    else:
-        aug, _ = ridge_panels(panel, ridge)
-        padded = np.concatenate([y, np.zeros(panel.m, dtype=y.dtype)])
-        theta_m = pseudoinverse(aug, panel.rel_tol) @ padded
+    theta_m = _fit_map(panel, ridge) @ y
     out = np.zeros(panel.budget, dtype=theta_m.dtype)
     out[: panel.m] = theta_m
     return out
@@ -237,7 +226,7 @@ def invertibility_operator(panel: OperatorPanel, ridge: RidgeConfig | None = Non
     """
     m, total = panel.m, panel.budget
     if ridge is None or not ridge.active:
-        top = kernel_projector(panel.train_modeled, panel.rel_tol)
+        top = panel.factor.kernel_projector()
     else:
         top = np.eye(m) - b_operator(panel, ridge)
     dtype = top.dtype
@@ -281,7 +270,7 @@ def risk_and_errors(panel: OperatorPanel, theta, M_full, y_full,
         )
 
     if ridge is None or not ridge.active:
-        bias_vec = kernel_projector(panel.train_modeled, panel.rel_tol) @ theta_m
+        bias_vec = panel.factor.kernel_projector() @ theta_m
     else:
         bias_vec = theta_m - b_operator(panel, ridge) @ theta_m
     alias_error = float(np.linalg.norm(aliasing @ theta_u)) if theta_u.size else 0.0
@@ -304,14 +293,12 @@ def expected_unstructured_error(sigma2: float, dim_kernel: int, dim_nescient: in
     return sigma2 * (dim_kernel + dim_nescient)
 
 
-def _sv_stats(block: np.ndarray, rel_tol: float) -> tuple[int, float, float]:
-    """(numerical rank, smallest retained singular value, largest singular value)."""
-    if min(block.shape) == 0:
-        return 0, 0.0, 0.0
-    s = np.linalg.svd(block, compute_uv=False)
-    threshold = rel_tol * float(s[0]) * max(block.shape)
-    rank = int(np.count_nonzero(s > threshold))
-    return rank, (float(s[rank - 1]) if rank else 0.0), float(s[0])
+def _new_column_independent(block: np.ndarray, ranks: dict[int, int], m: int,
+                             rel_tol: float) -> bool:
+    """Whether column m raised the rank; ``ranks`` caches prefix ranks by column count."""
+    if m - 1 not in ranks:
+        ranks[m - 1] = spectrum(block[:, : m - 1], rel_tol)[1]
+    return ranks[m] == ranks[m - 1] + 1
 
 
 def norm_profile(train_block, m_range=None, rel_tol: float = DEFAULT_REL_TOL,
@@ -328,32 +315,32 @@ def norm_profile(train_block, m_range=None, rel_tol: float = DEFAULT_REL_TOL,
     ms = list(range(1, budget + 1)) if m_range is None else sorted({int(m) for m in m_range})
     if ms and (ms[0] < 1 or ms[-1] > budget):
         raise InvalidInputError(f"model sizes must lie in [1, {budget}]")
-    rank_cache: dict[int, int] = {0: 0}
-
-    def prefix_rank(k: int) -> int:
-        if k not in rank_cache:
-            rank_cache[k] = _sv_stats(block[:, :k], rel_tol)[0]
-        return rank_cache[k]
-
+    ranks = {0: 0}
     records = []
     for m in ms:
-        rank, smallest, _ = _sv_stats(block[:, :m], rel_tol)
-        rank_cache[m] = rank
-        norm_pinv = 1.0 / smallest if rank else 0.0
-        if include_nescience and m < budget:
-            norm_nescient = spectral_norm(block[:, m:])
-        else:
-            norm_nescient = 0.0
+        values, rank = spectrum(block[:, :m], rel_tol)
+        ranks[m] = rank
+        norm_nescient = spectral_norm(block[:, m:]) if include_nescience and m < budget else 0.0
         records.append(
             NormProfileRecord(
                 m=m,
-                norm_pinv=norm_pinv,
+                norm_pinv=1.0 / float(values[rank - 1]) if rank else 0.0,
                 norm_nescience=norm_nescient,
                 rank=rank,
-                new_col_independent=rank == prefix_rank(m - 1) + 1,
+                new_col_independent=_new_column_independent(block, ranks, m, rel_tol),
             )
         )
     return records
+
+
+def _error_record(m: int, lam: float, exc: Exception) -> SweepRecord:
+    nan = float("nan")
+    return SweepRecord(
+        m=m, norm_A=nan, norm_pinv_TM=nan, norm_M_TU=nan, alias_error=nan,
+        bias_error=nan, nescience_error=nan, risk_all=nan,
+        risk_prediction_only=nan, rank_TM=-1, new_col_independent=False,
+        lam=lam, error=f"{type(exc).__name__}: {exc}",
+    )
 
 
 def sweep(basis: BasisSpec, design: SampleDesign, theta_spec: ParameterSpec,
@@ -389,8 +376,7 @@ def sweep(basis: BasisSpec, design: SampleDesign, theta_spec: ParameterSpec,
             if ridge is not None and ridge.active:
                 _, norm_pinv = ridge_panels(panel, ridge)
             else:
-                base = svd(panel.train_modeled, rel_tol)
-                norm_pinv = 1.0 / base.min_positive_singular() if base.numerical_rank else 0.0
+                norm_pinv = panel.factor.pinv_norm()
             norm_nescient = spectral_norm(panel.train_nescient) if m < budget else 0.0
             report = risk_and_errors(panel, theta, M_full, y_full, ridge=ridge, aliasing=aliasing)
             return SweepRecord(
@@ -408,13 +394,7 @@ def sweep(basis: BasisSpec, design: SampleDesign, theta_spec: ParameterSpec,
                 lam=lam,
             )
         except (GadkitError, np.linalg.LinAlgError) as exc:
-            nan = float("nan")
-            return SweepRecord(
-                m=m, norm_A=nan, norm_pinv_TM=nan, norm_M_TU=nan, alias_error=nan,
-                bias_error=nan, nescience_error=nan, risk_all=nan,
-                risk_prediction_only=nan, rank_TM=-1, new_col_independent=False,
-                lam=lam, error=f"{type(exc).__name__}: {exc}",
-            )
+            return _error_record(m, lam, exc)
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -425,20 +405,15 @@ def sweep(basis: BasisSpec, design: SampleDesign, theta_spec: ParameterSpec,
     # independence flags need the rank of the previous column prefix; reuse
     # ranks already computed where the range is contiguous
     train_block = M_full[:n]
-    rank_cache = {0: 0}
-    for record in records:
-        if record.error is None:
-            rank_cache[record.m] = record.rank_TM
-
-    def prefix_rank(k: int) -> int:
-        if k not in rank_cache:
-            rank_cache[k] = _sv_stats(train_block[:, :k], rel_tol)[0]
-        return rank_cache[k]
-
+    ranks = {0: 0, **{record.m: record.rank_TM for record in records if record.error is None}}
     flagged = []
     for record in records:
         if record.error is None:
-            independent = record.rank_TM == prefix_rank(record.m - 1) + 1
-            record = replace(record, new_col_independent=independent)
+            try:
+                independent = _new_column_independent(train_block, ranks, record.m, rel_tol)
+            except (GadkitError, np.linalg.LinAlgError) as exc:
+                record = _error_record(record.m, lam, exc)
+            else:
+                record = replace(record, new_col_independent=independent)
         flagged.append(record)
     return flagged

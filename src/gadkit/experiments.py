@@ -273,7 +273,10 @@ def _run_gauss_compare(config: RunConfig, run_seed: int, out: Path, threads: int
         rec_u = sweep(basis, uniform, theta_spec, [m], rel_tol=config.rel_tol, threads=threads)[0]
         gauss_records.append(rec_g)
         uniform_records.append(rec_u)
-        ratio = rec_u.norm_A / rec_g.norm_A if rec_g.norm_A > 0 else float("inf")
+        if rec_g.error is not None or rec_u.error is not None:
+            ratio = float("nan")  # a failed fit has no norm to compare
+        else:
+            ratio = rec_u.norm_A / rec_g.norm_A if rec_g.norm_A > 0 else float("inf")
         rows.append((n, rec_u.norm_A, rec_g.norm_A, ratio))
 
     csv_path = write_sweep_csv(out / _csv_name(config, run_seed), gauss_records)

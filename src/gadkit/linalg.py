@@ -47,6 +47,13 @@ def as_vector(vector, length: int | None = None) -> np.ndarray:
     return v
 
 
+def _rank_threshold(values: np.ndarray, shape: tuple[int, ...], rel_tol: float) -> float:
+    """The rank rule: singular values strictly above this count toward the rank."""
+    if values.size == 0:
+        return 0.0
+    return rel_tol * float(values[0]) * max(shape)
+
+
 def _check_rel_tol(rel_tol: float) -> float:
     if not 0.0 < rel_tol < 1.0:
         raise InvalidInputError(f"rel_tol must lie in (0, 1), got {rel_tol}")
@@ -71,16 +78,32 @@ class SvdResult:
 
     @property
     def rank_threshold(self) -> float:
-        if self.singular_values.size == 0:
-            return 0.0
-        dim = max(self.left_vectors.shape[0], self.right_vectors.shape[0])
-        return self.rel_tol * float(self.singular_values[0]) * dim
+        shape = (self.left_vectors.shape[0], self.right_vectors.shape[0])
+        return _rank_threshold(self.singular_values, shape, self.rel_tol)
 
     def min_positive_singular(self) -> float:
         """Smallest singular value above the rank threshold; 0 if rank 0."""
         if self.numerical_rank == 0:
             return 0.0
         return float(self.singular_values[self.numerical_rank - 1])
+
+    def pinv_norm(self) -> float:
+        """Spectral norm of the pseudoinverse; 0 if rank 0."""
+        return 1.0 / self.min_positive_singular() if self.numerical_rank else 0.0
+
+    def pinv(self) -> np.ndarray:
+        """Moore-Penrose pseudoinverse with sub-threshold singular values zeroed."""
+        r = self.numerical_rank
+        v1 = self.right_vectors[:, :r]
+        u1 = self.left_vectors[:, :r]
+        return (v1 / self.singular_values[:r]) @ u1.conj().T
+
+    def kernel_projector(self) -> np.ndarray:
+        """Orthogonal projector onto the numerical null space, as a Hermitian idempotent."""
+        v = self.right_vectors
+        v1 = v[:, : self.numerical_rank]
+        projector = np.eye(v.shape[0], dtype=v.dtype) - v1 @ v1.conj().T
+        return (projector + projector.conj().T) / 2
 
 
 @dataclass(frozen=True)
@@ -109,22 +132,23 @@ def svd(matrix, rel_tol: float = DEFAULT_REL_TOL) -> SvdResult:
             rel_tol=rel_tol,
         )
     u, s, vh = np.linalg.svd(x, full_matrices=False)
-    threshold = rel_tol * float(s[0]) * max(x.shape)
-    rank = int(np.count_nonzero(s > threshold))
+    rank = int(np.count_nonzero(s > _rank_threshold(s, x.shape, rel_tol)))
     return SvdResult(u, s, vh.conj().T, rank, rel_tol)
+
+
+def spectrum(matrix, rel_tol: float = DEFAULT_REL_TOL) -> tuple[np.ndarray, int]:
+    """Singular values alone, nonincreasing, and the numerical rank they give."""
+    x = as_matrix(matrix)
+    rel_tol = _check_rel_tol(rel_tol)
+    if min(x.shape) == 0:
+        return np.zeros(0), 0
+    s = np.linalg.svd(x, compute_uv=False)
+    return s, int(np.count_nonzero(s > _rank_threshold(s, x.shape, rel_tol)))
 
 
 def pseudoinverse(matrix, rel_tol: float = DEFAULT_REL_TOL) -> np.ndarray:
     """Moore-Penrose pseudoinverse with sub-threshold singular values zeroed."""
-    x = as_matrix(matrix)
-    res = svd(x, rel_tol)
-    r = res.numerical_rank
-    if r == 0:
-        dtype = x.dtype if np.issubdtype(x.dtype, np.complexfloating) else float
-        return np.zeros((x.shape[1], x.shape[0]), dtype=dtype)
-    v1 = res.right_vectors[:, :r]
-    u1 = res.left_vectors[:, :r]
-    return (v1 / res.singular_values[:r]) @ u1.conj().T
+    return svd(matrix, rel_tol).pinv()
 
 
 def spectral_norm(matrix) -> float:
@@ -142,13 +166,7 @@ def kernel_projector(matrix, rel_tol: float = DEFAULT_REL_TOL) -> np.ndarray:
     Returned as a cols-by-cols Hermitian idempotent; the zero matrix when the
     input has full column rank, the identity when the input is zero.
     """
-    x = as_matrix(matrix)
-    res = svd(x, rel_tol)
-    cols = x.shape[1]
-    dtype = x.dtype if np.issubdtype(x.dtype, np.complexfloating) else float
-    v1 = res.right_vectors[:, : res.numerical_rank]
-    projector = np.eye(cols, dtype=dtype) - v1 @ v1.conj().T
-    return (projector + projector.conj().T) / 2
+    return svd(matrix, rel_tol).kernel_projector()
 
 
 def append_column(matrix, phi, rel_tol: float = DEFAULT_REL_TOL) -> tuple[np.ndarray, AppendReport]:

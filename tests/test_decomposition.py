@@ -401,6 +401,30 @@ class TestSweep:
         assert np.isnan(by_m[3].risk_all)
         assert all(by_m[m].error is None for m in (1, 2, 4, 5))
 
+    def test_failed_prefix_rank_is_marked_not_fatal(self, monkeypatch):
+        # m = 5 needs the rank of the 4-column prefix, which no record of the
+        # sparse range supplies; that SVD fails and only m = 5 may suffer
+        basis, design, theta = self.small_setup(seed=17)
+        n = design.n_train
+        original = np.linalg.svd
+
+        def flaky(a, *args, **kwargs):
+            if np.shape(a) == (n, 4):
+                raise np.linalg.LinAlgError("SVD did not converge")
+            return original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", flaky)
+        first, second = decomposition.sweep(basis, design, theta, [5, 10])
+        assert first.m == 5 and second.m == 10
+        assert first.error == "LinAlgError: SVD did not converge"
+        assert first.rank_TM == -1 and not first.new_col_independent
+        assert all(np.isnan(getattr(first, name)) for name in (
+            "norm_A", "norm_pinv_TM", "norm_M_TU", "alias_error", "bias_error",
+            "nescience_error", "risk_all", "risk_prediction_only"))
+        assert second.error is None
+        assert second.rank_TM == 10 and second.new_col_independent
+        assert np.isfinite(second.risk_all)
+
     def test_complex_fourier_sweep_full_range(self):
         # complex operator end to end: every m must satisfy the identity
         # check and produce real, finite record fields

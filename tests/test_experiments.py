@@ -1,6 +1,7 @@
 """Experiment recipes, artifact layout, determinism, and the CLI."""
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 
 from gadkit import ConfigError, parse_config_text
 from gadkit.cli import main
+from gadkit import experiments
 from gadkit.experiments import CSV_COLUMNS, local_maxima, run_config
 
 SMALL_SWEEP = """
@@ -196,9 +198,7 @@ class TestIsingRecipe:
         assert meta["runs"][0]["row_order"] == "size_lex"
 
 
-class TestGaussCompareRecipe:
-    def test_summary_table(self, tmp_path):
-        text = """
+GAUSS_SMALL = """
 [run]
 experiment = gauss_compare
 output_dir = {out}
@@ -218,8 +218,12 @@ scheme = power_decay
 [sweep]
 m_range = 20 20
 n_values = 10 14 18
-""".format(out=tmp_path / "run")
-        config = parse_config_text(text)
+"""
+
+
+class TestGaussCompareRecipe:
+    def test_summary_table(self, tmp_path):
+        config = parse_config_text(GAUSS_SMALL.format(out=tmp_path / "run"))
         run_config(config)
         lines = (tmp_path / "run" / "gauss_compare.csv").read_text().splitlines()
         assert lines[0] == "n,norm_A_uniform,norm_A_gauss,ratio"
@@ -230,6 +234,28 @@ n_values = 10 14 18
         for row in lines[1:]:
             n, u, g, ratio = row.split(",")
             assert float(ratio) == pytest.approx(float(u) / float(g), rel=1e-12)
+
+    def test_failed_gauss_fit_gives_nan_ratio(self, tmp_path, monkeypatch):
+        # an error row has norm_A = NaN; the ratio must not read as an
+        # infinite advantage of the uniform design
+        original = experiments.sweep
+
+        def failing_on_gauss(basis, design, *args, **kwargs):
+            records = original(basis, design, *args, **kwargs)
+            if design.strategy != "legendre_gauss":
+                return records
+            nan = float("nan")
+            return [replace(r, norm_A=nan, rank_TM=-1, error="LinAlgError: synthetic")
+                    for r in records]
+
+        monkeypatch.setattr(experiments, "sweep", failing_on_gauss)
+        run_config(parse_config_text(GAUSS_SMALL.format(out=tmp_path / "run")))
+        lines = (tmp_path / "run" / "gauss_compare.csv").read_text().splitlines()
+        assert len(lines) == 4
+        for row in lines[1:]:
+            n, u, g, ratio = row.split(",")
+            assert np.isfinite(float(u)) and np.isnan(float(g))
+            assert np.isnan(float(ratio))
 
 
 class TestUnstructuredEbRecipe:
