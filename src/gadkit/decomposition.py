@@ -236,32 +236,38 @@ def invertibility_operator(panel: OperatorPanel, ridge: RidgeConfig | None = Non
     return out
 
 
-def risk_and_errors(panel: OperatorPanel, theta, M_full, y_full,
+def _modeled_signal(panel: OperatorPanel, coefficients: np.ndarray) -> np.ndarray:
+    """Signal on training then prediction rows of modeled-only coefficients."""
+    return np.concatenate([panel.train_modeled @ coefficients, panel.pred_modeled @ coefficients])
+
+
+def risk_and_errors(panel: OperatorPanel, theta, y_full,
                     ridge: RidgeConfig | None = None, aliasing: np.ndarray | None = None,
                     identity_tol: float = 1e-8) -> RiskReport:
     """Fit from the training labels and break the prediction error apart.
 
-    ``y_full`` must be the noiseless synthesis ``M_full @ theta``; only its
-    training slice reaches the fit, so the decomposition itself stays label
-    independent.  Verifies that the fitted signal equals the operator-route
-    reconstruction to ``identity_tol`` relative and records the residual.
+    ``y_full`` must be the noiseless synthesis ``M_full @ theta`` over the
+    training then prediction rows; only its training slice reaches the fit,
+    so the decomposition itself stays label independent.  Fitted signals are
+    formed from the panel's modeled blocks.  Verifies that the fitted signal
+    equals the operator-route reconstruction to ``identity_tol`` relative and
+    records the residual.
     """
-    full = as_matrix(M_full)
     theta = as_vector(theta, length=panel.budget)
-    y = as_vector(y_full, length=full.shape[0])
     n = panel.n_train
-    theta_hat = infer_theta(panel, y[:n], ridge)
-    y_hat = full @ theta_hat
+    y = as_vector(y_full, length=n + panel.pred_modeled.shape[0])
+    fit = _fit_map(panel, ridge)
+    theta_m_hat = fit @ y[:n]
+    theta_hat = np.zeros(panel.budget, dtype=theta_m_hat.dtype)
+    theta_hat[: panel.m] = theta_m_hat
+    y_hat = _modeled_signal(panel, theta_m_hat)
 
     theta_m, theta_u = theta[: panel.m], theta[panel.m :]
     if aliasing is None:
-        aliasing = aliasing_operator(panel, ridge)
-    combo = b_operator(panel, ridge) @ theta_m
-    if theta_u.size:
-        combo = combo + aliasing @ theta_u
-    reconstructed = np.zeros(panel.budget, dtype=combo.dtype)
-    reconstructed[: panel.m] = combo
-    y_check = full @ reconstructed
+        aliasing = fit @ panel.train_nescient
+    fitted_m = (fit @ panel.train_modeled) @ theta_m
+    combo = fitted_m + aliasing @ theta_u if theta_u.size else fitted_m
+    y_check = _modeled_signal(panel, combo)
     scale = max(float(np.linalg.norm(y_hat)), float(np.linalg.norm(y)), 1e-300)
     residual = float(np.linalg.norm(y_hat - y_check)) / scale
     if residual > identity_tol:
@@ -272,7 +278,7 @@ def risk_and_errors(panel: OperatorPanel, theta, M_full, y_full,
     if ridge is None or not ridge.active:
         bias_vec = panel.factor.kernel_projector() @ theta_m
     else:
-        bias_vec = theta_m - b_operator(panel, ridge) @ theta_m
+        bias_vec = theta_m - fitted_m
     alias_error = float(np.linalg.norm(aliasing @ theta_u)) if theta_u.size else 0.0
     sq = np.abs(y - y_hat) ** 2
     return RiskReport(
@@ -378,7 +384,7 @@ def sweep(basis: BasisSpec, design: SampleDesign, theta_spec: ParameterSpec,
             else:
                 norm_pinv = panel.factor.pinv_norm()
             norm_nescient = spectral_norm(panel.train_nescient) if m < budget else 0.0
-            report = risk_and_errors(panel, theta, M_full, y_full, ridge=ridge, aliasing=aliasing)
+            report = risk_and_errors(panel, theta, y_full, ridge=ridge, aliasing=aliasing)
             return SweepRecord(
                 m=m,
                 norm_A=norm_a,

@@ -13,6 +13,8 @@ recipe.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 from dataclasses import replace
 from pathlib import Path
@@ -62,7 +64,7 @@ def _fmt(value: float) -> str:
 
 
 def format_record(record: SweepRecord) -> str:
-    error = "" if record.error is None else record.error.replace("\n", " ").replace(",", ";")
+    """One CSV row without its line ending; fields are quoted only where they need it."""
     fields = (
         str(record.m),
         _fmt(record.norm_A),
@@ -76,9 +78,11 @@ def format_record(record: SweepRecord) -> str:
         str(record.rank_TM),
         "true" if record.new_col_independent else "false",
         _fmt(record.lam),
-        error,
+        record.error or "",
     )
-    return ",".join(fields)
+    row = io.StringIO()
+    csv.writer(row, lineterminator="\n").writerow(fields)
+    return row.getvalue()[:-1]
 
 
 def write_sweep_csv(path: Path, records: list[SweepRecord]) -> Path:
@@ -376,6 +380,15 @@ def apply_full_scale(config: RunConfig) -> RunConfig:
     return replace(config, basis=basis, design=design, theta=theta, m_range=m_range)
 
 
+def _blas_build() -> str:
+    """Name and version of the BLAS numpy was built against, as numpy reports it."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):
+        return "unknown"
+    return f"{blas.get('name', 'unknown')} {blas.get('version', 'unknown')}"
+
+
 def run_config(config: RunConfig, *, out_dir: str | None = None,
                seed_override: int | None = None, threads: int | None = None,
                full_scale: bool = False) -> list[Path]:
@@ -404,6 +417,8 @@ def run_config(config: RunConfig, *, out_dir: str | None = None,
         "threads": width,
         "full_scale": full_scale,
         "grid_convention": GRID_CONVENTION,
+        "numpy": np.__version__,
+        "blas": _blas_build(),
         "csv_columns": list(CSV_COLUMNS),
         "runs": run_details,
     }

@@ -5,6 +5,10 @@ real-valued formulas becomes a conjugate transpose so complex bases (discrete
 Fourier, random Fourier features) need no special casing.  Numerical rank is
 decided by the scale-aware threshold ``rel_tol * sigma_max * max(rows, cols)``
 with a strict ``>`` comparison, so ties at the threshold count as dependent.
+The spectral norm takes no SVD: it is the square root of the largest
+eigenvalue of the Gram matrix on the smaller side, formed after an exact
+power-of-two scaling that keeps the Gram entries from overflowing or
+underflowing.
 
 All functions are pure: they never mutate their inputs and are safe to call
 concurrently.
@@ -12,6 +16,7 @@ concurrently.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -151,13 +156,38 @@ def pseudoinverse(matrix, rel_tol: float = DEFAULT_REL_TOL) -> np.ndarray:
     return svd(matrix, rel_tol).pinv()
 
 
+def _ldexp(x: np.ndarray, exponent: int) -> np.ndarray:
+    """``x * 2**exponent``, exact for real and complex entries alike."""
+    if not np.iscomplexobj(x):
+        return np.ldexp(x, exponent)
+    out = np.empty_like(x)
+    np.ldexp(x.real, exponent, out=out.real)
+    np.ldexp(x.imag, exponent, out=out.imag)
+    return out
+
+
 def spectral_norm(matrix) -> float:
-    """Largest singular value; 0 for an empty or zero matrix."""
+    """Largest singular value; 0 for an empty or zero matrix.
+
+    Taken as the square root of the largest eigenvalue of the Gram matrix on
+    the smaller side, after scaling the entries by a power of two so the
+    largest modulus lies in [0.5, 1): the scaling is exact, no Gram entry can
+    overflow, and the largest cannot underflow.  A norm beyond the float
+    range reads inf, as it does from an SVD.
+    """
     x = as_matrix(matrix)
-    if min(x.shape) == 0:
+    if x.size == 0:
         return 0.0
-    s = np.linalg.svd(x, compute_uv=False)
-    return float(s[0])
+    peak = float(np.max(np.abs(x)))
+    if peak == 0.0:
+        return 0.0
+    exponent = math.frexp(peak)[1]
+    x = _ldexp(x, -exponent)
+    xh = x.conj().T
+    gram = x @ xh if x.shape[0] <= x.shape[1] else xh @ x
+    root = math.sqrt(float(np.linalg.eigvalsh(gram)[-1]))
+    with np.errstate(over="ignore"):
+        return float(np.ldexp(root, exponent))
 
 
 def kernel_projector(matrix, rel_tol: float = DEFAULT_REL_TOL) -> np.ndarray:

@@ -176,7 +176,7 @@ def test_05_invertibility_error_suite():
         design = direct_design(rng.standard_normal(rows), rng.standard_normal(2))
         panel = build_panels(full, design, m)
         theta = rng.standard_normal(budget)
-        report = risk_and_errors(panel, theta, full, full @ theta)
+        report = risk_and_errors(panel, theta, full @ theta)
         eb_theta = np.concatenate(
             [kernel_projector(panel.train_modeled) @ theta[:m], theta[m:]]
         )
@@ -334,7 +334,7 @@ def test_09_oracle_equivalence():
         if np.linalg.norm(engine_theta[:m] - reference) > 1e-8 * scale:
             ok = False
             break
-        report = risk_and_errors(panel, theta, full, y_full)
+        report = risk_and_errors(panel, theta, y_full)
         padded = np.zeros(budget)
         padded[:m] = reference
         reference_risk = oracle_risk(full, theta, padded, design)

@@ -169,7 +169,7 @@ class TestRiskAndErrors:
         design, full = monomial_system([0.0, 0.5, 1.0], [0.25, 0.75], 4, (0.0, 1.0))
         panel = build_panels(full, design, 3)
         theta = np.array([1.0, -2.0, 0.5, 0.0])  # nescient part zero
-        report = risk_and_errors(panel, theta, full, full @ theta)
+        report = risk_and_errors(panel, theta, full @ theta)
         assert report.risk_all == pytest.approx(0.0, abs=1e-20)
         assert report.alias_error == 0.0
         assert report.bias_error == pytest.approx(0.0, abs=1e-12)
@@ -179,7 +179,7 @@ class TestRiskAndErrors:
         design, full = monomial_system([0.0, 0.3, 0.7, 1.0], [0.5], 3, (0.0, 1.0))
         panel = build_panels(full, design, 3)
         theta = np.array([1.0, 2.0, 3.0])
-        report = risk_and_errors(panel, theta, full, full @ theta)
+        report = risk_and_errors(panel, theta, full @ theta)
         assert report.risk_all < 1e-18
 
     def test_identity_residual_recorded(self):
@@ -188,7 +188,7 @@ class TestRiskAndErrors:
         full = rng.standard_normal((10, 8))
         panel = build_panels(full, design, 5)
         theta = rng.standard_normal(8)
-        report = risk_and_errors(panel, theta, full, full @ theta)
+        report = risk_and_errors(panel, theta, full @ theta)
         assert 0 <= report.identity_residual < 1e-10
 
     def test_inconsistent_labels_raise(self):
@@ -199,7 +199,18 @@ class TestRiskAndErrors:
         theta = rng.standard_normal(8)
         wrong = full @ theta + rng.standard_normal(10)
         with pytest.raises(DecompositionMismatchError):
-            risk_and_errors(panel, theta, full, wrong)
+            risk_and_errors(panel, theta, wrong)
+
+    def test_wrong_length_labels_raise(self):
+        # the label vector covers training then prediction rows of the panel
+        rng = np.random.default_rng(5)
+        design = direct_design(rng.standard_normal(6), rng.standard_normal(4))
+        full = rng.standard_normal((10, 8))
+        panel = build_panels(full, design, 5)
+        theta = rng.standard_normal(8)
+        for y in ((full @ theta)[:9], np.append(full @ theta, 0.0), (full @ theta)[:6]):
+            with pytest.raises(InvalidInputError):
+                risk_and_errors(panel, theta, y)
 
     def test_error_split_is_pythagorean(self):
         rng = np.random.default_rng(6)
@@ -211,7 +222,7 @@ class TestRiskAndErrors:
             full = rng.standard_normal((rows + 3, budget))
             panel = build_panels(full, design, m)
             theta = rng.standard_normal(budget)
-            report = risk_and_errors(panel, theta, full, full @ theta)
+            report = risk_and_errors(panel, theta, full @ theta)
             combined = np.hypot(report.bias_error, report.nescience_error)
             operator = invertibility_operator(panel)
             np.testing.assert_allclose(combined, np.linalg.norm(operator @ theta), atol=1e-10)
@@ -400,6 +411,22 @@ class TestSweep:
         assert by_m[3].error is not None
         assert np.isnan(by_m[3].risk_all)
         assert all(by_m[m].error is None for m in (1, 2, 4, 5))
+
+    def test_operator_validated_once_per_model_size(self, monkeypatch):
+        basis, design, theta = self.small_setup(seed=19)
+        shape = (design.all_points.shape[0], basis.column_budget)
+        original = decomposition.as_matrix
+        calls = []
+
+        def counted(matrix):
+            if np.shape(matrix) == shape:
+                calls.append(1)
+            return original(matrix)
+
+        monkeypatch.setattr(decomposition, "as_matrix", counted)
+        records = decomposition.sweep(basis, design, theta, range(8, 13))
+        assert all(record.error is None for record in records)
+        assert len(calls) == 5
 
     def test_failed_prefix_rank_is_marked_not_fatal(self, monkeypatch):
         # m = 5 needs the rank of the 4-column prefix, which no record of the

@@ -1,5 +1,6 @@
 """Experiment recipes, artifact layout, determinism, and the CLI."""
 
+import csv
 import json
 from dataclasses import replace
 from pathlib import Path
@@ -10,6 +11,7 @@ import pytest
 from gadkit import ConfigError, parse_config_text
 from gadkit.cli import main
 from gadkit import experiments
+from gadkit.decomposition import SweepRecord
 from gadkit.experiments import CSV_COLUMNS, local_maxima, run_config
 
 SMALL_SWEEP = """
@@ -148,6 +150,36 @@ class TestSweepRecipe:
         assert "grid_convention" in meta
         assert meta["rel_tol"] == 1e-12
         assert parse_config_text(meta["config"]) == config
+
+    def test_meta_names_numerical_stack(self, tmp_path):
+        config = parse_config_text(SMALL_SWEEP.format(out=tmp_path / "run"))
+        run_config(config)
+        meta = json.loads((tmp_path / "run" / "meta.json").read_text())
+        assert meta["numpy"] == np.__version__
+        assert isinstance(meta["blas"], str) and meta["blas"]
+
+
+class TestSweepCsv:
+    def record(self, error):
+        nan = float("nan")
+        return SweepRecord(m=3, norm_A=nan, norm_pinv_TM=nan, norm_M_TU=nan, alias_error=nan,
+                           bias_error=nan, nescience_error=nan, risk_all=nan,
+                           risk_prediction_only=nan, rank_TM=-1, new_col_independent=False,
+                           lam=0.0, error=error)
+
+    def test_error_field_round_trips(self, tmp_path):
+        message = 'ValueError: bad "shape" (3, 4),\nsecond line'
+        path = experiments.write_sweep_csv(tmp_path / "sweep.csv",
+                                           [self.record(message), self.record(None)])
+        with path.open(newline="", encoding="utf-8") as handle:
+            rows = list(csv.DictReader(handle))
+        assert [row["error"] for row in rows] == [message, ""]
+        assert [row["m"] for row in rows] == ["3", "3"]
+        assert list(rows[0]) == list(CSV_COLUMNS)
+
+    def test_plain_row_is_unquoted(self):
+        line = experiments.format_record(self.record("LinAlgError: SVD did not converge"))
+        assert line == "3," + "nan," * 8 + "-1,false,0.0,LinAlgError: SVD did not converge"
 
 
 class TestFourierRecipe:

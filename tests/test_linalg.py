@@ -148,6 +148,53 @@ class TestSpectralNorm:
         assert np.linalg.norm(x @ v, axis=0).max() <= norm + 1e-12
 
 
+SPECTRAL_SHAPES = [(6, 6), (9, 4), (4, 9), (1, 7), (7, 1)]
+
+
+def spectral_case(shape, kind, complex_field, scale):
+    rows, cols = shape
+    rng = np.random.default_rng([rows, cols, int(complex_field)])
+    if kind == "zero":
+        x = np.zeros(shape, dtype=complex if complex_field else float)
+    elif kind == "rank_deficient":
+        r = max(1, min(shape) - 2)
+        x = random_matrix(rng, rows, r, complex_field) @ random_matrix(rng, r, cols, complex_field)
+    else:
+        x = random_matrix(rng, rows, cols, complex_field)
+    return x * scale
+
+
+class TestSpectralNormAgainstSvd:
+    @pytest.mark.parametrize("scale", [1e-200, 1.0, 1e200])
+    @pytest.mark.parametrize("complex_field", [False, True])
+    @pytest.mark.parametrize("kind", ["generic", "rank_deficient", "zero"])
+    @pytest.mark.parametrize("shape", SPECTRAL_SHAPES)
+    def test_matches_largest_singular_value(self, shape, kind, complex_field, scale):
+        x = spectral_case(shape, kind, complex_field, scale)
+        expected = float(np.linalg.svd(x, compute_uv=False)[0])
+        got = spectral_norm(x)
+        assert np.isfinite(got)
+        if kind == "zero":
+            assert got == 0.0
+        else:
+            assert got == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 5), (5, 0)])
+    @pytest.mark.parametrize("complex_field", [False, True])
+    def test_empty(self, shape, complex_field):
+        x = np.zeros(shape, dtype=complex if complex_field else float)
+        assert spectral_norm(x) == 0.0
+
+    def test_single_huge_entry(self):
+        # without scaling, the Gram entry 1e400 would overflow to inf
+        x = np.zeros((3, 4))
+        x[1, 2] = -1e200
+        assert spectral_norm(x) == 1e200
+
+    def test_norm_beyond_float_range_is_inf(self):
+        assert spectral_norm(np.full((2, 2), 1e308)) == np.inf
+
+
 class TestKernelProjector:
     def test_full_column_rank_gives_zero(self):
         rng = np.random.default_rng(6)
