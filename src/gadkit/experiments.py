@@ -34,7 +34,7 @@ from .decomposition import (
 )
 from .designs import SampleDesign, make_design
 from .errors import ConfigError, InvalidInputError
-from .linalg import kernel_projector
+from .linalg import kernel_projector  # noqa: F401  (perfbench/spans.py wraps this)
 
 CSV_COLUMNS = (
     "m",
@@ -324,7 +324,7 @@ def _run_unstructured_eb(config: RunConfig, run_seed: int, out: Path, threads: i
     settings = []
     for m in sorted(set(config.m_values)):
         panel = build_panels(M_full, design, m, config.rel_tol)
-        projector = kernel_projector(panel.train_modeled, config.rel_tol)
+        projector = panel.factor.kernel_projector()
         dim_kernel = m - panel.rank
         dim_nescient = budget - m
         draws = rng.normal(0.0, np.sqrt(sigma2), (config.mc_draws, budget))

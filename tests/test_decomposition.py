@@ -11,6 +11,7 @@ from gadkit import (
     InvalidInputError,
     ParameterSpec,
     RidgeConfig,
+    SvdResult,
     aliasing_operator,
     b_operator,
     build_panels,
@@ -412,7 +413,7 @@ class TestSweep:
         assert np.isnan(by_m[3].risk_all)
         assert all(by_m[m].error is None for m in (1, 2, 4, 5))
 
-    def test_operator_validated_once_per_model_size(self, monkeypatch):
+    def test_operator_validated_once_per_sweep(self, monkeypatch):
         basis, design, theta = self.small_setup(seed=19)
         shape = (design.all_points.shape[0], basis.column_budget)
         original = decomposition.as_matrix
@@ -426,7 +427,45 @@ class TestSweep:
         monkeypatch.setattr(decomposition, "as_matrix", counted)
         records = decomposition.sweep(basis, design, theta, range(8, 13))
         assert all(record.error is None for record in records)
-        assert len(calls) == 5
+        assert len(calls) == 1
+
+    def test_nonfinite_operator_fails_every_model_size(self, monkeypatch):
+        # the one check before the loop still turns into one error row per m
+        basis, design, theta = self.small_setup(seed=21)
+        original = decomposition.evaluate_columns
+
+        def with_nan(*args, **kwargs):
+            full = original(*args, **kwargs).copy()
+            full[3, 7] = np.nan
+            return full
+
+        monkeypatch.setattr(decomposition, "evaluate_columns", with_nan)
+        records = decomposition.sweep(basis, design, theta, [1, 5, 12, 30])
+        assert [r.m for r in records] == [1, 5, 12, 30]
+        for record in records:
+            assert record.error == "InvalidInputError: matrix entries must be finite"
+            assert record.rank_TM == -1 and np.isnan(record.risk_all)
+
+    @pytest.mark.parametrize("lam", [0.0, 1e-2])
+    def test_sweep_builds_no_dense_operator(self, monkeypatch, lam):
+        # the sweep applies the panel's factor to vectors; the dense operators
+        # stay as references only.  At lambda = 0 the range starts past n:
+        # with an empty kernel the bias still reads the m x m kernel
+        # projector (see risk_and_errors)
+        basis, design, theta = self.small_setup(seed=23)
+        n = design.n_train
+
+        def dense(*args, **kwargs):
+            raise DecompositionMismatchError("dense operator built inside the sweep")
+
+        for owner, name in ((decomposition, "aliasing_operator"),
+                            (decomposition, "b_operator"),
+                            (SvdResult, "pinv"), (SvdResult, "kernel_projector")):
+            monkeypatch.setattr(owner, name, dense)
+        ridge = RidgeConfig(lam, n)
+        ms = range(n + 1, n + 9) if lam == 0 else range(1, n + 9)
+        records = decomposition.sweep(basis, design, theta, ms, ridge=ridge)
+        assert [r.error for r in records] == [None] * len(ms)
 
     def test_failed_prefix_rank_is_marked_not_fatal(self, monkeypatch):
         # m = 5 needs the rank of the 4-column prefix, which no record of the

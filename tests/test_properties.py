@@ -6,10 +6,13 @@ kernel projector, ridge fit map, risk) comes from the panel's single SVD;
 these properties hold it against routes that do not share that factor.
 """
 
+from unittest import mock
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gadkit.decomposition as decomposition
 from gadkit import (
     BasisSpec,
     ParameterSpec,
@@ -50,13 +53,18 @@ def blocks(draw, min_rows=1, max_rows=8, max_cols=10):
     return x
 
 
-def panel_of(train_block, m):
-    """Panel of a training block at model size m, with one extra prediction row."""
+def system_of(train_block):
+    """Full operator of a training block with one extra prediction row, and its design."""
     n, budget = train_block.shape
     full = np.vstack([train_block, np.ones((1, budget), dtype=train_block.dtype)])
     design = SampleDesign(train_points=np.zeros((n, 1)), prediction_points=np.zeros((1, 1)),
                           strategy="from_dataset", seed=0, effective_seed=0)
-    return build_panels(full, design, m)
+    return full, design
+
+
+def panel_of(train_block, m):
+    """Panel of a training block at model size m, with one extra prediction row."""
+    return build_panels(*system_of(train_block), m)
 
 
 @PROPERTY
@@ -127,3 +135,23 @@ def test_sweep_risk_matches_conjugate_gradient_oracle(family, n, seed, data):
         oracle = certify(full, design, theta, record.m).risk
         gap = abs(record.risk_all - oracle) / max(record.risk_all, oracle, floor)
         assert gap <= 1e-8, (record.m, record.risk_all, oracle)
+
+
+@PROPERTY
+@given(blocks(), st.integers(-2, 2), st.sampled_from([0.0, 1e-4, 1e-2, 1.0]), st.integers(0, 2**16))
+def test_sweep_alias_core_matches_dense_aliasing_operator(block, offset, lam, seed):
+    # the sweep reads norm_A and alias_error off the small core C with A = V C;
+    # the reference is the dense aliasing operator A = fit map @ T_U
+    n, budget = block.shape
+    m = min(max(n + offset, 1), budget)  # below, at or above n where the budget allows
+    full, design = system_of(block)
+    theta_spec = ParameterSpec("unstructured_iid", budget, seed=seed)
+    ridge = RidgeConfig(lam, n) if lam else None
+    with mock.patch.object(decomposition, "evaluate_columns", return_value=full):
+        (record,) = sweep(BasisSpec("rff", 1, budget), design, theta_spec, [m], ridge=ridge)
+    assert record.error is None
+    aliasing = aliasing_operator(build_panels(full, design, m), ridge)
+    norm_a = np.linalg.svd(aliasing, compute_uv=False)[0] if aliasing.size else 0.0
+    alias_error = np.linalg.norm(aliasing @ make_theta(theta_spec)[m:])
+    for got, want in ((record.norm_A, norm_a), (record.alias_error, alias_error)):
+        assert abs(got - want) <= 1e-9 * max(got, want), (got, want)
