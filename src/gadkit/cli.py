@@ -2,13 +2,13 @@
 
 Usage::
 
-    gadkit --config path/to/run.cfg [--out DIR] [--seed N] [--threads K]
-           [--full-scale]
+    gadkit --config path/to/run.cfg [--out DIR] [--seed N] [--full-scale]
 
 The config file names the experiment and all its parameters; the flags
 override the output directory, replace the seed list with a single seed,
-set the sweep worker-pool width, and raise sweep dimensions to the
-reference scale.  Exit status 0 on success, 2 on a config problem.
+and raise sweep dimensions to the reference scale.  The sweep runs in one
+process; the BLAS library is its only source of parallelism.  Exit status
+0 on success, 1 on a failed run, 2 on a config or usage problem.
 """
 
 from __future__ import annotations
@@ -30,8 +30,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", default=None, help="output directory (overrides the config)")
     parser.add_argument("--seed", type=int, default=None,
                         help="replace the config's seed list with this single seed")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="parallel sweep width (overrides the config)")
     parser.add_argument("--full-scale", action="store_true",
                         help="raise sweep dimensions to the reference scale")
     return parser
@@ -49,7 +47,6 @@ def main(argv: list[str] | None = None) -> int:
             config,
             out_dir=args.out,
             seed_override=args.seed,
-            threads=args.threads,
             full_scale=args.full_scale,
         )
     except GadkitError as exc:

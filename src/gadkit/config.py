@@ -67,7 +67,6 @@ class RunConfig:
     seeds: tuple[int, ...]
     output_dir: str
     rel_tol: float
-    threads: int
     n_values: tuple[int, ...] | None
     mc_draws: int
 
@@ -122,7 +121,6 @@ _SCHEMA: dict[str, dict[str, str]] = {
         "output_dir": "str",
         "rel_tol": "float",
         "seeds": "int_list",
-        "threads": "int",
     },
     "basis": {
         "family": "str",
@@ -245,9 +243,6 @@ def parse_config_text(text: str, origin: str = "<config>") -> RunConfig:
     rel_tol = float(run.get("rel_tol", 1e-12))
     if not 0.0 < rel_tol < 1.0:
         raise ConfigError(f"{origin}: [run] rel_tol must lie in (0, 1)")
-    threads = int(run.get("threads", 1))
-    if threads < 1:
-        raise ConfigError(f"{origin}: [run] threads must be at least 1")
     if "seeds" in run:
         seeds = tuple(run["seeds"])
     elif os.environ.get(SEED_ENV_VAR):
@@ -359,7 +354,6 @@ def parse_config_text(text: str, origin: str = "<config>") -> RunConfig:
         seeds=seeds,
         output_dir=run["output_dir"],
         rel_tol=rel_tol,
-        threads=threads,
         n_values=n_values,
         mc_draws=mc_draws,
     )
@@ -369,6 +363,13 @@ def parse_config_text(text: str, origin: str = "<config>") -> RunConfig:
 
 def _validate_experiment(config: RunConfig, origin: str) -> None:
     exp = config.experiment
+    budget = config.basis.column_budget
+    if config.m_range is not None and config.m_range[1] > budget:
+        raise ConfigError(f"{origin}: [sweep] m_range must lie in [1, column_budget = {budget}]")
+    if config.m_values is not None and not all(1 <= m <= budget for m in config.m_values):
+        raise ConfigError(f"{origin}: [sweep] m_values must lie in [1, column_budget = {budget}]")
+    if config.n_values is not None and min(config.n_values) < 1:
+        raise ConfigError(f"{origin}: [sweep] n_values entries must be at least 1")
     if exp in ("sweep", "ridge_sweep", "ising_sweep") and config.m_range is None:
         raise ConfigError(f"{origin}: experiment {exp!r} requires [sweep] m_range")
     if exp == "fourier_check":
@@ -440,7 +441,6 @@ def serialize_config(config: RunConfig) -> str:
     lines.append(f"output_dir = {config.output_dir}")
     lines.append(f"rel_tol = {_format_value(config.rel_tol)}")
     lines.append(f"seeds = {_format_value(config.seeds)}")
-    lines.append(f"threads = {config.threads}")
 
     basis = config.basis
     lines.append("")

@@ -24,8 +24,7 @@ once per model size.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -400,12 +399,18 @@ def _error_record(m: int, lam: float, exc: Exception) -> SweepRecord:
 def sweep(basis: BasisSpec, design: SampleDesign, theta_spec: ParameterSpec,
           m_range, ridge: RidgeConfig | None = None, rel_tol: float = DEFAULT_REL_TOL,
           threads: int = 1) -> list[SweepRecord]:
-    """One risk-anatomy record per model size, each computed independently.
+    """One risk-anatomy record per model size, in one upward loop over m.
 
-    A failing model size yields a record carrying an error message instead of
-    aborting the sweep.  Records come back sorted by m and are deterministic
-    for fixed seeds regardless of ``threads``.
+    Each step stores the rank of the modeled block and reads the independence
+    flag of column m off the rank at m - 1: stored when the previous size was
+    swept, otherwise taken from a values-only SVD of the column prefix.  A
+    model size whose panel, norms or risk fail yields a record carrying an
+    error message instead of aborting the sweep, and stores no rank.  Records
+    come back sorted by m and are deterministic for fixed seeds.
     """
+    # the sweep is serial; ``threads`` stays only because perfbench/child.py passes it
+    if threads != 1:
+        raise InvalidInputError(f"the sweep runs serially; threads must be 1, got {threads}")
     budget = basis.column_budget
     ms = sorted({int(m) for m in m_range})
     if not ms:
@@ -418,15 +423,17 @@ def sweep(basis: BasisSpec, design: SampleDesign, theta_spec: ParameterSpec,
         )
     M_full = evaluate_columns(basis, design.all_points, (0, budget))
     theta = make_theta(theta_spec)
-    n = design.n_train
     lam = ridge.lam if ridge is not None else 0.0
     try:
         operator = _FiniteOperator(M_full)
     except InvalidInputError as exc:
         return [_error_record(m, lam, exc) for m in ms]
     y_full = operator.matrix @ theta
+    train_block = operator.matrix[: design.n_train]
 
-    def compute(m: int) -> SweepRecord:
+    ranks = {0: 0}
+    records = []
+    for m in ms:
         try:
             panel = build_panels(operator, design, m, rel_tol)
             if ridge is not None and ridge.active:
@@ -435,7 +442,13 @@ def sweep(basis: BasisSpec, design: SampleDesign, theta_spec: ParameterSpec,
                 norm_pinv = panel.factor.pinv_norm()
             norm_nescient = spectral_norm(panel.train_nescient) if m < budget else 0.0
             report = risk_and_errors(panel, theta, y_full, ridge=ridge)
-            return SweepRecord(
+            ranks[m] = panel.rank
+            independent = _new_column_independent(train_block, ranks, m, rel_tol)
+        except (GadkitError, np.linalg.LinAlgError) as exc:
+            records.append(_error_record(m, lam, exc))
+            continue
+        records.append(
+            SweepRecord(
                 m=m,
                 norm_A=report.norm_A,
                 norm_pinv_TM=float(norm_pinv),
@@ -446,30 +459,8 @@ def sweep(basis: BasisSpec, design: SampleDesign, theta_spec: ParameterSpec,
                 risk_all=report.risk_all,
                 risk_prediction_only=report.risk_prediction_only,
                 rank_TM=panel.rank,
-                new_col_independent=False,
+                new_col_independent=independent,
                 lam=lam,
             )
-        except (GadkitError, np.linalg.LinAlgError) as exc:
-            return _error_record(m, lam, exc)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            records = list(pool.map(compute, ms))
-    else:
-        records = [compute(m) for m in ms]
-
-    # independence flags need the rank of the previous column prefix; reuse
-    # ranks already computed where the range is contiguous
-    train_block = operator.matrix[:n]
-    ranks = {0: 0, **{record.m: record.rank_TM for record in records if record.error is None}}
-    flagged = []
-    for record in records:
-        if record.error is None:
-            try:
-                independent = _new_column_independent(train_block, ranks, record.m, rel_tol)
-            except (GadkitError, np.linalg.LinAlgError) as exc:
-                record = _error_record(record.m, lam, exc)
-            else:
-                record = replace(record, new_col_independent=independent)
-        flagged.append(record)
-    return flagged
+        )
+    return records

@@ -2,9 +2,9 @@
 
 Every run writes ``sweep.csv`` (one row per sweep record, frozen column
 order), ``meta.json`` (config echo, per-seed details, tool version, grid
-convention), and an experiment-specific summary where the recipe defines
-one.  Output is byte-identical for identical config and seeds; the worker
-pool width changes timing only.
+convention, numerical stack), and an experiment-specific summary where the
+recipe defines one.  Output is byte-identical for identical config and seeds
+on one machine.
 
 The run-level seed shifts the basis, theta, and design seeds together, so a
 ``seeds`` list in the config yields independent replicates of the same
@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 from dataclasses import replace
 from pathlib import Path
 
@@ -57,6 +58,9 @@ GRID_CONVENTION = (
     "risk_all averages training plus prediction rows, risk_prediction_only "
     "averages prediction rows only"
 )
+
+# the BLAS is the only source of parallelism; meta.json records these as set
+BLAS_THREAD_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def _fmt(value: float) -> str:
@@ -164,7 +168,7 @@ def materialize_design(design: DesignConfig, run_seed: int) -> SampleDesign:
 
 
 def _sweep_records(config: RunConfig, run_seed: int, design: SampleDesign,
-                   basis: BasisSpec, threads: int) -> list[SweepRecord]:
+                   basis: BasisSpec) -> list[SweepRecord]:
     theta_spec = replace(config.theta, seed=config.theta.seed + run_seed,
                          length=basis.column_budget)
     records: list[SweepRecord] = []
@@ -172,7 +176,7 @@ def _sweep_records(config: RunConfig, run_seed: int, design: SampleDesign,
         ridge = RidgeConfig(lam, design.n_train) if lam > 0 else None
         records.extend(
             sweep(basis, design, theta_spec, _model_sizes(config),
-                  ridge=ridge, rel_tol=config.rel_tol, threads=threads)
+                  ridge=ridge, rel_tol=config.rel_tol)
         )
     return records
 
@@ -228,19 +232,19 @@ def fourier_alias_expectation(n_base: int, m: int, budget: int) -> np.ndarray:
     return expected
 
 
-def _run_sweep_like(config: RunConfig, run_seed: int, out: Path, threads: int):
+def _run_sweep_like(config: RunConfig, run_seed: int, out: Path):
     basis = _shift_seed(config.basis, run_seed)
     design = materialize_design(config.design, run_seed)
-    records = _sweep_records(config, run_seed, design, basis, threads)
+    records = _sweep_records(config, run_seed, design, basis)
     csv_path = write_sweep_csv(out / _csv_name(config, run_seed), records)
     return [csv_path], {"design_effective_seed": design.effective_seed}
 
 
-def _run_fourier_check(config: RunConfig, run_seed: int, out: Path, threads: int):
+def _run_fourier_check(config: RunConfig, run_seed: int, out: Path):
     basis = _shift_seed(config.basis, run_seed)
     design = materialize_design(config.design, run_seed)
     n_base = int(basis.param("base_frequencies"))
-    records = _sweep_records(config, run_seed, design, basis, threads)
+    records = _sweep_records(config, run_seed, design, basis)
 
     m = _model_sizes(config)[0]
     M_full = evaluate_columns(basis, design.all_points, (0, basis.column_budget))
@@ -261,7 +265,7 @@ def _run_fourier_check(config: RunConfig, run_seed: int, out: Path, threads: int
     return [csv_path, summary_path], {"max_deviation": max_deviation}
 
 
-def _run_gauss_compare(config: RunConfig, run_seed: int, out: Path, threads: int):
+def _run_gauss_compare(config: RunConfig, run_seed: int, out: Path):
     basis = _shift_seed(config.basis, run_seed)
     m = config.m_range[0]
     theta_spec = replace(config.theta, seed=config.theta.seed + run_seed,
@@ -273,8 +277,8 @@ def _run_gauss_compare(config: RunConfig, run_seed: int, out: Path, threads: int
         gauss = make_design("legendre_gauss", n, config.design.grid_size, seed=run_seed)
         uniform = make_design("uniform_interval", n, config.design.grid_size,
                               seed=run_seed + n, interval=(-1.0, 1.0))
-        rec_g = sweep(basis, gauss, theta_spec, [m], rel_tol=config.rel_tol, threads=threads)[0]
-        rec_u = sweep(basis, uniform, theta_spec, [m], rel_tol=config.rel_tol, threads=threads)[0]
+        rec_g = sweep(basis, gauss, theta_spec, [m], rel_tol=config.rel_tol)[0]
+        rec_u = sweep(basis, uniform, theta_spec, [m], rel_tol=config.rel_tol)[0]
         gauss_records.append(rec_g)
         uniform_records.append(rec_u)
         if rec_g.error is not None or rec_u.error is not None:
@@ -295,12 +299,12 @@ def _run_gauss_compare(config: RunConfig, run_seed: int, out: Path, threads: int
     return [csv_path, uniform_path, summary_path], extra
 
 
-def _run_ising_sweep(config: RunConfig, run_seed: int, out: Path, threads: int):
+def _run_ising_sweep(config: RunConfig, run_seed: int, out: Path):
     basis = _shift_seed(config.basis, run_seed)
     chain_length = int(basis.param("chain_length"))
     design = ising_design(chain_length, config.design.n_train, config.design.grid_size,
                           config.design.row_order, run_seed)
-    records = _sweep_records(config, run_seed, design, basis, threads)
+    records = _sweep_records(config, run_seed, design, basis)
     csv_path = write_sweep_csv(out / _csv_name(config, run_seed), records)
     extra = {
         "row_order": config.design.row_order,
@@ -311,10 +315,10 @@ def _run_ising_sweep(config: RunConfig, run_seed: int, out: Path, threads: int):
     return [csv_path], extra
 
 
-def _run_unstructured_eb(config: RunConfig, run_seed: int, out: Path, threads: int):
+def _run_unstructured_eb(config: RunConfig, run_seed: int, out: Path):
     basis = _shift_seed(config.basis, run_seed)
     design = materialize_design(config.design, run_seed)
-    records = _sweep_records(config, run_seed, design, basis, threads)
+    records = _sweep_records(config, run_seed, design, basis)
     csv_path = write_sweep_csv(out / _csv_name(config, run_seed), records)
 
     budget = basis.column_budget
@@ -390,21 +394,23 @@ def _blas_build() -> str:
 
 
 def run_config(config: RunConfig, *, out_dir: str | None = None,
-               seed_override: int | None = None, threads: int | None = None,
+               seed_override: int | None = None, threads: int = 1,
                full_scale: bool = False) -> list[Path]:
     """Execute a validated config and return the written artifact paths."""
+    # runs are serial; ``threads`` stays only because perfbench/child.py passes it
+    if threads != 1:
+        raise InvalidInputError(f"runs are serial; threads must be 1, got {threads}")
     if full_scale:
         config = apply_full_scale(config)
     if seed_override is not None:
         config = replace(config, seeds=(seed_override,))
     out = Path(out_dir if out_dir is not None else config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    width = threads if threads is not None else config.threads
     runner = _RUNNERS[config.experiment]
     paths: list[Path] = []
     run_details = []
     for run_seed in config.seeds:
-        seed_paths, extra = runner(config, run_seed, out, width)
+        seed_paths, extra = runner(config, run_seed, out)
         paths.extend(seed_paths)
         run_details.append({"seed": run_seed, **extra})
     meta = {
@@ -414,11 +420,11 @@ def run_config(config: RunConfig, *, out_dir: str | None = None,
         "config": serialize_config(config),
         "seeds": list(config.seeds),
         "rel_tol": config.rel_tol,
-        "threads": width,
         "full_scale": full_scale,
         "grid_convention": GRID_CONVENTION,
         "numpy": np.__version__,
         "blas": _blas_build(),
+        "blas_thread_env": {name: os.environ.get(name) for name in BLAS_THREAD_ENV},
         "csv_columns": list(CSV_COLUMNS),
         "runs": run_details,
     }

@@ -68,6 +68,14 @@ class TestParsing:
         message = str(info.value)
         assert "mystery" in message and "case.cfg:" in message
 
+    def test_threads_key_rejected_with_line_number(self):
+        # the sweep is serial, so [run] has no threads key
+        bad = MINIMAL.replace("output_dir = out/test", "output_dir = out/test\nthreads = 2")
+        with pytest.raises(ConfigError) as info:
+            parse_config_text(bad, origin="case.cfg")
+        message = str(info.value)
+        assert "case.cfg:5:" in message and "'threads'" in message
+
     def test_unknown_section(self):
         with pytest.raises(ConfigError) as info:
             parse_config_text(MINIMAL + "\n[extras]\nx = 1\n")

@@ -383,11 +383,16 @@ class TestSweep:
         ridged = sweep(basis, design, theta, range(1, 21), ridge=RidgeConfig(0.0, design.n_train))
         assert plain == ridged
 
-    def test_threads_do_not_change_records(self):
+    def test_threads_other_than_one_rejected(self, monkeypatch):
+        # the sweep is serial; a wider width fails before any column is evaluated
         basis, design, theta = self.small_setup(seed=11)
-        assert sweep(basis, design, theta, range(1, 21)) == sweep(
-            basis, design, theta, range(1, 21), threads=4
-        )
+
+        def never(*args, **kwargs):
+            raise AssertionError("columns evaluated")
+
+        monkeypatch.setattr(decomposition, "evaluate_columns", never)
+        with pytest.raises(InvalidInputError, match="threads must be 1"):
+            decomposition.sweep(basis, design, theta, range(1, 21), threads=2)
 
     def test_sparse_m_range_flags(self):
         basis, design, theta = self.small_setup(seed=13)
@@ -399,6 +404,7 @@ class TestSweep:
 
     def test_failed_m_is_marked_not_fatal(self, monkeypatch):
         basis, design, theta = self.small_setup(seed=15)
+        clean = {r.m: r for r in decomposition.sweep(basis, design, theta, range(1, 6))}
         original = decomposition.risk_and_errors
 
         def flaky(panel, *args, **kwargs):
@@ -412,6 +418,10 @@ class TestSweep:
         assert by_m[3].error is not None
         assert np.isnan(by_m[3].risk_all)
         assert all(by_m[m].error is None for m in (1, 2, 4, 5))
+        # m = 3 stored no rank, so the flag at m = 4 comes from a prefix-rank SVD
+        for m in (1, 2, 4, 5):
+            assert (by_m[m].rank_TM, by_m[m].new_col_independent) == (
+                clean[m].rank_TM, clean[m].new_col_independent)
 
     def test_operator_validated_once_per_sweep(self, monkeypatch):
         basis, design, theta = self.small_setup(seed=19)

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gadkit import ConfigError, parse_config_text
+from gadkit import ConfigError, InvalidInputError, parse_config_text
 from gadkit.cli import main
 from gadkit import experiments
 from gadkit.decomposition import SweepRecord
@@ -117,13 +117,11 @@ class TestSweepRecipe:
         second = (tmp_path / "b" / "sweep.csv").read_bytes()
         assert first == second
 
-    def test_threads_do_not_change_bytes(self, tmp_path):
-        config = parse_config_text(SMALL_SWEEP.format(out=tmp_path / "a"))
-        run_config(config)
-        run_config(config, out_dir=str(tmp_path / "b"), threads=4)
-        assert (tmp_path / "a" / "sweep.csv").read_bytes() == (
-            tmp_path / "b" / "sweep.csv"
-        ).read_bytes()
+    def test_threads_other_than_one_rejected(self, tmp_path):
+        config = parse_config_text(SMALL_SWEEP.format(out=tmp_path / "run"))
+        with pytest.raises(InvalidInputError, match="threads must be 1"):
+            run_config(config, threads=2)
+        assert not (tmp_path / "run").exists()
 
     def test_seed_override_changes_output(self, tmp_path):
         config = parse_config_text(SMALL_SWEEP.format(out=tmp_path / "a"))
@@ -157,6 +155,17 @@ class TestSweepRecipe:
         meta = json.loads((tmp_path / "run" / "meta.json").read_text())
         assert meta["numpy"] == np.__version__
         assert isinstance(meta["blas"], str) and meta["blas"]
+
+    def test_meta_records_blas_thread_env(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        monkeypatch.setenv("MKL_NUM_THREADS", "2")
+        run_config(parse_config_text(SMALL_SWEEP.format(out=tmp_path / "run")))
+        meta = json.loads((tmp_path / "run" / "meta.json").read_text())
+        assert meta["blas_thread_env"] == {
+            "OPENBLAS_NUM_THREADS": "3", "OMP_NUM_THREADS": None, "MKL_NUM_THREADS": "2",
+        }
+        assert "threads" not in meta
 
 
 class TestSweepCsv:
@@ -352,14 +361,30 @@ class TestCli:
     def test_missing_file_exits_two(self, tmp_path):
         assert main(["--config", str(tmp_path / "nope.cfg")]) == 2
 
-    def test_threads_flag_keeps_bytes(self, tmp_path):
+    def test_threads_flag_exits_two(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text(SMALL_SWEEP.format(out=tmp_path / "ignored"))
-        assert main(["--config", str(cfg), "--out", str(tmp_path / "t1")]) == 0
-        assert main(["--config", str(cfg), "--out", str(tmp_path / "t4"), "--threads", "4"]) == 0
-        assert (tmp_path / "t1" / "sweep.csv").read_bytes() == (
-            tmp_path / "t4" / "sweep.csv"
-        ).read_bytes()
+        cfg.write_text(SMALL_SWEEP.format(out=tmp_path / "out"))
+        with pytest.raises(SystemExit) as info:
+            main(["--config", str(cfg), "--threads", "2"])
+        assert info.value.code == 2
+        assert "--threads" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("template, old, new, key", [
+        (SMALL_SWEEP, "m_range = 1 48", "m_range = 1 49", "m_range"),
+        (SMALL_SWEEP, "m_range = 1 48", "m_range = 1 48\nm_values = 10 49", "m_values"),
+        (GAUSS_SMALL, "n_values = 10 14 18", "n_values = 10 0 18", "n_values"),
+    ], ids=["m_range", "m_values", "n_values"])
+    def test_out_of_budget_sizes_exit_two(self, tmp_path, capsys, template, old, new, key):
+        assert old in template
+        text = template.replace(old, new).format(out=tmp_path / "out")
+        with pytest.raises(ConfigError, match=rf"\[sweep\] {key}"):
+            parse_config_text(text)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        assert main(["--config", str(cfg)]) == 2
+        assert f"[sweep] {key}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestDatasetSweep:

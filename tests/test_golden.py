@@ -68,7 +68,7 @@ def test_matches_golden_rows(stem, tmp_path):
     window = CASES[stem]
     if window is not None:
         config = replace(config, m_range=(window[0], window[1], 1), m_values=None)
-    run_config(config, out_dir=str(tmp_path), seed_override=0, threads=1)
+    run_config(config, out_dir=str(tmp_path), seed_override=0)
     expected = sorted(p.name for p in (GOLDEN / stem).glob("*.csv"))
     assert sorted(p.name for p in tmp_path.glob("*.csv")) == expected
     problems = []
