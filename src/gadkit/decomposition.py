@@ -18,12 +18,15 @@ the aliasing operator: A = V C with the small core C = f * (U^H T_U), so
 identity is checked through that same core.  The dense operators
 (:func:`aliasing_operator`, :func:`b_operator`,
 :func:`invertibility_operator`) remain as the reference the tests compare
-against.  The sweep checks the full operator for finite entries once, not
-once per model size.
+against.  The sweep evaluates the full operator and checks it for finite
+entries once, then walks m upward with lambda inside: T_M is factored once
+per model size, and each lambda is only a different filter f on that factor,
+so a list of ridge strengths costs one SVD per m, not one per (lambda, m).
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -396,17 +399,51 @@ def _error_record(m: int, lam: float, exc: Exception) -> SweepRecord:
     )
 
 
-def sweep(basis: BasisSpec, design: SampleDesign, theta_spec: ParameterSpec,
-          m_range, ridge: RidgeConfig | None = None, rel_tol: float = DEFAULT_REL_TOL,
-          threads: int = 1) -> list[SweepRecord]:
-    """One risk-anatomy record per model size, in one upward loop over m.
+def _sweep_record(panel: OperatorPanel, ridge: RidgeConfig, lam: float, theta: np.ndarray,
+                  y_full: np.ndarray, norm_nescient: float, independent: bool) -> SweepRecord:
+    """The record at one (lambda, m): the ridge filter applied to the panel's shared factor."""
+    if ridge.active:
+        _, norm_pinv = ridge_panels(panel, ridge)
+    else:
+        norm_pinv = panel.factor.pinv_norm()
+    report = risk_and_errors(panel, theta, y_full, ridge=ridge)
+    return SweepRecord(
+        m=panel.m,
+        norm_A=report.norm_A,
+        norm_pinv_TM=float(norm_pinv),
+        norm_M_TU=norm_nescient,
+        alias_error=report.alias_error,
+        bias_error=report.bias_error,
+        nescience_error=report.nescience_error,
+        risk_all=report.risk_all,
+        risk_prediction_only=report.risk_prediction_only,
+        rank_TM=panel.rank,
+        new_col_independent=independent,
+        lam=lam,
+    )
 
-    Each step stores the rank of the modeled block and reads the independence
-    flag of column m off the rank at m - 1: stored when the previous size was
-    swept, otherwise taken from a values-only SVD of the column prefix.  A
-    model size whose panel, norms or risk fail yields a record carrying an
-    error message instead of aborting the sweep, and stores no rank.  Records
-    come back sorted by m and are deterministic for fixed seeds.
+
+def sweep(basis: BasisSpec, design: SampleDesign, theta_spec: ParameterSpec,
+          m_range, *, lambdas: Sequence[float] = (0.0,), rel_tol: float = DEFAULT_REL_TOL,
+          threads: int = 1) -> list[SweepRecord]:
+    """One risk-anatomy record per (lambda, m), in one upward loop over m.
+
+    The operator is evaluated and checked once.  Each step over m builds the
+    panel, whose one SVD every lambda shares, takes ``||T_U||``, stores the
+    rank of the modeled block and reads the independence flag of column m
+    off the rank at m - 1: stored when the previous size was swept, otherwise
+    taken from a values-only SVD of the column prefix.  Each lambda then
+    filters that factor (``ridge_panels`` with its spectrum check, and
+    ``risk_and_errors`` with its identity check).
+
+    A failure never aborts the sweep: it yields a record carrying the error
+    message.  When the panel, ``||T_U||`` or the flag fails at m, every
+    lambda gets an error row there; the rank is stored only once the panel
+    and the norm have succeeded.  When one lambda's ridge norm or risk fails,
+    only that row gets an error, and the rank, which does not depend on
+    lambda, is still stored.  Records come back lambda-major, in the
+    caller's lambda order (duplicates kept), each lambda sorted by m, and are
+    deterministic for fixed seeds.
     """
     # the sweep is serial; ``threads`` stays only because perfbench/child.py passes it
     if threads != 1:
@@ -421,46 +458,36 @@ def sweep(basis: BasisSpec, design: SampleDesign, theta_spec: ParameterSpec,
         raise InvalidInputError(
             f"coefficient length {theta_spec.length} does not match budget {budget}"
         )
+    ridges = [RidgeConfig(lam, design.n_train) for lam in lambdas]
+    if not ridges:
+        raise InvalidInputError("empty lambda list")
+    # an inactive ridge is reported as lambda = 0
+    lams = [ridge.lam if ridge.active else 0.0 for ridge in ridges]
     M_full = evaluate_columns(basis, design.all_points, (0, budget))
     theta = make_theta(theta_spec)
-    lam = ridge.lam if ridge is not None else 0.0
     try:
         operator = _FiniteOperator(M_full)
     except InvalidInputError as exc:
-        return [_error_record(m, lam, exc) for m in ms]
+        return [_error_record(m, lam, exc) for lam in lams for m in ms]
     y_full = operator.matrix @ theta
     train_block = operator.matrix[: design.n_train]
 
     ranks = {0: 0}
-    records = []
+    rows: list[list[SweepRecord]] = [[] for _ in ridges]  # one list per lambda
     for m in ms:
         try:
             panel = build_panels(operator, design, m, rel_tol)
-            if ridge is not None and ridge.active:
-                _, norm_pinv = ridge_panels(panel, ridge)
-            else:
-                norm_pinv = panel.factor.pinv_norm()
             norm_nescient = spectral_norm(panel.train_nescient) if m < budget else 0.0
-            report = risk_and_errors(panel, theta, y_full, ridge=ridge)
             ranks[m] = panel.rank
             independent = _new_column_independent(train_block, ranks, m, rel_tol)
         except (GadkitError, np.linalg.LinAlgError) as exc:
-            records.append(_error_record(m, lam, exc))
+            for lam, out in zip(lams, rows):
+                out.append(_error_record(m, lam, exc))
             continue
-        records.append(
-            SweepRecord(
-                m=m,
-                norm_A=report.norm_A,
-                norm_pinv_TM=float(norm_pinv),
-                norm_M_TU=norm_nescient,
-                alias_error=report.alias_error,
-                bias_error=report.bias_error,
-                nescience_error=report.nescience_error,
-                risk_all=report.risk_all,
-                risk_prediction_only=report.risk_prediction_only,
-                rank_TM=panel.rank,
-                new_col_independent=independent,
-                lam=lam,
-            )
-        )
-    return records
+        for ridge, lam, out in zip(ridges, lams, rows):
+            try:
+                out.append(_sweep_record(panel, ridge, lam, theta, y_full,
+                                         norm_nescient, independent))
+            except (GadkitError, np.linalg.LinAlgError) as exc:
+                out.append(_error_record(m, lam, exc))
+    return [record for out in rows for record in out]

@@ -27,10 +27,10 @@ from .bases import BasisSpec, evaluate_columns, fourier_frequency
 from .config import DesignConfig, RunConfig, serialize_config
 from .datasets import load_cifar_bin, load_idx
 from .decomposition import (
-    RidgeConfig,
     SweepRecord,
     aliasing_operator,
     build_panels,
+    expected_unstructured_error,
     sweep,
 )
 from .designs import SampleDesign, make_design
@@ -171,14 +171,8 @@ def _sweep_records(config: RunConfig, run_seed: int, design: SampleDesign,
                    basis: BasisSpec) -> list[SweepRecord]:
     theta_spec = replace(config.theta, seed=config.theta.seed + run_seed,
                          length=basis.column_budget)
-    records: list[SweepRecord] = []
-    for lam in config.lambdas:
-        ridge = RidgeConfig(lam, design.n_train) if lam > 0 else None
-        records.extend(
-            sweep(basis, design, theta_spec, _model_sizes(config),
-                  ridge=ridge, rel_tol=config.rel_tol)
-        )
-    return records
+    return sweep(basis, design, theta_spec, _model_sizes(config),
+                 lambdas=config.lambdas, rel_tol=config.rel_tol)
 
 
 def _csv_name(config: RunConfig, run_seed: int, stem: str = "sweep") -> str:
@@ -335,7 +329,7 @@ def _run_unstructured_eb(config: RunConfig, run_seed: int, out: Path):
         bias_sq = np.linalg.norm(projector @ draws[:, :m].T, axis=0) ** 2
         nescient_sq = np.linalg.norm(draws[:, m:], axis=1) ** 2
         mc_mean = float((bias_sq + nescient_sq).mean())
-        expected = sigma2 * (dim_kernel + dim_nescient)
+        expected = expected_unstructured_error(sigma2, dim_kernel, dim_nescient)
         settings.append(
             {
                 "m": m,

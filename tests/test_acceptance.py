@@ -273,7 +273,7 @@ def test_07_ridge_bounds():
     design = make_design("sphere_uniform", 12, 30, dim=5, seed=9)
     theta = ParameterSpec("unstructured_iid", 30, seed=10)
     plain = sweep(basis, design, theta, range(1, 31))
-    ridged = sweep(basis, design, theta, range(1, 31), ridge=RidgeConfig(0.0, 12))
+    ridged = sweep(basis, design, theta, range(1, 31), lambdas=(0.0,))
     plain_bytes = "\n".join(format_record(r) for r in plain)
     ridge_bytes = "\n".join(format_record(r) for r in ridged)
     if plain_bytes != ridge_bytes:

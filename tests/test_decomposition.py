@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import gadkit.decomposition as decomposition
+from gadkit import experiments
 from gadkit import (
     BasisSpec,
     DecompositionMismatchError,
@@ -23,6 +24,7 @@ from gadkit import (
     make_design,
     make_theta,
     norm_profile,
+    parse_config_text,
     pseudoinverse,
     ridge_panels,
     risk_and_errors,
@@ -30,6 +32,33 @@ from gadkit import (
     sweep,
 )
 from gadkit.designs import SampleDesign
+
+RIDGE_CONFIG = """
+[run]
+experiment = ridge_sweep
+output_dir = out/ridge_sweep
+rel_tol = 1e-12
+
+[basis]
+family = rff
+input_dim = 6
+column_budget = 24
+seed = 0
+
+[design]
+strategy = sphere_uniform
+n_train = 8
+grid_size = 30
+dim = 6
+
+[theta]
+scheme = unstructured_iid
+seed = 1
+
+[sweep]
+m_range = 5 12
+lambda = 0 0.0001 0.01 1
+"""
 
 
 def direct_design(train, prediction):
@@ -380,7 +409,7 @@ class TestSweep:
     def test_ridge_zero_matches_plain(self):
         basis, design, theta = self.small_setup(seed=9)
         plain = sweep(basis, design, theta, range(1, 21))
-        ridged = sweep(basis, design, theta, range(1, 21), ridge=RidgeConfig(0.0, design.n_train))
+        ridged = sweep(basis, design, theta, range(1, 21), lambdas=(0.0,))
         assert plain == ridged
 
     def test_threads_other_than_one_rejected(self, monkeypatch):
@@ -418,10 +447,104 @@ class TestSweep:
         assert by_m[3].error is not None
         assert np.isnan(by_m[3].risk_all)
         assert all(by_m[m].error is None for m in (1, 2, 4, 5))
-        # m = 3 stored no rank, so the flag at m = 4 comes from a prefix-rank SVD
+        # a risk failure belongs to one lambda: m = 3 still stores its rank,
+        # and the flag at m = 4 reads it
         for m in (1, 2, 4, 5):
             assert (by_m[m].rank_TM, by_m[m].new_col_independent) == (
                 clean[m].rank_TM, clean[m].new_col_independent)
+
+    LAMBDAS = (0.0, 1e-4, 1e-2, 1.0)
+
+    def test_failed_lambda_fails_only_its_row(self, monkeypatch):
+        # ridge norm and risk run once per lambda on the shared panel: a failure
+        # there marks one (lambda, m) row, and the lambda-free rank is still
+        # stored, so no later flag needs a prefix-rank SVD
+        basis, design, theta = self.small_setup(seed=25)
+        ms = range(1, 16)
+        clean = decomposition.sweep(basis, design, theta, ms, lambdas=self.LAMBDAS)
+        original_risk = decomposition.risk_and_errors
+        original_spectrum = decomposition.spectrum
+        prefix_svds = []
+
+        def flaky(panel, theta, y_full, ridge=None, **kwargs):
+            if panel.m == 7 and ridge.lam == 1e-2:
+                raise DecompositionMismatchError("synthetic failure for testing")
+            return original_risk(panel, theta, y_full, ridge=ridge, **kwargs)
+
+        def counted(*args, **kwargs):
+            prefix_svds.append(1)
+            return original_spectrum(*args, **kwargs)
+
+        monkeypatch.setattr(decomposition, "risk_and_errors", flaky)
+        monkeypatch.setattr(decomposition, "spectrum", counted)
+        records = decomposition.sweep(basis, design, theta, ms, lambdas=self.LAMBDAS)
+        assert len(records) == len(clean)
+        failed = [i for i, r in enumerate(records) if r.error is not None]
+        assert failed == [2 * len(ms) + 6]
+        bad = records[failed[0]]
+        assert (bad.m, bad.lam, bad.rank_TM) == (7, 1e-2, -1)
+        assert bad.error == "DecompositionMismatchError: synthetic failure for testing"
+        assert all(got == want for i, (got, want) in enumerate(zip(records, clean))
+                   if i != failed[0])
+        assert not prefix_svds
+
+    def test_failed_panel_fails_every_lambda_at_that_m(self, monkeypatch):
+        # the panel is shared: its failure marks m in every lambda and stores
+        # no rank, so the flag at m + 1 comes from a prefix-rank SVD
+        basis, design, theta = self.small_setup(seed=27)
+        ms = range(1, 16)
+        clean = decomposition.sweep(basis, design, theta, ms, lambdas=self.LAMBDAS)
+        original_panels = decomposition.build_panels
+        original_spectrum = decomposition.spectrum
+        prefix_widths = []
+
+        def flaky(operator, design, m, *args, **kwargs):
+            if m == 7:
+                raise np.linalg.LinAlgError("SVD did not converge")
+            return original_panels(operator, design, m, *args, **kwargs)
+
+        def counted(block, *args, **kwargs):
+            prefix_widths.append(block.shape[1])
+            return original_spectrum(block, *args, **kwargs)
+
+        monkeypatch.setattr(decomposition, "build_panels", flaky)
+        monkeypatch.setattr(decomposition, "spectrum", counted)
+        records = decomposition.sweep(basis, design, theta, ms, lambdas=self.LAMBDAS)
+        assert [(r.lam, r.m) for r in records] == [(lam, m) for lam in self.LAMBDAS for m in ms]
+        for got, want in zip(records, clean):
+            if got.m == 7:
+                assert got.error == "LinAlgError: SVD did not converge"
+                assert got.rank_TM == -1 and np.isnan(got.risk_all)
+            else:
+                assert got == want
+        assert prefix_widths == [7]
+
+    def test_lambdas_share_one_operator_and_one_panel_per_m(self, monkeypatch):
+        # driven through the recipes' entry point: a 4-lambda run evaluates
+        # the operator once and builds each panel once, for every lambda
+        config = parse_config_text(RIDGE_CONFIG)
+        design = experiments.materialize_design(config.design, 0)
+        basis = config.basis
+        original_columns = decomposition.evaluate_columns
+        original_panels = decomposition.build_panels
+        columns, panels = [], []
+
+        def count_columns(*args, **kwargs):
+            columns.append(1)
+            return original_columns(*args, **kwargs)
+
+        def count_panels(operator, design, m, *args, **kwargs):
+            panels.append(m)
+            return original_panels(operator, design, m, *args, **kwargs)
+
+        monkeypatch.setattr(decomposition, "evaluate_columns", count_columns)
+        monkeypatch.setattr(decomposition, "build_panels", count_panels)
+        records = experiments._sweep_records(config, 0, design, basis)
+        ms = list(range(5, 13))
+        assert [(r.lam, r.m) for r in records] == [(lam, m) for lam in self.LAMBDAS for m in ms]
+        assert all(r.error is None for r in records)
+        assert len(columns) == 1
+        assert panels == ms
 
     def test_operator_validated_once_per_sweep(self, monkeypatch):
         basis, design, theta = self.small_setup(seed=19)
@@ -472,9 +595,8 @@ class TestSweep:
                             (decomposition, "b_operator"),
                             (SvdResult, "pinv"), (SvdResult, "kernel_projector")):
             monkeypatch.setattr(owner, name, dense)
-        ridge = RidgeConfig(lam, n)
         ms = range(n + 1, n + 9) if lam == 0 else range(1, n + 9)
-        records = decomposition.sweep(basis, design, theta, ms, ridge=ridge)
+        records = decomposition.sweep(basis, design, theta, ms, lambdas=(lam,))
         assert [r.error for r in records] == [None] * len(ms)
 
     def test_failed_prefix_rank_is_marked_not_fatal(self, monkeypatch):

@@ -11,6 +11,14 @@ n < m), where the aliasing core is 4.5x smaller than the dense aliasing
 operator.  The benchmark's ``ising_saturated`` workload runs the same window,
 but only by hand: no workload the benchmark runs by default gates it, so
 these rows do.
+
+``ridge_sweep`` at m 111-150 covers every lambda at m >> n (n = 50), where
+the ridge filter acts on a rank-n factor, and ends at m = budget = 150,
+where the nescient block ``T_U`` is empty and ``||T_U||``, ``norm_A`` and
+the alias error take their empty-block branch.  The benchmark's
+``ridge_lambda`` workload gates only m 31-70, around m = n.  The rows were
+taken before the sweep put lambda inside its loop over m, so they also
+show that change left the output alone.
 """
 
 import math
@@ -34,6 +42,7 @@ CASES = {
     "sweep_rrf_sphere": (81, 120),  # real features, straddling m = n = 100
     "ising_sweep_random": (190, 210),  # straddling m = n = 200
     "ising_sweep_physical": (901, 916),  # m >> n = 200
+    "ridge_sweep": (111, 150),  # m >> n = 50 up to m = budget, all four lambdas
     "gauss_compare": None,
 }
 

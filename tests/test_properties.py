@@ -33,9 +33,12 @@ from gadkit import (
     sweep,
 )
 from gadkit.designs import SampleDesign
+from gadkit.experiments import format_record
 
 # derandomized so that the tier-1 run is reproducible; no example database
 PROPERTY = settings(max_examples=80, deadline=None, derandomize=True, database=None)
+
+LAMBDAS = (0.0, 1e-4, 1e-2, 1.0)
 
 
 @st.composite
@@ -138,7 +141,7 @@ def test_sweep_risk_matches_conjugate_gradient_oracle(family, n, seed, data):
 
 
 @PROPERTY
-@given(blocks(), st.integers(-2, 2), st.sampled_from([0.0, 1e-4, 1e-2, 1.0]), st.integers(0, 2**16))
+@given(blocks(), st.integers(-2, 2), st.sampled_from(LAMBDAS), st.integers(0, 2**16))
 def test_sweep_alias_core_matches_dense_aliasing_operator(block, offset, lam, seed):
     # the sweep reads norm_A and alias_error off the small core C with A = V C;
     # the reference is the dense aliasing operator A = fit map @ T_U
@@ -148,10 +151,29 @@ def test_sweep_alias_core_matches_dense_aliasing_operator(block, offset, lam, se
     theta_spec = ParameterSpec("unstructured_iid", budget, seed=seed)
     ridge = RidgeConfig(lam, n) if lam else None
     with mock.patch.object(decomposition, "evaluate_columns", return_value=full):
-        (record,) = sweep(BasisSpec("rff", 1, budget), design, theta_spec, [m], ridge=ridge)
+        (record,) = sweep(BasisSpec("rff", 1, budget), design, theta_spec, [m],
+                          lambdas=(lam,))
     assert record.error is None
     aliasing = aliasing_operator(build_panels(full, design, m), ridge)
     norm_a = np.linalg.svd(aliasing, compute_uv=False)[0] if aliasing.size else 0.0
     alias_error = np.linalg.norm(aliasing @ make_theta(theta_spec)[m:])
     for got, want in ((record.norm_A, norm_a), (record.alias_error, alias_error)):
         assert abs(got - want) <= 1e-9 * max(got, want), (got, want)
+
+
+@PROPERTY
+@given(blocks(), st.lists(st.integers(-2, 2), min_size=1, max_size=3),
+       st.sampled_from(LAMBDAS), st.sampled_from(LAMBDAS), st.integers(0, 2**16))
+def test_one_sweep_over_two_lambdas_equals_one_sweep_per_lambda(block, offsets, a, b, seed):
+    # the lambdas share the panel, the norm of T_U and the stored ranks; each
+    # row must come out exactly as a sweep over its lambda alone gives it
+    n, budget = block.shape
+    ms = {min(max(n + offset, 1), budget) for offset in offsets}  # below, at or above n
+    full, design = system_of(block)
+    basis = BasisSpec("rff", 1, budget)
+    theta_spec = ParameterSpec("unstructured_iid", budget, seed=seed)
+    with mock.patch.object(decomposition, "evaluate_columns", return_value=full):
+        joint = sweep(basis, design, theta_spec, ms, lambdas=(a, b))
+        apart = (sweep(basis, design, theta_spec, ms, lambdas=(a,))
+                 + sweep(basis, design, theta_spec, ms, lambdas=(b,)))
+    assert [format_record(r) for r in joint] == [format_record(r) for r in apart]
