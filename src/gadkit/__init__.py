@@ -4,14 +4,15 @@ Builds extended design/nescience operators from basis families and sample
 designs, computes the aliasing and invertibility operators and their norms
 as the model size sweeps from 1 to a budget, and reproduces double descent,
 multiple descent, Fourier aliasing, experimental-design effects, and ridge
-bounds at desk scale.
+bounds at desk scale.  :func:`sweep` is the one routine that walks the model
+sizes; ridge strengths are plain floats, with lambda = 0 the unregularized
+fit.
 """
 
 from ._version import __version__
 from .bases import (
     BasisSpec,
     ClusterBasisIndex,
-    FeatureWeights,
     column_order,
     enumerate_clusters,
     evaluate_columns,
@@ -20,11 +21,9 @@ from .bases import (
     legendre_gauss_nodes,
 )
 from .config import DesignConfig, RunConfig, parse_config, parse_config_text, serialize_config
-from .datasets import PointCloud, load_cifar_bin, load_idx, sphere_cloud
+from .datasets import PointCloud, load_cifar_bin, load_idx
 from .decomposition import (
-    NormProfileRecord,
     OperatorPanel,
-    RidgeConfig,
     RiskReport,
     SweepRecord,
     aliasing_operator,
@@ -33,7 +32,6 @@ from .decomposition import (
     expected_unstructured_error,
     infer_theta,
     invertibility_operator,
-    norm_profile,
     ridge_panels,
     risk_and_errors,
     sweep,
@@ -70,17 +68,14 @@ __all__ = [
     "ConfigError",
     "DecompositionMismatchError",
     "DesignConfig",
-    "FeatureWeights",
     "FormatError",
     "GadkitError",
     "InvalidInputError",
-    "NormProfileRecord",
     "NotConvergedError",
     "OperatorPanel",
     "OracleResult",
     "ParameterSpec",
     "PointCloud",
-    "RidgeConfig",
     "RiskReport",
     "RunConfig",
     "SampleDesign",
@@ -106,7 +101,6 @@ __all__ = [
     "load_idx",
     "make_design",
     "make_theta",
-    "norm_profile",
     "oracle_fit",
     "oracle_risk",
     "parse_config",
@@ -117,7 +111,6 @@ __all__ = [
     "run_config",
     "serialize_config",
     "spectral_norm",
-    "sphere_cloud",
     "svd",
     "sweep",
 ]

@@ -102,18 +102,9 @@ class BasisSpec:
         return None if value is None else int(value)
 
 
-@dataclass(frozen=True, eq=False)
-class FeatureWeights:
-    """Random projection vectors, one row per feature, fixed by the seed."""
-
-    vectors: np.ndarray
-    seed: int
-
-
-def feature_weights(count: int, input_dim: int, seed: int) -> FeatureWeights:
-    """Draw i.i.d. standard-normal projection vectors, reproducible per seed."""
-    rng = np.random.default_rng(seed)
-    return FeatureWeights(rng.standard_normal((count, input_dim)), seed)
+def feature_weights(count: int, input_dim: int, seed: int) -> np.ndarray:
+    """I.i.d. standard-normal projection vectors, one row per feature, fixed by the seed."""
+    return np.random.default_rng(seed).standard_normal((count, input_dim))
 
 
 @dataclass(frozen=True)
@@ -261,7 +252,7 @@ def evaluate_columns(spec: BasisSpec, points, col_range: tuple[int, int]) -> np.
     if spec.family in ("rff", "rrf"):
         pts = _points_nd(points, spec.input_dim)
         weights = feature_weights(spec.column_budget, spec.input_dim, spec.seed)
-        projections = pts @ weights.vectors[indices].T
+        projections = pts @ weights[indices].T
         if spec.family == "rff":
             return np.exp(1j * np.pi * projections)
         return np.maximum(0.0, projections)

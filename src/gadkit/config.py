@@ -13,6 +13,7 @@ environment variable; otherwise seed 0.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -80,9 +81,12 @@ def _parse_int(text: str, where: str) -> int:
 
 def _parse_float(text: str, where: str) -> float:
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise ConfigError(f"{where}: expected a number, got {text!r}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"{where}: expected a finite number, got {text!r}")
+    return value
 
 
 def _parse_bool(text: str, where: str) -> bool:

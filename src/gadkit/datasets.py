@@ -74,21 +74,6 @@ def load_idx(path, max_items: int | None = None,
     return PointCloud(points, "idx", item_dim, scale_policy)
 
 
-def sphere_cloud(count: int, dim: int, seed: int = 0) -> PointCloud:
-    """Synthetic points uniform on the radius-sqrt(dim) sphere.
-
-    The same construction the sphere design strategy uses, packaged as a
-    point cloud so ``from_dataset`` designs can consume it interchangeably
-    with loaded image data.
-    """
-    if count < 0 or dim < 1:
-        raise InvalidInputError("count must be nonnegative and dim positive")
-    rng = np.random.default_rng(seed)
-    raw = rng.standard_normal((count, dim))
-    points = raw / np.linalg.norm(raw, axis=1, keepdims=True) * np.sqrt(dim)
-    return PointCloud(points, "synthetic", dim, "raw_bytes")
-
-
 def load_cifar_bin(path, max_items: int | None = None,
                    scale_policy: str = "unit_interval") -> PointCloud:
     """Load CIFAR-10 binary records as 3072-dim vectors, labels discarded."""

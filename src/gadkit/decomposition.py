@@ -11,21 +11,24 @@ produces the label-independent anatomy of the risk curve.
 Every per-m quantity derives from one SVD of the modeled training block,
 T_M = U diag(s) V^H.  The fit map is V diag(f) U^H with one filter vector f:
 1/s over the numerical rank when lambda = 0, s / (s**2 + n*lambda) under
-ridge, so lambda = 0 takes the unregularized path and the two agree.  The
-sweep applies the factor to vectors and forms neither the fit map, B nor
-the aliasing operator: A = V C with the small core C = f * (U^H T_U), so
+ridge.  Lambda is a plain float, active exactly when it is positive, so
+lambda = 0 takes the unregularized path and the two agree.  The sweep
+applies the factor to vectors and forms neither the fit map, B nor the
+aliasing operator: A = V C with the small core C = f * (U^H T_U), so
 ||A|| = ||C||, the alias error is ||C theta_u||, and the fitted-signal
 identity is checked through that same core.  The dense operators
 (:func:`aliasing_operator`, :func:`b_operator`,
 :func:`invertibility_operator`) remain as the reference the tests compare
-against.  The sweep evaluates the full operator and checks it for finite
-entries once, then walks m upward with lambda inside: T_M is factored once
-per model size, and each lambda is only a different filter f on that factor,
-so a list of ridge strengths costs one SVD per m, not one per (lambda, m).
+against.  :func:`sweep` is the one loop over model sizes: it evaluates the
+full operator and checks it for finite entries once, then walks m upward
+with lambda inside.  T_M is factored once per model size, and each lambda is
+only a different filter f on that factor, so a list of ridge strengths costs
+one SVD per m, not one per (lambda, m).
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -63,24 +66,6 @@ class OperatorPanel:
 
 
 @dataclass(frozen=True)
-class RidgeConfig:
-    """Ridge strength and the training count entering the sqrt(n*lambda) scale."""
-
-    lam: float
-    n: int
-
-    def __post_init__(self):
-        if self.lam < 0:
-            raise InvalidInputError("lambda must be nonnegative")
-        if self.n < 1:
-            raise InvalidInputError("training count must be at least 1")
-
-    @property
-    def active(self) -> bool:
-        return self.lam > 0
-
-
-@dataclass(frozen=True)
 class SweepRecord:
     """One row of the risk anatomy at a given model size."""
 
@@ -115,17 +100,6 @@ class RiskReport:
     bias_error: float
     nescience_error: float
     identity_residual: float
-
-
-@dataclass(frozen=True)
-class NormProfileRecord:
-    """Label-free norm anatomy at one model size (no risk terms)."""
-
-    m: int
-    norm_pinv: float
-    norm_nescience: float
-    rank: int
-    new_col_independent: bool
 
 
 class _FiniteOperator:
@@ -170,43 +144,45 @@ def build_panels(M_full, design: SampleDesign, m: int,
     )
 
 
-def _ridge_shift(panel: OperatorPanel, ridge: RidgeConfig) -> float:
-    """n*lambda, once the ridge config is known to match the panel's training rows."""
-    if ridge.n != panel.n_train:
-        raise InvalidInputError(
-            f"ridge config n={ridge.n} does not match the design's {panel.n_train} training rows"
-        )
-    return ridge.n * ridge.lam
+def _check_lambda(lam: float) -> float:
+    """A ridge strength, once it is known to be finite and nonnegative; -0.0 reads 0.0."""
+    if not 0.0 <= lam < math.inf:
+        raise InvalidInputError(f"lambda must be finite and nonnegative, got {lam}")
+    return float(lam) if lam > 0 else 0.0
+
+
+def _ridge_shift(panel: OperatorPanel, lam: float) -> float:
+    """n*lambda over the panel's training rows; ridge is active exactly when lambda > 0."""
+    return panel.n_train * _check_lambda(lam)
 
 
 def _filtered_factor(panel: OperatorPanel,
-                     ridge: RidgeConfig | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                     lam: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(U, f, V)`` with the fit map ``V diag(f) U^H``, from the panel's factor.
 
     Unregularized, f = 1/s over the numerical rank and U, V keep those
     columns; under ridge, f = s / (s**2 + n*lambda) over every singular value.
     """
+    shift = _ridge_shift(panel, lam)
     factor = panel.factor
     s = factor.singular_values
-    if ridge is None or not ridge.active:
+    if not shift:
         r = factor.numerical_rank
         return factor.left_vectors[:, :r], 1.0 / s[:r], factor.right_vectors[:, :r]
-    return factor.left_vectors, s / (s**2 + _ridge_shift(panel, ridge)), factor.right_vectors
+    return factor.left_vectors, s / (s**2 + shift), factor.right_vectors
 
 
-def _fit_map(panel: OperatorPanel, ridge: RidgeConfig | None) -> np.ndarray:
-    """Dense map from training labels to fitted modeled coefficients.
+def _fit_map(panel: OperatorPanel, lam: float) -> np.ndarray:
+    """Dense map ``V diag(f) U^H`` from training labels to fitted modeled coefficients.
 
-    pinv(T_M) unregularized; under ridge V diag(s / (s**2 + n*lambda)) U^H,
-    which equals pinv([T_M; sqrt(n*lambda) I]) applied to zero-padded labels.
+    pinv(T_M) unregularized; under ridge it equals pinv([T_M; sqrt(n*lambda) I])
+    applied to zero-padded labels.
     """
-    if ridge is None or not ridge.active:
-        return panel.factor.pinv()
-    u, f, v = _filtered_factor(panel, ridge)
+    u, f, v = _filtered_factor(panel, lam)
     return (v * f) @ u.conj().T
 
 
-def ridge_panels(panel: OperatorPanel, ridge: RidgeConfig) -> tuple[np.ndarray, float]:
+def ridge_panels(panel: OperatorPanel, lam: float) -> tuple[np.ndarray, float]:
     """Augmented modeled training block and the norm of its pseudoinverse.
 
     Asserts the shifted-spectrum identity: each singular value of the
@@ -215,10 +191,10 @@ def ridge_panels(panel: OperatorPanel, ridge: RidgeConfig) -> tuple[np.ndarray, 
     relative.  The returned norm is bounded by 1/sqrt(n*lambda) whenever
     lambda is positive.
     """
-    shift = _ridge_shift(panel, ridge)
+    shift = _ridge_shift(panel, lam)
     x = panel.train_modeled
     aug = np.vstack([x, np.sqrt(shift) * np.eye(panel.m, dtype=x.dtype)])
-    if not ridge.active:
+    if not shift:
         return aug, panel.factor.pinv_norm()
     s_aug = np.linalg.svd(aug, compute_uv=False)
     s_base = panel.factor.singular_values
@@ -234,31 +210,31 @@ def ridge_panels(panel: OperatorPanel, ridge: RidgeConfig) -> tuple[np.ndarray, 
     return aug, float(1.0 / s_aug[-1])
 
 
-def aliasing_operator(panel: OperatorPanel, ridge: RidgeConfig | None = None) -> np.ndarray:
+def aliasing_operator(panel: OperatorPanel, lam: float = 0.0) -> np.ndarray:
     """Pseudoinverse of the modeled training block applied to the nescient block."""
-    return _fit_map(panel, ridge) @ panel.train_nescient
+    return _fit_map(panel, lam) @ panel.train_nescient
 
 
-def b_operator(panel: OperatorPanel, ridge: RidgeConfig | None = None) -> np.ndarray:
+def b_operator(panel: OperatorPanel, lam: float = 0.0) -> np.ndarray:
     """Map from true modeled coefficients to their fitted expectation.
 
     Unregularized this is the orthogonal projector onto the row space of the
     modeled training block (identity minus the kernel projector); with ridge
     it contracts instead of projecting.
     """
-    return _fit_map(panel, ridge) @ panel.train_modeled
+    return _fit_map(panel, lam) @ panel.train_modeled
 
 
-def infer_theta(panel: OperatorPanel, y_train, ridge: RidgeConfig | None = None) -> np.ndarray:
+def infer_theta(panel: OperatorPanel, y_train, lam: float = 0.0) -> np.ndarray:
     """Minimum-norm least-squares fit, zero-padded to the full budget length."""
     y = as_vector(y_train, length=panel.n_train)
-    theta_m = _fit_map(panel, ridge) @ y
+    theta_m = _fit_map(panel, lam) @ y
     out = np.zeros(panel.budget, dtype=theta_m.dtype)
     out[: panel.m] = theta_m
     return out
 
 
-def invertibility_operator(panel: OperatorPanel, ridge: RidgeConfig | None = None) -> np.ndarray:
+def invertibility_operator(panel: OperatorPanel, lam: float = 0.0) -> np.ndarray:
     """Block operator of fitting bias on modeled coordinates and identity on nescient ones.
 
     The modeled block is the kernel projector of the training design
@@ -267,10 +243,10 @@ def invertibility_operator(panel: OperatorPanel, ridge: RidgeConfig | None = Non
     coordinate is unmodeled.
     """
     m, total = panel.m, panel.budget
-    if ridge is None or not ridge.active:
-        top = panel.factor.kernel_projector()
+    if _ridge_shift(panel, lam):
+        top = np.eye(m) - b_operator(panel, lam)
     else:
-        top = np.eye(m) - b_operator(panel, ridge)
+        top = panel.factor.kernel_projector()
     dtype = top.dtype
     out = np.zeros((total, total), dtype=dtype)
     out[:m, :m] = top
@@ -283,8 +259,7 @@ def _modeled_signal(panel: OperatorPanel, coefficients: np.ndarray) -> np.ndarra
     return np.concatenate([panel.train_modeled @ coefficients, panel.pred_modeled @ coefficients])
 
 
-def risk_and_errors(panel: OperatorPanel, theta, y_full,
-                    ridge: RidgeConfig | None = None,
+def risk_and_errors(panel: OperatorPanel, theta, y_full, lam: float = 0.0,
                     identity_tol: float = 1e-8) -> RiskReport:
     """Fit from the training labels and break the prediction error apart.
 
@@ -300,7 +275,7 @@ def risk_and_errors(panel: OperatorPanel, theta, y_full,
     theta = as_vector(theta, length=panel.budget)
     n = panel.n_train
     y = as_vector(y_full, length=n + panel.pred_modeled.shape[0])
-    u, f, v = _filtered_factor(panel, ridge)
+    u, f, v = _filtered_factor(panel, lam)
     uh = u.conj().T
     core = f[:, None] * (uh @ panel.train_nescient)
     theta_m_hat = v @ (f * (uh @ y[:n]))
@@ -319,7 +294,7 @@ def risk_and_errors(panel: OperatorPanel, theta, y_full,
             f"fitted signal deviates from the operator route by {residual:.3e} relative"
         )
 
-    if ridge is not None and ridge.active:
+    if lam > 0:
         bias_vec = theta_m - fitted_m
     elif panel.rank == panel.m:
         # empty kernel (rank = m <= n): the bias is zero up to rounding.  It
@@ -357,38 +332,6 @@ def _new_column_independent(block: np.ndarray, ranks: dict[int, int], m: int,
     return ranks[m] == ranks[m - 1] + 1
 
 
-def norm_profile(train_block, m_range=None, rel_tol: float = DEFAULT_REL_TOL,
-                 include_nescience: bool = True) -> list[NormProfileRecord]:
-    """Label-free norm anatomy over model sizes, without fitting anything.
-
-    Cheaper companion to :func:`sweep` for experiments that only need the
-    pseudoinverse and nescience norms plus the independence indicator;
-    ``include_nescience=False`` skips the suffix-block norm (reported as 0)
-    and halves the work again.
-    """
-    block = as_matrix(train_block)
-    budget = block.shape[1]
-    ms = list(range(1, budget + 1)) if m_range is None else sorted({int(m) for m in m_range})
-    if ms and (ms[0] < 1 or ms[-1] > budget):
-        raise InvalidInputError(f"model sizes must lie in [1, {budget}]")
-    ranks = {0: 0}
-    records = []
-    for m in ms:
-        values, rank = spectrum(block[:, :m], rel_tol)
-        ranks[m] = rank
-        norm_nescient = spectral_norm(block[:, m:]) if include_nescience and m < budget else 0.0
-        records.append(
-            NormProfileRecord(
-                m=m,
-                norm_pinv=1.0 / float(values[rank - 1]) if rank else 0.0,
-                norm_nescience=norm_nescient,
-                rank=rank,
-                new_col_independent=_new_column_independent(block, ranks, m, rel_tol),
-            )
-        )
-    return records
-
-
 def _error_record(m: int, lam: float, exc: Exception) -> SweepRecord:
     nan = float("nan")
     return SweepRecord(
@@ -399,14 +342,14 @@ def _error_record(m: int, lam: float, exc: Exception) -> SweepRecord:
     )
 
 
-def _sweep_record(panel: OperatorPanel, ridge: RidgeConfig, lam: float, theta: np.ndarray,
-                  y_full: np.ndarray, norm_nescient: float, independent: bool) -> SweepRecord:
+def _sweep_record(panel: OperatorPanel, lam: float, theta: np.ndarray, y_full: np.ndarray,
+                  norm_nescient: float, independent: bool) -> SweepRecord:
     """The record at one (lambda, m): the ridge filter applied to the panel's shared factor."""
-    if ridge.active:
-        _, norm_pinv = ridge_panels(panel, ridge)
+    if lam > 0:
+        _, norm_pinv = ridge_panels(panel, lam)
     else:
         norm_pinv = panel.factor.pinv_norm()
-    report = risk_and_errors(panel, theta, y_full, ridge=ridge)
+    report = risk_and_errors(panel, theta, y_full, lam=lam)
     return SweepRecord(
         m=panel.m,
         norm_A=report.norm_A,
@@ -436,8 +379,11 @@ def sweep(basis: BasisSpec, design: SampleDesign, theta_spec: ParameterSpec,
     filters that factor (``ridge_panels`` with its spectrum check, and
     ``risk_and_errors`` with its identity check).
 
-    A failure never aborts the sweep: it yields a record carrying the error
-    message.  When the panel, ``||T_U||`` or the flag fails at m, every
+    An empty or out-of-budget m range, an empty lambda list, or a negative or
+    non-finite lambda raises :class:`InvalidInputError` before the operator
+    is evaluated; -0.0 is reported as 0.0.  Past those checks a failure
+    never aborts the sweep: it yields a record carrying the error message.
+    When the panel, ``||T_U||`` or the flag fails at m, every
     lambda gets an error row there; the rank is stored only once the panel
     and the norm have succeeded.  When one lambda's ridge norm or risk fails,
     only that row gets an error, and the rank, which does not depend on
@@ -458,11 +404,9 @@ def sweep(basis: BasisSpec, design: SampleDesign, theta_spec: ParameterSpec,
         raise InvalidInputError(
             f"coefficient length {theta_spec.length} does not match budget {budget}"
         )
-    ridges = [RidgeConfig(lam, design.n_train) for lam in lambdas]
-    if not ridges:
+    if not lambdas:
         raise InvalidInputError("empty lambda list")
-    # an inactive ridge is reported as lambda = 0
-    lams = [ridge.lam if ridge.active else 0.0 for ridge in ridges]
+    lams = [_check_lambda(lam) for lam in lambdas]
     M_full = evaluate_columns(basis, design.all_points, (0, budget))
     theta = make_theta(theta_spec)
     try:
@@ -473,7 +417,7 @@ def sweep(basis: BasisSpec, design: SampleDesign, theta_spec: ParameterSpec,
     train_block = operator.matrix[: design.n_train]
 
     ranks = {0: 0}
-    rows: list[list[SweepRecord]] = [[] for _ in ridges]  # one list per lambda
+    rows: list[list[SweepRecord]] = [[] for _ in lams]  # one list per lambda
     for m in ms:
         try:
             panel = build_panels(operator, design, m, rel_tol)
@@ -484,10 +428,9 @@ def sweep(basis: BasisSpec, design: SampleDesign, theta_spec: ParameterSpec,
             for lam, out in zip(lams, rows):
                 out.append(_error_record(m, lam, exc))
             continue
-        for ridge, lam, out in zip(ridges, lams, rows):
+        for lam, out in zip(lams, rows):
             try:
-                out.append(_sweep_record(panel, ridge, lam, theta, y_full,
-                                         norm_nescient, independent))
+                out.append(_sweep_record(panel, lam, theta, y_full, norm_nescient, independent))
             except (GadkitError, np.linalg.LinAlgError) as exc:
                 out.append(_error_record(m, lam, exc))
     return [record for out in rows for record in out]

@@ -11,7 +11,6 @@ import pytest
 from gadkit import (
     BasisSpec,
     ParameterSpec,
-    RidgeConfig,
     aliasing_operator,
     append_column,
     build_panels,
@@ -22,7 +21,6 @@ from gadkit import (
     kernel_projector,
     legendre_gauss_nodes,
     make_design,
-    norm_profile,
     oracle_fit,
     oracle_risk,
     risk_and_errors,
@@ -132,10 +130,12 @@ def test_04_double_descent_shape():
         for seed in range(seeds):
             basis = BasisSpec(family, dim, budget, seed=seed)
             design = make_design("sphere_uniform", n, 1, dim=dim, seed=seed)
-            block = evaluate_columns(basis, design.train_points, (0, budget))
-            profile = norm_profile(block)
-            pinv = np.array([p.norm_pinv for p in profile])
-            nesc = np.array([p.norm_nescience for p in profile])
+            theta = ParameterSpec("unstructured_iid", budget, seed=seed)
+            records = sweep(basis, design, theta, range(1, budget + 1))
+            if any(r.error is not None for r in records):
+                ok = False
+            pinv = np.array([r.norm_pinv_TM for r in records])
+            nesc = np.array([r.norm_M_TU for r in records])
             if np.any(nesc[1:] > nesc[:-1] * (1 + 1e-9) + 1e-12):
                 ok = False
             if int(np.argmax(pinv)) + 1 == n:
@@ -253,10 +253,9 @@ def test_07_ridge_bounds():
         design = direct_design(rng.standard_normal(rows), rng.standard_normal(2))
         panel = build_panels(full, design, m)
         for lam in (1e-4, 1e-2, 1.0):
-            ridge = RidgeConfig(lam, rows)
             from gadkit import ridge_panels
 
-            aug, pinv_norm = ridge_panels(panel, ridge)
+            aug, pinv_norm = ridge_panels(panel, lam)
             s_aug = np.linalg.svd(aug, compute_uv=False)
             base = np.zeros(m)
             s_base = np.linalg.svd(panel.train_modeled, compute_uv=False)
@@ -266,7 +265,7 @@ def test_07_ridge_bounds():
             if pinv_norm > 1 / np.sqrt(rows * lam) + 1e-12:
                 ok = False
             bound = 1 + spectral_norm(panel.train_modeled) / np.sqrt(rows * lam)
-            if spectral_norm(invertibility_operator(panel, ridge)) > bound + 1e-9:
+            if spectral_norm(invertibility_operator(panel, lam)) > bound + 1e-9:
                 ok = False
 
     basis = BasisSpec("rff", 5, 30, seed=9)
@@ -355,20 +354,21 @@ def test_10_structured_multiple_descent():
 
     physical_basis = BasisSpec("cluster_ising", chain, budget, ordering="physical_cluster",
                                params={"chain_length": chain})
+    theta = ParameterSpec("unstructured_iid", budget, seed=0)
     physical = ising_design(chain, n_train, budget - n_train, "size_lex", 0)
-    block = evaluate_columns(physical_basis, physical.train_points, (0, budget))
-    profile = norm_profile(block, include_nescience=False)
-    pinv = np.array([p.norm_pinv for p in profile])
-    flags = [p.new_col_independent for p in profile]
+    records = sweep(physical_basis, physical, theta, range(1, budget + 1))
+    pinv = np.array([r.norm_pinv_TM for r in records])
+    flags = [r.new_col_independent for r in records]
     peaks = local_maxima(pinv)
-    physical_ok = len(peaks) >= 2 and all(flags[p] for p in peaks)
+    physical_ok = (all(r.error is None for r in records)
+                   and len(peaks) >= 2 and all(flags[p] for p in peaks))
 
     random_basis = BasisSpec("cluster_ising", chain, budget, ordering="seeded_permutation",
                              params={"chain_length": chain, "ordering_seed": 7})
     randomized = ising_design(chain, n_train, budget - n_train, "seeded", 0)
-    block_r = evaluate_columns(random_basis, randomized.train_points, (0, budget))
-    profile_r = norm_profile(block_r, include_nescience=False)
-    pinv_r = np.array([p.norm_pinv for p in profile_r])
+    records_r = sweep(random_basis, randomized, theta, range(1, budget + 1))
+    pinv_r = np.array([r.norm_pinv_TM for r in records_r])
     peaks_r = local_maxima(pinv_r)
-    random_ok = peaks_r == [n_train - 1] and int(np.argmax(pinv_r)) + 1 == n_train
+    random_ok = (all(r.error is None for r in records_r)
+                 and peaks_r == [n_train - 1] and int(np.argmax(pinv_r)) + 1 == n_train)
     _report(10, "structured multiple descent (spin chain)", physical_ok and random_ok)

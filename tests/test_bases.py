@@ -101,13 +101,13 @@ class TestRandomFeatures:
     def test_weights_bit_identical_per_seed(self):
         a = feature_weights(16, 5, seed=7)
         b = feature_weights(16, 5, seed=7)
-        np.testing.assert_array_equal(a.vectors, b.vectors)
+        np.testing.assert_array_equal(a, b)
 
     def test_rff_values(self):
         spec = BasisSpec("rff", 3, 8, seed=5)
         points = np.random.default_rng(1).standard_normal((4, 3))
         out = evaluate_columns(spec, points, (0, 8))
-        weights = feature_weights(8, 3, seed=5).vectors
+        weights = feature_weights(8, 3, seed=5)
         expected = np.exp(1j * np.pi * points @ weights.T)
         np.testing.assert_allclose(out, expected)
         np.testing.assert_allclose(np.abs(out), 1.0)
@@ -116,7 +116,7 @@ class TestRandomFeatures:
         spec = BasisSpec("rrf", 3, 8, seed=5)
         points = np.random.default_rng(2).standard_normal((4, 3))
         out = evaluate_columns(spec, points, (0, 8))
-        weights = feature_weights(8, 3, seed=5).vectors
+        weights = feature_weights(8, 3, seed=5)
         np.testing.assert_allclose(out, np.maximum(0.0, points @ weights.T))
         assert np.all(out >= 0)
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from gadkit import FormatError, load_cifar_bin, load_idx, make_design, sphere_cloud
+from gadkit import FormatError, load_cifar_bin, load_idx
 
 
 def idx_bytes(items, shape=(2, 2), payload=None):
@@ -118,18 +118,3 @@ class TestLoadCifarBin:
         path.write_bytes(self.record(0, 1)[:-1])
         with pytest.raises(FormatError):
             load_cifar_bin(path)
-
-
-class TestSphereCloud:
-    def test_radius_and_determinism(self):
-        cloud = sphere_cloud(30, 16, seed=4)
-        assert cloud.source == "synthetic"
-        norms = np.linalg.norm(cloud.points, axis=1)
-        assert np.max(np.abs(norms - 4.0)) < 1e-12
-        np.testing.assert_array_equal(cloud.points, sphere_cloud(30, 16, seed=4).points)
-
-    def test_feeds_from_dataset_design(self):
-        cloud = sphere_cloud(50, 8, seed=5)
-        design = make_design("from_dataset", 20, 30, seed=0, points=cloud.points)
-        assert design.train_points.shape == (20, 8)
-        assert design.prediction_points.shape == (30, 8)

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -384,6 +385,23 @@ class TestCli:
         cfg.write_text(text)
         assert main(["--config", str(cfg)]) == 2
         assert f"[sweep] {key}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
+    @pytest.mark.parametrize("old, new, where", [
+        ("m_range = 1 48", "m_range = 1 48\nlambda = nan", "[sweep] lambda"),
+        ("m_range = 1 48", "m_range = 1 48\nlambda = 0 inf", "[sweep] lambda"),
+        ("variance = 1.0", "variance = nan", "[theta] variance"),
+    ], ids=["lambda-nan", "lambda-inf", "variance-nan"])
+    def test_non_finite_number_exits_two(self, tmp_path, capsys, old, new, where):
+        assert old in SMALL_SWEEP
+        text = SMALL_SWEEP.replace(old, new).format(out=tmp_path / "out")
+        with pytest.raises(ConfigError, match=re.escape(f"{where}: expected a finite number")):
+            parse_config_text(text)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        assert main(["--config", str(cfg)]) == 2
+        assert where in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
 

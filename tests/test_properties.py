@@ -16,7 +16,6 @@ import gadkit.decomposition as decomposition
 from gadkit import (
     BasisSpec,
     ParameterSpec,
-    RidgeConfig,
     aliasing_operator,
     b_operator,
     build_panels,
@@ -26,7 +25,6 @@ from gadkit import (
     kernel_projector,
     make_design,
     make_theta,
-    norm_profile,
     pseudoinverse,
     ridge_panels,
     svd,
@@ -83,14 +81,19 @@ def test_fitted_map_plus_kernel_projector_is_identity(block, data):
 @PROPERTY
 @given(blocks())
 def test_rank_steps_by_zero_or_one_per_appended_column(block):
-    profile = norm_profile(block, include_nescience=False)
+    budget = block.shape[1]
+    full, design = system_of(block)
+    theta_spec = ParameterSpec("unstructured_iid", budget, seed=0)
+    with mock.patch.object(decomposition, "evaluate_columns", return_value=full):
+        records = sweep(BasisSpec("rff", 1, budget), design, theta_spec, range(1, budget + 1))
     previous = 0
-    for record in profile:
-        step = record.rank - previous
+    for record in records:
+        assert record.error is None
+        step = record.rank_TM - previous
         assert step in (0, 1)
         assert record.new_col_independent == (step == 1)
-        assert record.rank == svd(block[:, : record.m]).numerical_rank
-        previous = record.rank
+        assert record.rank_TM == svd(block[:, : record.m]).numerical_rank
+        previous = record.rank_TM
 
 
 @PROPERTY
@@ -101,8 +104,7 @@ def test_ridge_fit_map_matches_augmented_pseudoinverse(block, data, lam):
     n, budget = block.shape
     m = data.draw(st.integers(1, budget))
     panel = panel_of(block, m)
-    ridge = RidgeConfig(lam, n)
-    aug, pinv_norm = ridge_panels(panel, ridge)  # runs the shifted-spectrum check
+    aug, pinv_norm = ridge_panels(panel, lam)  # runs the shifted-spectrum check
     reference = pseudoinverse(aug)
     assert pinv_norm <= 1 / np.sqrt(n * lam) * (1 + 1e-12)
 
@@ -112,9 +114,9 @@ def test_ridge_fit_map_matches_augmented_pseudoinverse(block, data, lam):
 
     y = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).standard_normal(n)
     pairs = (
-        (infer_theta(panel, y, ridge)[:m], (reference @ padded(y))[:, 0]),
-        (aliasing_operator(panel, ridge), reference @ padded(panel.train_nescient)),
-        (b_operator(panel, ridge), reference @ padded(panel.train_modeled)),
+        (infer_theta(panel, y, lam)[:m], (reference @ padded(y))[:, 0]),
+        (aliasing_operator(panel, lam), reference @ padded(panel.train_nescient)),
+        (b_operator(panel, lam), reference @ padded(panel.train_modeled)),
     )
     for got, want in pairs:
         scale = max(float(np.abs(want).max(initial=0.0)), 1e-300)
@@ -149,12 +151,11 @@ def test_sweep_alias_core_matches_dense_aliasing_operator(block, offset, lam, se
     m = min(max(n + offset, 1), budget)  # below, at or above n where the budget allows
     full, design = system_of(block)
     theta_spec = ParameterSpec("unstructured_iid", budget, seed=seed)
-    ridge = RidgeConfig(lam, n) if lam else None
     with mock.patch.object(decomposition, "evaluate_columns", return_value=full):
         (record,) = sweep(BasisSpec("rff", 1, budget), design, theta_spec, [m],
                           lambdas=(lam,))
     assert record.error is None
-    aliasing = aliasing_operator(build_panels(full, design, m), ridge)
+    aliasing = aliasing_operator(build_panels(full, design, m), lam)
     norm_a = np.linalg.svd(aliasing, compute_uv=False)[0] if aliasing.size else 0.0
     alias_error = np.linalg.norm(aliasing @ make_theta(theta_spec)[m:])
     for got, want in ((record.norm_A, norm_a), (record.alias_error, alias_error)):
