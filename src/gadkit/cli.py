@@ -16,7 +16,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .config import parse_config
+from .config import parse_config, parse_seed
 from .errors import ConfigError, GadkitError
 from .experiments import run_config
 
@@ -28,7 +28,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--config", required=True, help="path to the run configuration file")
     parser.add_argument("--out", default=None, help="output directory (overrides the config)")
-    parser.add_argument("--seed", type=int, default=None,
+    parser.add_argument("--seed", default=None,
                         help="replace the config's seed list with this single seed")
     parser.add_argument("--full-scale", action="store_true",
                         help="raise sweep dimensions to the reference scale")
@@ -39,6 +39,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = parse_config(args.config)
+        seed = None if args.seed is None else parse_seed(args.seed, "--seed")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -46,7 +47,7 @@ def main(argv: list[str] | None = None) -> int:
         paths = run_config(
             config,
             out_dir=args.out,
-            seed_override=args.seed,
+            seed_override=seed,
             full_scale=args.full_scale,
         )
     except GadkitError as exc:

@@ -8,7 +8,8 @@ line number.  Configurations round-trip losslessly through
 :func:`serialize_config`.
 
 Seed priority: an explicit ``seeds`` key wins; otherwise the ``GADKIT_SEED``
-environment variable; otherwise seed 0.
+environment variable; otherwise seed 0.  Every seed is a nonnegative integer,
+and ``seeds`` lists each run seed once.
 """
 
 from __future__ import annotations
@@ -79,6 +80,14 @@ def _parse_int(text: str, where: str) -> int:
         raise ConfigError(f"{where}: expected an integer, got {text!r}") from None
 
 
+def parse_seed(text: str, where: str) -> int:
+    """A nonnegative integer seed, as numpy's generators require."""
+    seed = _parse_int(text, where)
+    if seed < 0:
+        raise ConfigError(f"{where}: expected a nonnegative integer, got {text!r}")
+    return seed
+
+
 def _parse_float(text: str, where: str) -> float:
     try:
         value = float(text)
@@ -105,6 +114,16 @@ def _parse_int_list(text: str, where: str) -> tuple[int, ...]:
     return tuple(_parse_int(tok, where) for tok in tokens)
 
 
+def _parse_seed_list(text: str, where: str) -> tuple[int, ...]:
+    seeds = tuple(parse_seed(tok, where) for tok in text.split())
+    if not seeds:
+        raise ConfigError(f"{where}: expected at least one integer")
+    for i, seed in enumerate(seeds):
+        if seed in seeds[:i]:
+            raise ConfigError(f"{where}: seed {seed} is listed more than once")
+    return seeds
+
+
 def _parse_float_list(text: str, where: str) -> tuple[float, ...]:
     tokens = text.split()
     if not tokens:
@@ -124,15 +143,15 @@ _SCHEMA: dict[str, dict[str, str]] = {
         "experiment": "str",
         "output_dir": "str",
         "rel_tol": "float",
-        "seeds": "int_list",
+        "seeds": "seed_list",
     },
     "basis": {
         "family": "str",
         "input_dim": "int",
         "column_budget": "int",
         "ordering": "str",
-        "seed": "int",
-        "ordering_seed": "int",
+        "seed": "seed",
+        "ordering_seed": "seed",
         "interval": "pair",
         "period": "float",
         "base_frequencies": "int",
@@ -153,7 +172,7 @@ _SCHEMA: dict[str, dict[str, str]] = {
     },
     "theta": {
         "scheme": "str",
-        "seed": "int",
+        "seed": "seed",
         "variance": "float",
         "scale": "float",
         "exponent": "float",
@@ -175,6 +194,8 @@ _PARSERS = {
     "float": _parse_float,
     "bool": _parse_bool,
     "int_list": _parse_int_list,
+    "seed": parse_seed,
+    "seed_list": _parse_seed_list,
     "float_list": _parse_float_list,
     "pair": _parse_pair,
 }
@@ -250,7 +271,7 @@ def parse_config_text(text: str, origin: str = "<config>") -> RunConfig:
     if "seeds" in run:
         seeds = tuple(run["seeds"])
     elif os.environ.get(SEED_ENV_VAR):
-        seeds = (_parse_int(os.environ[SEED_ENV_VAR], f"{origin}: {SEED_ENV_VAR}"),)
+        seeds = (parse_seed(os.environ[SEED_ENV_VAR], f"{origin}: {SEED_ENV_VAR}"),)
     else:
         seeds = (0,)
 

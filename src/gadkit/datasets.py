@@ -10,7 +10,6 @@ independent by construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -22,16 +21,6 @@ SCALE_POLICIES = ("raw_bytes", "unit_interval")
 _CIFAR_RECORD_BYTES = 3073  # CIFAR-10: 1 label byte + 32*32*3 pixels
 
 
-@dataclass(frozen=True, eq=False)
-class PointCloud:
-    """Flattened sample vectors plus provenance and scaling metadata."""
-
-    points: np.ndarray
-    source: str
-    dim: int
-    scale_policy: str
-
-
 def _scale(raw: np.ndarray, scale_policy: str) -> np.ndarray:
     if scale_policy not in SCALE_POLICIES:
         raise InvalidInputError(f"unknown scale policy {scale_policy!r}")
@@ -41,9 +30,8 @@ def _scale(raw: np.ndarray, scale_policy: str) -> np.ndarray:
     return values
 
 
-def load_idx(path, max_items: int | None = None,
-             scale_policy: str = "unit_interval") -> PointCloud:
-    """Load an IDX file of unsigned bytes as flattened row-major vectors."""
+def load_idx(path, scale_policy: str = "unit_interval") -> np.ndarray:
+    """Load an IDX file of unsigned bytes as flattened row-major vectors, one per row."""
     data = Path(path).read_bytes()
     if len(data) < 4:
         raise FormatError(f"file too short for an IDX header ({len(data)} bytes)")
@@ -68,23 +56,17 @@ def load_idx(path, max_items: int | None = None,
             f"dimension product implies {expected} bytes, file has {len(data)} "
             f"(payload ends at byte offset {len(data)})"
         )
-    take = count if max_items is None else min(max(int(max_items), 0), count)
-    raw = np.frombuffer(data, dtype=np.uint8, count=take * item_dim, offset=header_end)
-    points = _scale(raw.reshape(take, item_dim), scale_policy)
-    return PointCloud(points, "idx", item_dim, scale_policy)
+    raw = np.frombuffer(data, dtype=np.uint8, count=count * item_dim, offset=header_end)
+    return _scale(raw.reshape(count, item_dim), scale_policy)
 
 
-def load_cifar_bin(path, max_items: int | None = None,
-                   scale_policy: str = "unit_interval") -> PointCloud:
-    """Load CIFAR-10 binary records as 3072-dim vectors, labels discarded."""
+def load_cifar_bin(path, scale_policy: str = "unit_interval") -> np.ndarray:
+    """Load CIFAR-10 binary records as 3072-dim vectors, one per row, labels discarded."""
     data = Path(path).read_bytes()
     if len(data) % _CIFAR_RECORD_BYTES != 0:
         raise FormatError(
             f"file length {len(data)} is not a multiple of the {_CIFAR_RECORD_BYTES}-byte record size"
         )
     count = len(data) // _CIFAR_RECORD_BYTES
-    take = count if max_items is None else min(max(int(max_items), 0), count)
-    raw = np.frombuffer(data, dtype=np.uint8, count=take * _CIFAR_RECORD_BYTES)
-    records = raw.reshape(take, _CIFAR_RECORD_BYTES)
-    points = _scale(records[:, 1:], scale_policy)
-    return PointCloud(points, "cifar_bin", _CIFAR_RECORD_BYTES - 1, scale_policy)
+    records = np.frombuffer(data, dtype=np.uint8).reshape(count, _CIFAR_RECORD_BYTES)
+    return _scale(records[:, 1:], scale_policy)

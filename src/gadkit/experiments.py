@@ -105,37 +105,6 @@ def _shift_seed(basis: BasisSpec, run_seed: int) -> BasisSpec:
     return replace(basis, seed=basis.seed + run_seed)
 
 
-def local_maxima(values, rel_tol: float = 1e-9) -> list[int]:
-    """Indices of strict, plateau-aware local maxima.
-
-    A position qualifies when the value rises strictly above its predecessor
-    (relative comparison) and, after any run of equal values, falls strictly
-    again; the first index of the plateau is reported.  Endpoints never
-    qualify.  On a norm-versus-model-size curve every reported index is one
-    where the appended column was linearly independent, since dependent
-    appends cannot increase the pseudoinverse norm.
-    """
-    v = np.asarray(values, dtype=float)
-
-    def above(a: float, b: float) -> bool:
-        return a > b + rel_tol * max(abs(a), abs(b), 1e-300)
-
-    peaks: list[int] = []
-    i = 1
-    n = v.size
-    while i < n:
-        if above(v[i], v[i - 1]):
-            j = i
-            while j + 1 < n and not above(v[j + 1], v[i]) and not above(v[i], v[j + 1]):
-                j += 1
-            if j + 1 < n and above(v[i], v[j + 1]):
-                peaks.append(i)
-            i = j + 1
-        else:
-            i += 1
-    return peaks
-
-
 def _model_sizes(config: RunConfig) -> list[int]:
     if config.m_values is not None:
         return sorted(set(config.m_values))
@@ -147,8 +116,7 @@ def _load_dataset_points(design: DesignConfig) -> np.ndarray:
     if design.dataset_path is None:
         raise ConfigError("from_dataset strategy requires dataset_path")
     loader = load_idx if design.dataset_format == "idx" else load_cifar_bin
-    cloud = loader(design.dataset_path, max_items=None, scale_policy=design.scale_policy)
-    return cloud.points
+    return loader(design.dataset_path, scale_policy=design.scale_policy)
 
 
 def materialize_design(design: DesignConfig, run_seed: int) -> SampleDesign:
@@ -175,10 +143,12 @@ def _sweep_records(config: RunConfig, run_seed: int, design: SampleDesign,
                  lambdas=config.lambdas, rel_tol=config.rel_tol)
 
 
-def _csv_name(config: RunConfig, run_seed: int, stem: str = "sweep") -> str:
+def _seed_name(config: RunConfig, run_seed: int, name: str) -> str:
+    """``name`` for a one-seed run; ``<stem>_seed<k><suffix>`` when the config lists several."""
     if len(config.seeds) == 1:
-        return f"{stem}.csv"
-    return f"{stem}_seed{run_seed}.csv"
+        return name
+    stem, dot, suffix = name.partition(".")
+    return f"{stem}_seed{run_seed}{dot}{suffix}"
 
 
 def _spin_configurations(chain_length: int) -> np.ndarray:
@@ -230,7 +200,7 @@ def _run_sweep_like(config: RunConfig, run_seed: int, out: Path):
     basis = _shift_seed(config.basis, run_seed)
     design = materialize_design(config.design, run_seed)
     records = _sweep_records(config, run_seed, design, basis)
-    csv_path = write_sweep_csv(out / _csv_name(config, run_seed), records)
+    csv_path = write_sweep_csv(out / _seed_name(config, run_seed, "sweep.csv"), records)
     return [csv_path], {"design_effective_seed": design.effective_seed}
 
 
@@ -247,7 +217,7 @@ def _run_fourier_check(config: RunConfig, run_seed: int, out: Path):
     expected = fourier_alias_expectation(n_base, m, basis.column_budget)
     max_deviation = float(np.max(np.abs(aliasing - expected))) if aliasing.size else 0.0
 
-    csv_path = write_sweep_csv(out / _csv_name(config, run_seed), records)
+    csv_path = write_sweep_csv(out / _seed_name(config, run_seed, "sweep.csv"), records)
     summary = {
         "experiment": "fourier_check",
         "modeled": m,
@@ -255,7 +225,7 @@ def _run_fourier_check(config: RunConfig, run_seed: int, out: Path):
         "column_budget": basis.column_budget,
         "max_deviation": max_deviation,
     }
-    summary_path = write_json(out / "summary.json", summary)
+    summary_path = write_json(out / _seed_name(config, run_seed, "summary.json"), summary)
     return [csv_path, summary_path], {"max_deviation": max_deviation}
 
 
@@ -281,13 +251,12 @@ def _run_gauss_compare(config: RunConfig, run_seed: int, out: Path):
             ratio = rec_u.norm_A / rec_g.norm_A if rec_g.norm_A > 0 else float("inf")
         rows.append((n, rec_u.norm_A, rec_g.norm_A, ratio))
 
-    csv_path = write_sweep_csv(out / _csv_name(config, run_seed), gauss_records)
-    uniform_path = write_sweep_csv(out / _csv_name(config, run_seed, stem="sweep_uniform"),
+    csv_path = write_sweep_csv(out / _seed_name(config, run_seed, "sweep.csv"), gauss_records)
+    uniform_path = write_sweep_csv(out / _seed_name(config, run_seed, "sweep_uniform.csv"),
                                    uniform_records)
     summary_lines = ["n,norm_A_uniform,norm_A_gauss,ratio"]
     summary_lines.extend(f"{n},{_fmt(u)},{_fmt(g)},{_fmt(r)}" for n, u, g, r in rows)
-    summary_name = "gauss_compare.csv" if len(config.seeds) == 1 else f"gauss_compare_seed{run_seed}.csv"
-    summary_path = out / summary_name
+    summary_path = out / _seed_name(config, run_seed, "gauss_compare.csv")
     summary_path.write_text("\n".join(summary_lines) + "\n", encoding="utf-8")
     extra = {"fixed_model_size": m, "n_values": list(config.n_values)}
     return [csv_path, uniform_path, summary_path], extra
@@ -299,7 +268,7 @@ def _run_ising_sweep(config: RunConfig, run_seed: int, out: Path):
     design = ising_design(chain_length, config.design.n_train, config.design.grid_size,
                           config.design.row_order, run_seed)
     records = _sweep_records(config, run_seed, design, basis)
-    csv_path = write_sweep_csv(out / _csv_name(config, run_seed), records)
+    csv_path = write_sweep_csv(out / _seed_name(config, run_seed, "sweep.csv"), records)
     extra = {
         "row_order": config.design.row_order,
         "row_order_note": "rows sorted by configuration size then integer code"
@@ -313,7 +282,7 @@ def _run_unstructured_eb(config: RunConfig, run_seed: int, out: Path):
     basis = _shift_seed(config.basis, run_seed)
     design = materialize_design(config.design, run_seed)
     records = _sweep_records(config, run_seed, design, basis)
-    csv_path = write_sweep_csv(out / _csv_name(config, run_seed), records)
+    csv_path = write_sweep_csv(out / _seed_name(config, run_seed, "sweep.csv"), records)
 
     budget = basis.column_budget
     M_full = evaluate_columns(basis, design.all_points, (0, budget))
@@ -346,7 +315,7 @@ def _run_unstructured_eb(config: RunConfig, run_seed: int, out: Path):
         "variance": sigma2,
         "settings": settings,
     }
-    summary_path = write_json(out / "summary.json", summary)
+    summary_path = write_json(out / _seed_name(config, run_seed, "summary.json"), summary)
     return [csv_path, summary_path], {"settings": settings}
 
 

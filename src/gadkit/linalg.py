@@ -81,11 +81,6 @@ class SvdResult:
     numerical_rank: int
     rel_tol: float
 
-    @property
-    def rank_threshold(self) -> float:
-        shape = (self.left_vectors.shape[0], self.right_vectors.shape[0])
-        return _rank_threshold(self.singular_values, shape, self.rel_tol)
-
     def min_positive_singular(self) -> float:
         """Smallest singular value above the rank threshold; 0 if rank 0."""
         if self.numerical_rank == 0:
@@ -109,17 +104,6 @@ class SvdResult:
         v1 = v[:, : self.numerical_rank]
         projector = np.eye(v.shape[0], dtype=v.dtype) - v1 @ v1.conj().T
         return (projector + projector.conj().T) / 2
-
-
-@dataclass(frozen=True)
-class AppendReport:
-    """Rank and extreme-singular-value bookkeeping for one column append."""
-
-    was_independent: bool
-    old_min_singular: float
-    new_min_singular: float
-    old_rank: int
-    new_rank: int
 
 
 def svd(matrix, rel_tol: float = DEFAULT_REL_TOL) -> SvdResult:
@@ -197,51 +181,3 @@ def kernel_projector(matrix, rel_tol: float = DEFAULT_REL_TOL) -> np.ndarray:
     input has full column rank, the identity when the input is zero.
     """
     return svd(matrix, rel_tol).kernel_projector()
-
-
-def append_column(matrix, phi, rel_tol: float = DEFAULT_REL_TOL) -> tuple[np.ndarray, AppendReport]:
-    """Adjoin a column and report how rank and the least singular value moved.
-
-    The report encodes the interlacing facts for column appends: an
-    independent column can only lower the smallest positive singular value,
-    a dependent column can only raise it.
-    """
-    x = as_matrix(matrix)
-    p = as_vector(phi, length=x.shape[0])
-    dtype = np.promote_types(x.dtype, p.dtype)
-    stacked = np.hstack([x.astype(dtype, copy=False), p.astype(dtype, copy=False)[:, None]])
-    old = svd(x, rel_tol)
-    new = svd(stacked, rel_tol)
-    report = AppendReport(
-        was_independent=new.numerical_rank == old.numerical_rank + 1,
-        old_min_singular=old.min_positive_singular(),
-        new_min_singular=new.min_positive_singular(),
-        old_rank=old.numerical_rank,
-        new_rank=new.numerical_rank,
-    )
-    return stacked, report
-
-
-def interleaving_check(hermitian, c, rel_tol: float = 1e-9) -> tuple[np.ndarray, np.ndarray, bool]:
-    """Eigenvalues before and after a rank-one positive update, interlaced or not.
-
-    Returns the spectra of H and H + c c^H in nonincreasing order plus a flag
-    that is True exactly when the updated eigenvalues interlace the originals
-    from above, to a tolerance of ``rel_tol`` times the spectral norm of H.
-    """
-    h = as_matrix(hermitian)
-    if h.shape[0] != h.shape[1]:
-        raise InvalidInputError(f"expected a square matrix, got shape {h.shape}")
-    v = as_vector(c, length=h.shape[0])
-    scale = np.linalg.norm(h)
-    defect = np.linalg.norm(h - h.conj().T)
-    if defect > 1e-9 * max(scale, 1.0):
-        raise InvalidInputError("matrix is not Hermitian to tolerance")
-    h = (h + h.conj().T) / 2
-    before = np.linalg.eigvalsh(h)[::-1]
-    after = np.linalg.eigvalsh(h + np.outer(v, v.conj()))[::-1]
-    tol = rel_tol * (float(np.abs(before).max()) if before.size else 0.0)
-    holds = bool(
-        np.all(after >= before - tol) and np.all(before[:-1] >= after[1:] - tol)
-    )
-    return before, after, holds

@@ -18,6 +18,9 @@ from .designs import SampleDesign
 from .errors import InvalidInputError, NotConvergedError
 from .linalg import as_matrix, as_vector
 
+# convergence threshold on the normal-equation residual, relative to its start
+CG_TOL = 1e-12
+
 
 @dataclass(frozen=True, eq=False)
 class OracleResult:
@@ -28,13 +31,12 @@ class OracleResult:
     residual_train: float
 
 
-def oracle_fit(design_matrix, y_train, iterations: int | None = None,
-               tol: float = 1e-12) -> np.ndarray:
+def oracle_fit(design_matrix, y_train, iterations: int | None = None) -> np.ndarray:
     """Minimum-norm least-squares solution by conjugate gradients from zero.
 
-    Converged when the normal-equation residual drops below ``tol`` relative
-    to its starting value; raises ``NotConvergedError`` with the achieved
-    residual otherwise.
+    Converged when the normal-equation residual drops below ``CG_TOL``
+    relative to its starting value; raises ``NotConvergedError`` with the
+    achieved residual otherwise.
     """
     a = as_matrix(design_matrix)
     y = as_vector(y_train, length=a.shape[0])
@@ -72,27 +74,25 @@ def oracle_fit(design_matrix, y_train, iterations: int | None = None,
             s = s - np.vdot(basis_vec, s) * basis_vec
         norm_s = float(np.linalg.norm(s))
         achieved = norm_s / norm0
-        if achieved < tol:
+        if achieved < CG_TOL:
             return x
         history.append(s / norm_s)
         gamma_new = float(np.vdot(s, s).real)
         p = s + (gamma_new / gamma) * p
         gamma = gamma_new
-    if achieved < tol:
+    if achieved < CG_TOL:
         return x
     raise NotConvergedError(
-        f"normal-equation residual {achieved:.3e} above tolerance {tol:.3e} "
+        f"normal-equation residual {achieved:.3e} above tolerance {CG_TOL:.3e} "
         f"after {max_iter} iterations",
         achieved_residual=achieved,
     )
 
 
-def oracle_risk(M_full, theta_true, theta_hat, design: SampleDesign,
-                prediction_only: bool = False) -> float:
+def oracle_risk(M_full, theta_true, theta_hat) -> float:
     """Mean squared gap between the true and fitted signals over the grid.
 
-    Uses the same convention as the engine: training plus prediction rows by
-    default, prediction rows only when requested.
+    Averages over training plus prediction rows, the engine's ``risk_all``.
     """
     full = as_matrix(M_full)
     t_true = as_vector(theta_true)
@@ -102,27 +102,22 @@ def oracle_risk(M_full, theta_true, theta_hat, design: SampleDesign,
     if full.shape[1] != t_true.shape[0]:
         raise InvalidInputError("operator width does not match coefficient length")
     diff = full @ (t_true - t_hat)
-    sq = np.abs(diff) ** 2
-    if prediction_only:
-        tail = sq[design.n_train :]
-        return float(tail.mean()) if tail.size else 0.0
-    return float(sq.mean())
+    return float((np.abs(diff) ** 2).mean())
 
 
-def certify(M_full, design: SampleDesign, theta_true, m: int,
-            iterations: int | None = None, tol: float = 1e-12) -> OracleResult:
+def certify(M_full, design: SampleDesign, theta_true, m: int) -> OracleResult:
     """Fit the first m columns on the training rows and evaluate the risk."""
     full = as_matrix(M_full)
     theta = as_vector(theta_true, length=full.shape[1])
     n = design.n_train
     y_full = full @ theta
     block = full[:n, :m]
-    theta_m = oracle_fit(block, y_full[:n], iterations=iterations, tol=tol)
+    theta_m = oracle_fit(block, y_full[:n])
     theta_hat = np.zeros(full.shape[1], dtype=theta_m.dtype)
     theta_hat[:m] = theta_m
     residual = float(np.linalg.norm(block @ theta_m - y_full[:n]))
     return OracleResult(
         theta_hat=theta_hat,
-        risk=oracle_risk(full, theta, theta_hat, design),
+        risk=oracle_risk(full, theta, theta_hat),
         residual_train=residual,
     )

@@ -6,34 +6,21 @@ deterministic.
 """
 
 import numpy as np
-import pytest
 
-from gadkit import (
-    BasisSpec,
-    ParameterSpec,
-    aliasing_operator,
+from dense_reference import (
     append_column,
-    build_panels,
-    evaluate_columns,
-    infer_theta,
+    augmented_block,
     interleaving_check,
     invertibility_operator,
-    kernel_projector,
-    legendre_gauss_nodes,
-    make_design,
-    oracle_fit,
-    oracle_risk,
-    risk_and_errors,
-    spectral_norm,
-    sweep,
-)
-from gadkit.designs import SampleDesign
-from gadkit.experiments import (
-    format_record,
-    fourier_alias_expectation,
-    ising_design,
     local_maxima,
 )
+from gadkit import BasisSpec, ParameterSpec, evaluate_columns, make_design, sweep
+from gadkit.bases import legendre_gauss_nodes
+from gadkit.decomposition import aliasing_operator, build_panels, ridge_panels, risk_and_errors
+from gadkit.designs import SampleDesign
+from gadkit.experiments import format_record, fourier_alias_expectation, ising_design
+from gadkit.linalg import kernel_projector, spectral_norm
+from gadkit.oracle import oracle_fit, oracle_risk
 
 
 def _report(num: int, name: str, ok: bool) -> None:
@@ -253,10 +240,8 @@ def test_07_ridge_bounds():
         design = direct_design(rng.standard_normal(rows), rng.standard_normal(2))
         panel = build_panels(full, design, m)
         for lam in (1e-4, 1e-2, 1.0):
-            from gadkit import ridge_panels
-
-            aug, pinv_norm = ridge_panels(panel, lam)
-            s_aug = np.linalg.svd(aug, compute_uv=False)
+            pinv_norm = ridge_panels(panel, lam)
+            s_aug = np.linalg.svd(augmented_block(panel, lam), compute_uv=False)
             base = np.zeros(m)
             s_base = np.linalg.svd(panel.train_modeled, compute_uv=False)
             base[: s_base.size] = s_base
@@ -327,16 +312,16 @@ def test_09_oracle_equivalence():
         theta = rng.standard_normal(budget)
         y_full = full @ theta
         panel = build_panels(full, design, m)
-        engine_theta = infer_theta(panel, y_full[:rows])
+        report = risk_and_errors(panel, theta, y_full)
+        engine_theta = report.theta_hat
         reference = oracle_fit(full[:rows, :m], y_full[:rows])
         scale = max(float(np.linalg.norm(engine_theta)), 1.0)
         if np.linalg.norm(engine_theta[:m] - reference) > 1e-8 * scale:
             ok = False
             break
-        report = risk_and_errors(panel, theta, y_full)
         padded = np.zeros(budget)
         padded[:m] = reference
-        reference_risk = oracle_risk(full, theta, padded, design)
+        reference_risk = oracle_risk(full, theta, padded)
         risk_scale = max(report.risk_all, reference_risk, float(np.mean(np.abs(y_full) ** 2)) * 1e-8)
         if abs(report.risk_all - reference_risk) > 1e-8 * risk_scale:
             ok = False

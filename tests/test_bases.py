@@ -3,10 +3,8 @@
 import numpy as np
 import pytest
 
-from gadkit import (
+from gadkit.bases import (
     BasisSpec,
-    BudgetExceededError,
-    InvalidInputError,
     column_order,
     enumerate_clusters,
     evaluate_columns,
@@ -14,6 +12,7 @@ from gadkit import (
     fourier_frequency,
     legendre_gauss_nodes,
 )
+from gadkit.errors import BudgetExceededError, InvalidInputError
 
 # explicit low-degree polynomials, independent of the recurrence code
 CHEBYSHEV = (

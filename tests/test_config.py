@@ -4,7 +4,8 @@ from pathlib import Path
 
 import pytest
 
-from gadkit import ConfigError, parse_config, parse_config_text, serialize_config
+from gadkit.config import parse_config, parse_config_text, serialize_config
+from gadkit.errors import ConfigError
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 

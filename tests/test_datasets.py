@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from gadkit import FormatError, load_cifar_bin, load_idx
+from gadkit.datasets import load_cifar_bin, load_idx
+from gadkit.errors import FormatError
 
 
 def idx_bytes(items, shape=(2, 2), payload=None):
@@ -25,36 +26,24 @@ class TestLoadIdx:
         payload = bytes([0, 255, 128, 64, 1, 2, 3, 4])
         path = tmp_path / "two.idx"
         path.write_bytes(idx_bytes(2, (2, 2), payload))
-        cloud = load_idx(path)
-        assert cloud.points.shape == (2, 4)
-        assert cloud.dim == 4
-        np.testing.assert_allclose(cloud.points[0], [0.0, 1.0, 128 / 255, 64 / 255])
-        np.testing.assert_allclose(cloud.points[1] * 255, [1, 2, 3, 4])
+        points = load_idx(path)
+        assert points.shape == (2, 4)
+        np.testing.assert_allclose(points[0], [0.0, 1.0, 128 / 255, 64 / 255])
+        np.testing.assert_allclose(points[1] * 255, [1, 2, 3, 4])
 
     def test_raw_bytes_policy(self, tmp_path):
         path = tmp_path / "raw.idx"
         path.write_bytes(idx_bytes(1, (2, 2), bytes([0, 255, 7, 9])))
-        cloud = load_idx(path, scale_policy="raw_bytes")
-        np.testing.assert_array_equal(cloud.points[0], [0, 255, 7, 9])
+        points = load_idx(path, scale_policy="raw_bytes")
+        np.testing.assert_array_equal(points[0], [0, 255, 7, 9])
 
     def test_round_trip_exact(self, tmp_path):
         rng = np.random.default_rng(0)
         pixels = rng.integers(0, 256, size=(3, 6), dtype=np.uint8)
         path = tmp_path / "rt.idx"
         path.write_bytes(idx_bytes(3, (6,), pixels.tobytes()))
-        cloud = load_idx(path, scale_policy="raw_bytes")
-        np.testing.assert_array_equal(cloud.points, pixels.astype(float))
-
-    def test_max_items_zero(self, tmp_path):
-        path = tmp_path / "none.idx"
-        path.write_bytes(idx_bytes(2, (2, 2), bytes(8)))
-        cloud = load_idx(path, max_items=0)
-        assert cloud.points.shape == (0, 4)
-
-    def test_max_items_limits(self, tmp_path):
-        path = tmp_path / "some.idx"
-        path.write_bytes(idx_bytes(3, (2,), bytes(6)))
-        assert load_idx(path, max_items=2).points.shape == (2, 2)
+        np.testing.assert_array_equal(load_idx(path, scale_policy="raw_bytes"),
+                                      pixels.astype(float))
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.idx"
@@ -89,29 +78,26 @@ class TestLoadCifarBin:
     def test_single_record(self, tmp_path):
         path = tmp_path / "one.bin"
         path.write_bytes(self.record(7, 255))
-        cloud = load_cifar_bin(path)
-        assert cloud.points.shape == (1, 3072)
-        assert cloud.dim == 3072
-        np.testing.assert_array_equal(cloud.points[0], np.ones(3072))
+        points = load_cifar_bin(path)
+        assert points.shape == (1, 3072)
+        np.testing.assert_array_equal(points[0], np.ones(3072))
 
     def test_label_byte_is_dropped(self, tmp_path):
         path = tmp_path / "lab.bin"
         path.write_bytes(self.record(255, 0))
-        cloud = load_cifar_bin(path, scale_policy="raw_bytes")
-        assert np.all(cloud.points == 0)
+        assert np.all(load_cifar_bin(path, scale_policy="raw_bytes") == 0)
 
-    def test_max_items(self, tmp_path):
+    def test_records_keep_their_order(self, tmp_path):
         path = tmp_path / "three.bin"
         path.write_bytes(self.record(0, 1) + self.record(1, 2) + self.record(2, 3))
-        cloud = load_cifar_bin(path, max_items=1, scale_policy="raw_bytes")
-        assert cloud.points.shape == (1, 3072)
-        assert np.all(cloud.points == 1)
+        points = load_cifar_bin(path, scale_policy="raw_bytes")
+        assert points.shape == (3, 3072)
+        assert all(np.all(points[i] == i + 1) for i in range(3))
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.bin"
         path.write_bytes(b"")
-        cloud = load_cifar_bin(path)
-        assert cloud.points.shape == (0, 3072)
+        assert load_cifar_bin(path).shape == (0, 3072)
 
     def test_partial_record_rejected(self, tmp_path):
         path = tmp_path / "part.bin"

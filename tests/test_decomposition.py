@@ -6,32 +6,27 @@ import numpy as np
 import pytest
 
 import gadkit.decomposition as decomposition
+from dense_reference import augmented_block, b_operator, infer_theta, invertibility_operator
 from gadkit import experiments
 from gadkit import (
     BasisSpec,
     DecompositionMismatchError,
-    GadkitError,
     InvalidInputError,
     ParameterSpec,
-    SvdResult,
-    aliasing_operator,
-    b_operator,
-    build_panels,
     evaluate_columns,
-    expected_unstructured_error,
-    infer_theta,
-    invertibility_operator,
-    kernel_projector,
     make_design,
-    make_theta,
-    parse_config_text,
-    pseudoinverse,
-    ridge_panels,
-    risk_and_errors,
-    spectral_norm,
     sweep,
 )
+from gadkit.config import parse_config_text
+from gadkit.decomposition import (
+    aliasing_operator,
+    build_panels,
+    expected_unstructured_error,
+    ridge_panels,
+    risk_and_errors,
+)
 from gadkit.designs import SampleDesign
+from gadkit.linalg import SvdResult, kernel_projector, pseudoinverse, spectral_norm
 
 RIDGE_CONFIG = """
 [run]
@@ -284,7 +279,8 @@ class TestRidge:
     def test_identity_block_example(self):
         # modeled block I_2, n = 2, lambda = 2: every singular value sqrt(5)
         panel = self.panel_identity()
-        aug, pinv_norm = ridge_panels(panel, 2.0)
+        pinv_norm = ridge_panels(panel, 2.0)
+        aug = augmented_block(panel, 2.0)
         assert aug.shape == (4, 2)
         s = np.linalg.svd(aug, compute_uv=False)
         np.testing.assert_allclose(s, [np.sqrt(5.0)] * 2, rtol=1e-12)
@@ -293,22 +289,18 @@ class TestRidge:
 
     def test_lambda_zero_matches_unregularized(self):
         panel = self.panel_identity()
-        aug, pinv_norm = ridge_panels(panel, 0.0)
-        np.testing.assert_array_equal(aug[2:], np.zeros((2, 2)))
+        pinv_norm = ridge_panels(panel, 0.0)
         assert pinv_norm == pytest.approx(spectral_norm(pseudoinverse(panel.train_modeled)))
 
     @pytest.mark.parametrize("lam", [-1.0, float("nan"), float("inf")])
     def test_negative_lambda_rejected(self, lam):
-        # every entry point that takes a ridge strength rejects it, lambda = 0
-        # branches included
+        # every shipped function that takes a ridge strength rejects it,
+        # lambda = 0 branches included
         panel = self.panel_identity()
         y = np.zeros(3)
         calls = (
             lambda: ridge_panels(panel, lam),
             lambda: aliasing_operator(panel, lam),
-            lambda: b_operator(panel, lam),
-            lambda: infer_theta(panel, y[:2], lam),
-            lambda: invertibility_operator(panel, lam),
             lambda: risk_and_errors(panel, y, y, lam=lam),
         )
         for call in calls:
@@ -324,8 +316,8 @@ class TestRidge:
                 design = direct_design(rng.standard_normal(rows), rng.standard_normal(2))
                 full = rng.standard_normal((rows + 2, max(m, 1)))
                 panel = build_panels(full, design, m)
-                aug, pinv_norm = ridge_panels(panel, lam)
-                s_aug = np.linalg.svd(aug, compute_uv=False)
+                pinv_norm = ridge_panels(panel, lam)
+                s_aug = np.linalg.svd(augmented_block(panel, lam), compute_uv=False)
                 base = np.zeros(m)
                 s_base = np.linalg.svd(panel.train_modeled, compute_uv=False)
                 base[: s_base.size] = s_base
@@ -622,8 +614,8 @@ class TestSweep:
 
     @pytest.mark.parametrize("lam", [0.0, 1e-2])
     def test_sweep_builds_no_dense_operator(self, monkeypatch, lam):
-        # the sweep applies the panel's factor to vectors; the dense operators
-        # stay as references only.  At lambda = 0 the range starts past n:
+        # the sweep applies the panel's factor to vectors and forms no dense
+        # operator.  At lambda = 0 the range starts past n:
         # with an empty kernel the bias still reads the m x m kernel
         # projector (see risk_and_errors)
         basis, design, theta = self.small_setup(seed=23)
@@ -633,7 +625,6 @@ class TestSweep:
             raise DecompositionMismatchError("dense operator built inside the sweep")
 
         for owner, name in ((decomposition, "aliasing_operator"),
-                            (decomposition, "b_operator"),
                             (SvdResult, "pinv"), (SvdResult, "kernel_projector")):
             monkeypatch.setattr(owner, name, dense)
         ms = range(n + 1, n + 9) if lam == 0 else range(1, n + 9)

@@ -9,11 +9,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gadkit import ConfigError, InvalidInputError, parse_config_text
-from gadkit.cli import main
+from dense_reference import local_maxima
+from gadkit import ConfigError, InvalidInputError
 from gadkit import experiments
+from gadkit.cli import main
+from gadkit.config import parse_config_text
 from gadkit.decomposition import SweepRecord
-from gadkit.experiments import CSV_COLUMNS, local_maxima, run_config
+from gadkit.experiments import CSV_COLUMNS, run_config
 
 SMALL_SWEEP = """
 [run]
@@ -300,9 +302,7 @@ class TestGaussCompareRecipe:
             assert np.isnan(float(ratio))
 
 
-class TestUnstructuredEbRecipe:
-    def test_summary_matches_closed_form(self, tmp_path):
-        text = """
+UNSTRUCTURED_EB = """
 [run]
 experiment = unstructured_eb
 output_dir = {out}
@@ -327,8 +327,12 @@ seed = 2
 [sweep]
 m_values = 8 20 32
 mc_draws = 2000
-""".format(out=tmp_path / "run")
-        config = parse_config_text(text)
+"""
+
+
+class TestUnstructuredEbRecipe:
+    def test_summary_matches_closed_form(self, tmp_path):
+        config = parse_config_text(UNSTRUCTURED_EB.format(out=tmp_path / "run"))
         run_config(config)
         summary = json.loads((tmp_path / "run" / "summary.json").read_text())
         assert len(summary["settings"]) == 3
@@ -336,6 +340,24 @@ mc_draws = 2000
         assert over, "expected an over-parameterized setting"
         for setting in summary["settings"]:
             assert setting["relative_error"] < 0.05
+
+
+class TestMultiSeedSummaries:
+    @pytest.mark.parametrize("template", [FOURIER, UNSTRUCTURED_EB],
+                             ids=["fourier_check", "unstructured_eb"])
+    def test_each_seed_keeps_its_summary(self, tmp_path, template):
+        # with several seeds the summary is named per seed, as the CSV is, and
+        # holds the bytes a one-seed run of that seed writes
+        text = template.format(out=tmp_path / "both").replace("[basis]", "seeds = 0 1\n\n[basis]")
+        names = [p.name for p in run_config(parse_config_text(text))]
+        assert len(names) == len(set(names))
+        assert {"summary_seed0.json", "summary_seed1.json"} <= set(names)
+        assert not (tmp_path / "both" / "summary.json").exists()
+        for seed in (0, 1):
+            single = parse_config_text(template.format(out=tmp_path / f"seed{seed}"))
+            run_config(single, seed_override=seed)
+            assert (tmp_path / "both" / f"summary_seed{seed}.json").read_bytes() == (
+                tmp_path / f"seed{seed}" / "summary.json").read_bytes()
 
 
 class TestCli:
@@ -402,6 +424,43 @@ class TestCli:
         cfg.write_text(text)
         assert main(["--config", str(cfg)]) == 2
         assert where in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
+    @pytest.mark.parametrize("old, new, where", [
+        ("experiment = fourier_check", "experiment = fourier_check\nseeds = -1", "[run] seeds"),
+        ("experiment = fourier_check", "experiment = fourier_check\nseeds = 0 1 0",
+         "[run] seeds: seed 0 is listed more than once"),
+        ("base_frequencies = 8", "base_frequencies = 8\nseed = -2", "[basis] seed"),
+        ("base_frequencies = 8", "base_frequencies = 8\nordering_seed = -1",
+         "[basis] ordering_seed"),
+        ("scheme = power_decay", "scheme = power_decay\nseed = -1", "[theta] seed"),
+    ], ids=["run-seeds", "run-seeds-repeated", "basis-seed", "basis-ordering-seed",
+            "theta-seed"])
+    def test_bad_seed_in_config_exits_two(self, tmp_path, capsys, old, new, where):
+        assert old in FOURIER
+        text = FOURIER.replace(old, new).format(out=tmp_path / "out")
+        with pytest.raises(ConfigError, match=re.escape(where)):
+            parse_config_text(text)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        assert main(["--config", str(cfg)]) == 2
+        assert where in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_negative_seed_from_environment_exits_two(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("GADKIT_SEED", "-1")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(FOURIER.format(out=tmp_path / "out"))
+        assert main(["--config", str(cfg)]) == 2
+        assert "GADKIT_SEED: expected a nonnegative integer" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_negative_seed_flag_exits_two(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(FOURIER.format(out=tmp_path / "out"))
+        assert main(["--config", str(cfg), "--seed", "-3"]) == 2
+        assert "--seed: expected a nonnegative integer, got '-3'" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
 

@@ -3,15 +3,9 @@
 import numpy as np
 import pytest
 
-from gadkit import (
-    InvalidInputError,
-    append_column,
-    interleaving_check,
-    kernel_projector,
-    pseudoinverse,
-    spectral_norm,
-    svd,
-)
+from dense_reference import append_column, interleaving_check
+from gadkit.errors import InvalidInputError
+from gadkit.linalg import kernel_projector, pseudoinverse, spectral_norm, svd
 
 
 def random_matrix(rng, rows, cols, complex_field=False):

@@ -3,16 +3,11 @@
 import numpy as np
 import pytest
 
-from gadkit import (
-    NotConvergedError,
-    build_panels,
-    certify,
-    infer_theta,
-    oracle_fit,
-    oracle_risk,
-    pseudoinverse,
-)
+from gadkit import NotConvergedError, certify
+from gadkit.decomposition import build_panels, risk_and_errors
 from gadkit.designs import SampleDesign
+from gadkit.linalg import pseudoinverse
+from gadkit.oracle import oracle_fit, oracle_risk
 
 
 def direct_design(train, prediction):
@@ -77,28 +72,16 @@ class TestOracleFit:
 class TestOracleRisk:
     def test_exact_fit_has_zero_risk(self):
         rng = np.random.default_rng(5)
-        design = direct_design(rng.standard_normal(4), rng.standard_normal(3))
         full = rng.standard_normal((7, 5))
         theta = rng.standard_normal(5)
-        assert oracle_risk(full, theta, theta, design) == 0.0
+        assert oracle_risk(full, theta, theta) == 0.0
 
     def test_zero_fit_gives_mean_square_signal(self):
         rng = np.random.default_rng(6)
-        design = direct_design(rng.standard_normal(4), rng.standard_normal(3))
         full = rng.standard_normal((7, 5))
         theta = rng.standard_normal(5)
         expected = float(np.mean((full @ theta) ** 2))
-        assert oracle_risk(full, theta, np.zeros(5), design) == pytest.approx(expected)
-
-    def test_prediction_only_slice(self):
-        rng = np.random.default_rng(7)
-        design = direct_design(rng.standard_normal(4), rng.standard_normal(3))
-        full = rng.standard_normal((7, 5))
-        theta = rng.standard_normal(5)
-        diff = full @ theta
-        expected = float(np.mean(diff[4:] ** 2))
-        assert oracle_risk(full, theta, np.zeros(5), design,
-                           prediction_only=True) == pytest.approx(expected)
+        assert oracle_risk(full, theta, np.zeros(5)) == pytest.approx(expected)
 
 
 class TestCrossPath:
@@ -112,6 +95,6 @@ class TestCrossPath:
         result = certify(full, design, theta, m)
         assert result.risk >= 0 and result.residual_train >= 0
         panel = build_panels(full, design, m)
-        engine_theta = infer_theta(panel, (full @ theta)[:rows])
+        engine_theta = risk_and_errors(panel, theta, full @ theta).theta_hat
         scale = max(np.linalg.norm(engine_theta), 1.0)
         assert np.linalg.norm(result.theta_hat - engine_theta) <= 1e-8 * scale

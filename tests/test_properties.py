@@ -13,25 +13,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gadkit.decomposition as decomposition
+from dense_reference import augmented_block, b_operator
 from gadkit import (
     BasisSpec,
     ParameterSpec,
-    aliasing_operator,
-    b_operator,
-    build_panels,
     certify,
     evaluate_columns,
-    infer_theta,
-    kernel_projector,
     make_design,
     make_theta,
-    pseudoinverse,
-    ridge_panels,
-    svd,
     sweep,
 )
+from gadkit.decomposition import aliasing_operator, build_panels, ridge_panels, risk_and_errors
 from gadkit.designs import SampleDesign
 from gadkit.experiments import format_record
+from gadkit.linalg import kernel_projector, pseudoinverse, svd
 
 # derandomized so that the tier-1 run is reproducible; no example database
 PROPERTY = settings(max_examples=80, deadline=None, derandomize=True, database=None)
@@ -100,21 +95,24 @@ def test_rank_steps_by_zero_or_one_per_appended_column(block):
 @given(blocks(min_rows=2), st.data(), st.sampled_from([1e-4, 1e-2, 1.0]))
 def test_ridge_fit_map_matches_augmented_pseudoinverse(block, data, lam):
     # reference: the augmented-block route, [T_M; sqrt(n lam) I]^+ applied to
-    # zero-padded right-hand sides
+    # zero-padded right-hand sides.  The fit is the one risk_and_errors makes
     n, budget = block.shape
     m = data.draw(st.integers(1, budget))
-    panel = panel_of(block, m)
-    aug, pinv_norm = ridge_panels(panel, lam)  # runs the shifted-spectrum check
-    reference = pseudoinverse(aug)
+    full, design = system_of(block)
+    panel = build_panels(full, design, m)
+    pinv_norm = ridge_panels(panel, lam)  # runs the shifted-spectrum check
+    reference = pseudoinverse(augmented_block(panel, lam))
     assert pinv_norm <= 1 / np.sqrt(n * lam) * (1 + 1e-12)
 
     def padded(rhs):
         rhs = rhs.reshape(n, -1)
         return np.vstack([rhs, np.zeros((m, rhs.shape[1]))])
 
-    y = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).standard_normal(n)
+    theta = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).standard_normal(budget)
+    y_full = full @ theta
     pairs = (
-        (infer_theta(panel, y, lam)[:m], (reference @ padded(y))[:, 0]),
+        (risk_and_errors(panel, theta, y_full, lam).theta_hat[:m],
+         (reference @ padded(y_full[:n]))[:, 0]),
         (aliasing_operator(panel, lam), reference @ padded(panel.train_nescient)),
         (b_operator(panel, lam), reference @ padded(panel.train_modeled)),
     )
