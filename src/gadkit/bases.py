@@ -68,6 +68,8 @@ class BasisSpec:
             raise InvalidInputError("column_budget must be at least 1")
         if self.input_dim < 1:
             raise InvalidInputError("input_dim must be at least 1")
+        if self.seed < 0 or int(self.param("ordering_seed", 0)) < 0:
+            raise InvalidInputError("basis seeds must be nonnegative integers")
         if self.ordering == "physical_cluster" and self.family != "cluster_ising":
             raise InvalidInputError("physical_cluster ordering requires the cluster_ising family")
         allowed = _FAMILY_PARAM_KEYS[self.family] | _COMMON_PARAM_KEYS

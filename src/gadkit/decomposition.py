@@ -9,19 +9,28 @@ risk curve.
 
 Every per-m quantity derives from one SVD of the modeled training block,
 T_M = U diag(s) V^H.  The fit map is V diag(f) U^H with one filter vector f:
-1/s over the numerical rank when lambda = 0, s / (s**2 + n*lambda) under
-ridge.  Lambda is a plain float, active exactly when it is positive, so
-lambda = 0 takes the unregularized path and the two agree.  The sweep
-applies the factor to vectors and forms neither the fit map, B nor the
-aliasing operator: A = V C with the small core C = f * (U^H T_U), so
-||A|| = ||C||, the alias error is ||C theta_u||, and the fitted-signal
-identity is checked through that same core.  The dense
+1/s over the numerical rank and 0 past it when lambda = 0, s / (s**2 +
+n*lambda) under ridge.  Lambda is a plain float, active exactly when it is
+positive, so lambda = 0 takes the unregularized path and the two agree.
+The sweep applies the factor to vectors and forms neither the fit map, B
+nor the aliasing operator: A = V C with the small core C = diag(f) W and
+W = U^H T_U, so ||A|| = ||C||, the alias error is ||f * (W theta_u)||, and
+the fitted-signal identity is checked through that same core.  The dense
 :func:`aliasing_operator` is for ``fourier_check``, which compares it entry
-by entry with the exact aliasing map.  :func:`sweep` is the one loop over
-model sizes: it evaluates the full operator and checks it for finite entries
-once, then walks m upward with lambda inside.  T_M is factored once per
-model size, and each lambda is only a different filter f on that factor, so
-a list of ridge strengths costs one SVD per m, not one per (lambda, m).
+by entry with the exact aliasing map.
+
+:func:`sweep` is the one loop over model sizes: it evaluates the full
+operator and checks it for finite entries once, then walks m upward with
+lambda inside.  At each m, T_M is factored once, and one object holds the
+products of that factor that no lambda changes: U^H y_train,
+U^H (T_M theta_m), W, W theta_u and, when W has no more rows than
+columns, the Gram of W.  Each lambda is then only filter work on those
+products, and the LAPACK work of all lambdas is
+stacked into one values-only SVD call (the augmented-spectrum checks) and
+one ``eigvalsh`` call (the norms of A).  No lambda's arithmetic depends on
+the others in the list, so every row is exactly what a sweep over its
+lambda alone gives.  :func:`risk_and_errors` and :func:`ridge_panels` are
+the same route for one lambda.
 """
 
 from __future__ import annotations
@@ -35,21 +44,25 @@ import numpy as np
 from .bases import BasisSpec, evaluate_columns
 from .designs import ParameterSpec, SampleDesign, make_theta
 from .errors import DecompositionMismatchError, GadkitError, InvalidInputError
-from .linalg import DEFAULT_REL_TOL, SvdResult, as_matrix, as_vector, spectral_norm, spectrum, svd
+from .linalg import (DEFAULT_REL_TOL, SvdResult, as_matrix, as_vector, ldexp, scaled_root,
+                     spectral_norm, spectrum, svd)
 from .linalg import kernel_projector, pseudoinverse  # noqa: F401  (perfbench/spans.py wraps these)
 
-# relative tolerance of the fitted-signal identity that risk_and_errors checks
+# relative tolerance of the fitted-signal identity that every fit checks
 IDENTITY_TOL = 1e-8
 
 
 @dataclass(frozen=True, eq=False)
 class OperatorPanel:
-    """The four blocks of the extended operator at one model size."""
+    """The four blocks of the extended operator at one model size.
+
+    ``modeled`` is the first m columns over the training then prediction
+    rows; ``train_modeled`` and ``pred_modeled`` are its two row blocks.
+    """
 
     m: int
-    train_modeled: np.ndarray
+    modeled: np.ndarray
     train_nescient: np.ndarray
-    pred_modeled: np.ndarray
     pred_nescient: np.ndarray
     factor: SvdResult  # of train_modeled: the one factorization at this model size
 
@@ -59,11 +72,19 @@ class OperatorPanel:
 
     @property
     def n_train(self) -> int:
-        return self.train_modeled.shape[0]
+        return self.train_nescient.shape[0]
 
     @property
     def budget(self) -> int:
         return self.m + self.train_nescient.shape[1]
+
+    @property
+    def train_modeled(self) -> np.ndarray:
+        return self.modeled[: self.n_train]
+
+    @property
+    def pred_modeled(self) -> np.ndarray:
+        return self.modeled[self.n_train :]
 
 
 @dataclass(frozen=True)
@@ -103,6 +124,33 @@ class RiskReport:
     identity_residual: float
 
 
+@dataclass(frozen=True, eq=False)
+class _SharedProducts:
+    """The products at one model size that no lambda changes.
+
+    With ``T_M = U diag(s) V^H`` over k singular values and ``W = U^H T_U``,
+    the k x 3 ``coefficients`` hold ``U^H y_train``, ``U^H (T_M theta_m)``
+    and ``W theta_u`` as columns; ``V diag(f)`` maps them to ``theta_hat``,
+    ``B theta_m`` and ``A theta_u``.  ``y_norm`` is ``||y||`` over every row
+    and ``nescience`` is ``||theta_u||``.  ``w_scaled`` is
+    ``W * 2**-w_exponent``, its largest modulus in [0.5, 1),
+    and ``row_peaks`` the largest modulus in each of its rows.  ``gram`` is
+    ``w_scaled w_scaled^H`` when k <= p - m; otherwise it is None, and each
+    lambda forms the Gram of its own core on the smaller, nescient side.
+    """
+
+    panel: OperatorPanel
+    y: np.ndarray  # labels over the training then prediction rows
+    y_norm: float
+    theta_m: np.ndarray
+    nescience: float
+    coefficients: np.ndarray
+    w_scaled: np.ndarray
+    w_exponent: int
+    row_peaks: np.ndarray
+    gram: np.ndarray | None
+
+
 class _FiniteOperator:
     """The full operator, checked for finite entries when the object is made.
 
@@ -134,14 +182,42 @@ def build_panels(M_full, design: SampleDesign, m: int,
     budget = full.shape[1]
     if not 1 <= m <= budget:
         raise InvalidInputError(f"model size {m} outside [1, {budget}]")
-    train_modeled = full[:n, :m]
+    modeled = full[:, :m]
     return OperatorPanel(
         m=int(m),
-        train_modeled=train_modeled,
+        modeled=modeled,
         train_nescient=full[:n, m:],
-        pred_modeled=full[n:, :m],
         pred_nescient=full[n:, m:],
-        factor=svd(train_modeled, rel_tol),
+        factor=svd(modeled[:n], rel_tol),
+    )
+
+
+def _shared_products(panel: OperatorPanel, theta, y_full) -> _SharedProducts:
+    """Form the lambda-free products of the panel's factor, once per model size.
+
+    ``y_full`` must be the noiseless synthesis ``M_full @ theta`` over the
+    training then prediction rows; only its training slice reaches the fit.
+    """
+    theta = as_vector(theta, length=panel.budget)
+    y = as_vector(y_full, length=panel.modeled.shape[0])
+    theta_m, theta_u = theta[: panel.m], theta[panel.m :]
+    uh = panel.factor.left_vectors.conj().T
+    w = uh @ panel.train_nescient
+    row_peaks = np.abs(w).max(axis=1, initial=0.0)
+    exponent = math.frexp(float(row_peaks.max(initial=0.0)))[1]
+    w_scaled = ldexp(w, -exponent)
+    return _SharedProducts(
+        panel=panel,
+        y=y,
+        y_norm=float(np.linalg.norm(y)),
+        theta_m=theta_m,
+        nescience=float(np.linalg.norm(theta_u)),
+        coefficients=np.stack([uh @ y[: panel.n_train], uh @ (panel.train_modeled @ theta_m),
+                               w @ theta_u], axis=1),
+        w_scaled=w_scaled,
+        w_exponent=exponent,
+        row_peaks=np.ldexp(row_peaks, -exponent),
+        gram=w_scaled @ w_scaled.conj().T if w.shape[0] <= w.shape[1] else None,
     )
 
 
@@ -157,20 +233,68 @@ def _ridge_shift(panel: OperatorPanel, lam: float) -> float:
     return panel.n_train * _check_lambda(lam)
 
 
-def _filtered_factor(panel: OperatorPanel,
-                     lam: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(U, f, V)`` with the fit map ``V diag(f) U^H``, from the panel's factor.
+def _filter(panel: OperatorPanel, lam: float) -> np.ndarray:
+    """The filter f of the fit map ``V diag(f) U^H``, one entry per singular value.
 
-    Unregularized, f = 1/s over the numerical rank and U, V keep those
-    columns; under ridge, f = s / (s**2 + n*lambda) over every singular value.
+    Unregularized, f = 1/s over the numerical rank and 0 past it; under
+    ridge, f = s / (s**2 + n*lambda).
     """
     shift = _ridge_shift(panel, lam)
-    factor = panel.factor
-    s = factor.singular_values
-    if not shift:
-        r = factor.numerical_rank
-        return factor.left_vectors[:, :r], 1.0 / s[:r], factor.right_vectors[:, :r]
-    return factor.left_vectors, s / (s**2 + shift), factor.right_vectors
+    s = panel.factor.singular_values
+    if shift:
+        return s / (s**2 + shift)
+    f = np.zeros_like(s)
+    r = panel.rank
+    f[:r] = 1.0 / s[:r]
+    return f
+
+
+def _stacked(call, keys: list[int], stack: np.ndarray):
+    """``call`` over a stack of matrices, made once for all of them, looked up by key.
+
+    ``keys`` names the matrices of the stack in order.  When the one call
+    raises :class:`numpy.linalg.LinAlgError`, each lookup makes it again on
+    its own matrix, so the error reaches only the rows whose matrix causes it.
+    """
+    try:
+        return dict(zip(keys, call(stack))).__getitem__
+    except np.linalg.LinAlgError:
+        return lambda key: call(stack[keys.index(key), None])[0]
+
+
+def _singular_values(stack: np.ndarray) -> np.ndarray:
+    return np.linalg.svd(stack, compute_uv=False)
+
+
+def _top_eigenvalue(stack: np.ndarray) -> np.ndarray:
+    return np.linalg.eigvalsh(stack)[..., -1]
+
+
+def _augmented(panel: OperatorPanel, shifts: list[float]) -> np.ndarray:
+    """The ridge blocks ``[T_M; sqrt(n*lambda) I]``, one per shift, stacked."""
+    x = panel.train_modeled
+    n, m = x.shape
+    aug = np.zeros((len(shifts), n + m, m), dtype=x.dtype)
+    aug[:, :n] = x
+    aug[:, n + np.arange(m), np.arange(m)] = np.sqrt(shifts)[:, None]
+    return aug
+
+
+def _checked_pinv_norm(panel: OperatorPanel, shift: float, s_aug: np.ndarray) -> float:
+    """``1 / min s_aug``, once the augmented spectrum matches sqrt(sigma**2 + n*lambda)."""
+    s_base = panel.factor.singular_values
+    padded = np.zeros(panel.m)
+    padded[: s_base.size] = s_base
+    expected = np.sqrt(padded**2 + shift)
+    scale = max(float(expected[0]), 1.0)
+    deviation = np.abs(s_aug - expected)
+    # np.allclose(s_aug, expected, rtol=1e-9, atol=1e-12 * scale), NaN failing
+    if not np.all(deviation <= 1e-12 * scale + 1e-9 * expected):
+        raise DecompositionMismatchError(
+            f"augmented spectrum deviates from sqrt(sigma^2 + n*lambda) by "
+            f"{float(np.max(deviation)):.3e}"
+        )
+    return float(1.0 / s_aug[-1])
 
 
 def ridge_panels(panel: OperatorPanel, lam: float) -> float:
@@ -185,20 +309,7 @@ def ridge_panels(panel: OperatorPanel, lam: float) -> float:
     shift = _ridge_shift(panel, lam)
     if not shift:
         return panel.factor.pinv_norm()
-    x = panel.train_modeled
-    aug = np.vstack([x, np.sqrt(shift) * np.eye(panel.m, dtype=x.dtype)])
-    s_aug = np.linalg.svd(aug, compute_uv=False)
-    s_base = panel.factor.singular_values
-    padded = np.zeros(panel.m)
-    padded[: s_base.size] = s_base
-    expected = np.sqrt(padded**2 + shift)
-    scale = max(float(expected[0]), 1.0)
-    if not np.allclose(s_aug, expected, rtol=1e-9, atol=1e-12 * scale):
-        worst = float(np.max(np.abs(s_aug - expected)))
-        raise DecompositionMismatchError(
-            f"augmented spectrum deviates from sqrt(sigma^2 + n*lambda) by {worst:.3e}"
-        )
-    return float(1.0 / s_aug[-1])
+    return _checked_pinv_norm(panel, shift, _singular_values(_augmented(panel, [shift]))[0])
 
 
 def aliasing_operator(panel: OperatorPanel, lam: float = 0.0) -> np.ndarray:
@@ -207,49 +318,59 @@ def aliasing_operator(panel: OperatorPanel, lam: float = 0.0) -> np.ndarray:
     The fit map is pinv(T_M) unregularized; under ridge it equals
     pinv([T_M; sqrt(n*lambda) I]) applied to zero-padded labels.
     """
-    u, f, v = _filtered_factor(panel, lam)
-    return ((v * f) @ u.conj().T) @ panel.train_nescient
+    f = _filter(panel, lam)
+    factor = panel.factor
+    return ((factor.right_vectors * f) @ factor.left_vectors.conj().T) @ panel.train_nescient
 
 
-def _modeled_signal(panel: OperatorPanel, coefficients: np.ndarray) -> np.ndarray:
-    """Signal on training then prediction rows of modeled-only coefficients."""
-    return np.concatenate([panel.train_modeled @ coefficients, panel.pred_modeled @ coefficients])
+def _alias_gram(products: _SharedProducts, f: np.ndarray) -> tuple[np.ndarray, int] | None:
+    """The Gram whose largest eigenvalue gives ``||A|| = ||diag(f) W||``, or None when A = 0.
 
-
-def risk_and_errors(panel: OperatorPanel, theta, y_full, lam: float = 0.0) -> RiskReport:
-    """Fit from the training labels and break the prediction error apart.
-
-    ``y_full`` must be the noiseless synthesis ``M_full @ theta`` over the
-    training then prediction rows; only its training slice reaches the fit,
-    so the decomposition itself stays label independent.  The panel's factor
-    is applied to vectors: the aliasing operator enters only through its core
-    ``C = f * (U^H T_U)``, which gives ``norm_A`` and ``alias_error``.
-    Verifies that the fitted signal equals the operator-route reconstruction
-    ``B theta_m + A theta_u`` to ``IDENTITY_TOL`` relative and records the
-    residual.
+    The core is scaled by a power of two that puts its largest modulus near
+    [0.5, 1): ``g`` is f so rescaled, and the Gram is ``g K g`` on the factor
+    side, or the core's own Gram on the nescient side when that is smaller.
+    Returns the Gram and the exponent that scales its root back.
     """
-    theta = as_vector(theta, length=panel.budget)
-    n = panel.n_train
-    y = as_vector(y_full, length=n + panel.pred_modeled.shape[0])
-    u, f, v = _filtered_factor(panel, lam)
-    uh = u.conj().T
-    core = f[:, None] * (uh @ panel.train_nescient)
-    theta_m_hat = v @ (f * (uh @ y[:n]))
-    theta_hat = np.zeros(panel.budget, dtype=theta_m_hat.dtype)
-    theta_hat[: panel.m] = theta_m_hat
-    y_hat = _modeled_signal(panel, theta_m_hat)
+    peak = float(np.max(np.abs(f) * products.row_peaks, initial=0.0))
+    if peak == 0.0:
+        return None
+    exponent = math.frexp(peak)[1]
+    g = np.ldexp(f, -exponent)
+    if products.gram is not None:
+        gram = (g[:, None] * products.gram) * g
+    else:
+        core = g[:, None] * products.w_scaled
+        gram = core.conj().T @ core
+    return gram, exponent + products.w_exponent
 
-    theta_m, theta_u = theta[: panel.m], theta[panel.m :]
-    fitted_m = v @ (f * (uh @ (panel.train_modeled @ theta_m)))
-    aliased = core @ theta_u
-    y_check = _modeled_signal(panel, fitted_m + v @ aliased)
-    scale = max(float(np.linalg.norm(y_hat)), float(np.linalg.norm(y)), 1e-300)
+
+def _identity_residual(y_hat: np.ndarray, y_check: np.ndarray, y_norm: float) -> float:
+    """``||y_hat - y_check||`` relative to the signal, once it is within ``IDENTITY_TOL``."""
+    scale = max(float(np.linalg.norm(y_hat)), y_norm, 1e-300)
     residual = float(np.linalg.norm(y_hat - y_check)) / scale
     if residual > IDENTITY_TOL:
         raise DecompositionMismatchError(
             f"fitted signal deviates from the operator route by {residual:.3e} relative"
         )
+    return residual
 
+
+def _fit(products: _SharedProducts, lam: float, f: np.ndarray, norm_A: float) -> RiskReport:
+    """One lambda's filter work on the shared products, with its identity check.
+
+    The fitted signal ``[T_M; P_M] theta_hat`` must equal the operator-route
+    reconstruction ``[T_M; P_M] (B theta_m + A theta_u)`` to ``IDENTITY_TOL``
+    relative.
+    """
+    panel = products.panel
+    n, v = panel.n_train, panel.factor.right_vectors
+    filtered = f[:, None] * products.coefficients
+    # the fit map V diag(f) U^H applied to y_train, T_M theta_m and T_U theta_u
+    theta_m_hat, fitted_m, aliased_m = (v @ filtered).T
+    y_hat = panel.modeled @ theta_m_hat
+    residual = _identity_residual(y_hat, panel.modeled @ (fitted_m + aliased_m), products.y_norm)
+
+    theta_m = products.theta_m
     if lam > 0:
         bias_vec = theta_m - fitted_m
     elif panel.rank == panel.m:
@@ -259,18 +380,41 @@ def risk_and_errors(panel: OperatorPanel, theta, y_full, lam: float = 0.0) -> Ri
         # rounding-level value and has no column scale to floor it
         bias_vec = panel.factor.kernel_projector() @ theta_m
     else:
-        bias_vec = theta_m - v @ (v.conj().T @ theta_m)
-    sq = np.abs(y - y_hat) ** 2
+        v_r = v[:, : panel.rank]
+        bias_vec = theta_m - v_r @ (v_r.conj().T @ theta_m)
+    theta_hat = np.zeros(panel.budget, dtype=theta_m_hat.dtype)
+    theta_hat[: panel.m] = theta_m_hat
+    sq = np.abs(products.y - y_hat) ** 2
     return RiskReport(
         theta_hat=theta_hat,
-        norm_A=spectral_norm(core),
+        norm_A=norm_A,
         risk_all=float(sq.mean()),
         risk_prediction_only=float(sq[n:].mean()) if sq[n:].size else 0.0,
-        alias_error=float(np.linalg.norm(aliased)),
+        alias_error=float(np.linalg.norm(filtered[:, 2])),
         bias_error=float(np.linalg.norm(bias_vec)),
-        nescience_error=float(np.linalg.norm(theta_u)),
+        nescience_error=products.nescience,
         identity_residual=residual,
     )
+
+
+def risk_and_errors(panel: OperatorPanel, theta, y_full, lam: float = 0.0) -> RiskReport:
+    """Fit from the training labels and break the prediction error apart.
+
+    ``y_full`` must be the noiseless synthesis ``M_full @ theta`` over the
+    training then prediction rows; only its training slice reaches the fit,
+    so the decomposition itself stays label independent.  The panel's factor
+    is applied to vectors: the aliasing operator enters only through its core
+    ``C = diag(f) (U^H T_U)``, which gives ``norm_A`` and ``alias_error``.
+    Verifies that the fitted signal equals the operator-route reconstruction
+    ``B theta_m + A theta_u`` to ``IDENTITY_TOL`` relative and records the
+    residual.  It takes the sweep's own steps for one lambda, on one
+    matrix where the sweep stacks all of them.
+    """
+    products = _shared_products(panel, theta, y_full)
+    f = _filter(panel, lam)
+    alias = _alias_gram(products, f)
+    norm_A = 0.0 if alias is None else scaled_root(float(_top_eigenvalue(alias[0])), alias[1])
+    return _fit(products, lam, f, norm_A)
 
 
 def expected_unstructured_error(sigma2: float, dim_kernel: int, dim_nescient: int) -> float:
@@ -298,27 +442,48 @@ def _error_record(m: int, lam: float, exc: Exception) -> SweepRecord:
     )
 
 
-def _sweep_record(panel: OperatorPanel, lam: float, theta: np.ndarray, y_full: np.ndarray,
-                  norm_nescient: float, independent: bool) -> SweepRecord:
-    """The record at one (lambda, m): the ridge filter applied to the panel's shared factor."""
-    # lambda = 0 skips ridge_panels, which would return the same norm: the
-    # benchmark's traced ridge_panels count stays a count of the ridge checks
-    norm_pinv = ridge_panels(panel, lam) if lam > 0 else panel.factor.pinv_norm()
-    report = risk_and_errors(panel, theta, y_full, lam=lam)
-    return SweepRecord(
-        m=panel.m,
-        norm_A=report.norm_A,
-        norm_pinv_TM=norm_pinv,
-        norm_M_TU=norm_nescient,
-        alias_error=report.alias_error,
-        bias_error=report.bias_error,
-        nescience_error=report.nescience_error,
-        risk_all=report.risk_all,
-        risk_prediction_only=report.risk_prediction_only,
-        rank_TM=panel.rank,
-        new_col_independent=independent,
-        lam=lam,
-    )
+def _lambda_rows(products: _SharedProducts, lams: list[float], norm_nescient: float,
+                 independent: bool) -> list[SweepRecord]:
+    """The record of every lambda at the products' model size; a lambda that fails gets an error row.
+
+    The augmented-spectrum SVDs of the active lambdas are one stacked call,
+    and the eigenvalue problems of every ``||A||`` another.
+    """
+    panel = products.panel
+    shifts = [_ridge_shift(panel, lam) for lam in lams]
+    filters = [_filter(panel, lam) for lam in lams]
+    active = [i for i, shift in enumerate(shifts) if shift]
+    spectra = (_stacked(_singular_values, active, _augmented(panel, [shifts[i] for i in active]))
+               if active else None)
+    alias = {i: gram for i, f in enumerate(filters)
+             if (gram := _alias_gram(products, f)) is not None}
+    tops = (_stacked(_top_eigenvalue, list(alias), np.stack([g for g, _ in alias.values()]))
+            if alias else None)
+    records = []
+    for i, (lam, shift, f) in enumerate(zip(lams, shifts, filters)):
+        try:
+            norm_pinv = (_checked_pinv_norm(panel, shift, spectra(i)) if shift
+                         else panel.factor.pinv_norm())
+            norm_A = scaled_root(float(tops(i)), alias[i][1]) if i in alias else 0.0
+            report = _fit(products, lam, f, norm_A)
+        except (GadkitError, np.linalg.LinAlgError) as exc:
+            records.append(_error_record(panel.m, lam, exc))
+            continue
+        records.append(SweepRecord(
+            m=panel.m,
+            norm_A=report.norm_A,
+            norm_pinv_TM=norm_pinv,
+            norm_M_TU=norm_nescient,
+            alias_error=report.alias_error,
+            bias_error=report.bias_error,
+            nescience_error=report.nescience_error,
+            risk_all=report.risk_all,
+            risk_prediction_only=report.risk_prediction_only,
+            rank_TM=panel.rank,
+            new_col_independent=independent,
+            lam=lam,
+        ))
+    return records
 
 
 def sweep(basis: BasisSpec, design: SampleDesign, theta_spec: ParameterSpec,
@@ -327,12 +492,15 @@ def sweep(basis: BasisSpec, design: SampleDesign, theta_spec: ParameterSpec,
     """One risk-anatomy record per (lambda, m), in one upward loop over m.
 
     The operator is evaluated and checked once.  Each step over m builds the
-    panel, whose one SVD every lambda shares, takes ``||T_U||``, stores the
-    rank of the modeled block and reads the independence flag of column m
-    off the rank at m - 1: stored when the previous size was swept, otherwise
-    taken from a values-only SVD of the column prefix.  Each lambda then
-    filters that factor (``ridge_panels`` with its spectrum check, and
-    ``risk_and_errors`` with its identity check).
+    panel, whose one SVD every lambda shares, takes ``||T_U||``, forms the
+    lambda-free products of that factor, stores the rank of the modeled
+    block and reads the independence flag of column m off the rank at
+    m - 1: stored when the previous size was swept, otherwise taken from a
+    values-only SVD of the column prefix.  Each lambda then
+    filters those products: the ridge pseudoinverse norm with its spectrum
+    check, and the fit with its identity check.  The augmented SVDs of all
+    active lambdas are one stacked call, and so are the eigenvalue problems
+    of every ``||A||``.
 
     An empty or out-of-budget m range, an empty lambda list, or a negative or
     non-finite lambda raises :class:`InvalidInputError` before the operator
@@ -342,7 +510,9 @@ def sweep(basis: BasisSpec, design: SampleDesign, theta_spec: ParameterSpec,
     lambda gets an error row there; the rank is stored only once the panel
     and the norm have succeeded.  When one lambda's ridge norm or risk fails,
     only that row gets an error, and the rank, which does not depend on
-    lambda, is still stored.  Records come back lambda-major, in the
+    lambda, is still stored; a stacked call that raises ``LinAlgError`` is
+    made again one lambda at a time, so that only the lambdas whose matrix
+    fails get an error row.  Records come back lambda-major, in the
     caller's lambda order (duplicates kept), each lambda sorted by m, and are
     deterministic for fixed seeds.
     """
@@ -376,16 +546,17 @@ def sweep(basis: BasisSpec, design: SampleDesign, theta_spec: ParameterSpec,
     for m in ms:
         try:
             panel = build_panels(operator, design, m, rel_tol)
+            # ||T_U|| before the shared products, so that its scaled copy of
+            # T_U is freed before W and its Gram are made: the rff window's
+            # peak RSS was 1 MB higher the other way round
             norm_nescient = spectral_norm(panel.train_nescient) if m < budget else 0.0
+            products = _shared_products(panel, theta, y_full)
             ranks[m] = panel.rank
             independent = _new_column_independent(train_block, ranks, m, rel_tol)
         except (GadkitError, np.linalg.LinAlgError) as exc:
             for lam, out in zip(lams, rows):
                 out.append(_error_record(m, lam, exc))
             continue
-        for lam, out in zip(lams, rows):
-            try:
-                out.append(_sweep_record(panel, lam, theta, y_full, norm_nescient, independent))
-            except (GadkitError, np.linalg.LinAlgError) as exc:
-                out.append(_error_record(m, lam, exc))
+        for out, record in zip(rows, _lambda_rows(products, lams, norm_nescient, independent)):
+            out.append(record)
     return [record for out in rows for record in out]

@@ -74,6 +74,8 @@ class ParameterSpec:
             raise InvalidInputError(f"unknown coefficient scheme {self.scheme!r}")
         if self.length < 1:
             raise InvalidInputError("length must be at least 1")
+        if self.seed < 0:
+            raise InvalidInputError("the coefficient seed must be a nonnegative integer")
         if self.scheme == "unstructured_iid" and self.variance < 0:
             raise InvalidInputError("variance must be nonnegative")
         if self.scheme == "explicit":

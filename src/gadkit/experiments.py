@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import numbers
 import os
 from dataclasses import replace
 from pathlib import Path
@@ -367,6 +368,12 @@ def run_config(config: RunConfig, *, out_dir: str | None = None,
         config = apply_full_scale(config)
     if seed_override is not None:
         config = replace(config, seeds=(seed_override,))
+    # the basis and theta specs reject a negative seed when they are made, and
+    # a run seed only adds to theirs; a negative run seed must fail before
+    # anything is written, not inside numpy
+    for seed in config.seeds:
+        if not isinstance(seed, numbers.Integral) or seed < 0:
+            raise InvalidInputError(f"run seeds must be nonnegative integers, got {seed!r}")
     out = Path(out_dir if out_dir is not None else config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     runner = _RUNNERS[config.experiment]

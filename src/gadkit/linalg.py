@@ -140,7 +140,7 @@ def pseudoinverse(matrix, rel_tol: float = DEFAULT_REL_TOL) -> np.ndarray:
     return svd(matrix, rel_tol).pinv()
 
 
-def _ldexp(x: np.ndarray, exponent: int) -> np.ndarray:
+def ldexp(x: np.ndarray, exponent: int) -> np.ndarray:
     """``x * 2**exponent``, exact for real and complex entries alike."""
     if not np.iscomplexobj(x):
         return np.ldexp(x, exponent)
@@ -148,6 +148,15 @@ def _ldexp(x: np.ndarray, exponent: int) -> np.ndarray:
     np.ldexp(x.real, exponent, out=out.real)
     np.ldexp(x.imag, exponent, out=out.imag)
     return out
+
+
+def scaled_root(top_eigenvalue: float, exponent: int) -> float:
+    """``sqrt(top_eigenvalue) * 2**exponent``: a norm read off the Gram of a matrix
+    scaled by ``2**-exponent``; a norm beyond the float range reads inf."""
+    try:
+        return math.ldexp(math.sqrt(top_eigenvalue), exponent)
+    except OverflowError:
+        return math.inf
 
 
 def spectral_norm(matrix) -> float:
@@ -166,12 +175,10 @@ def spectral_norm(matrix) -> float:
     if peak == 0.0:
         return 0.0
     exponent = math.frexp(peak)[1]
-    x = _ldexp(x, -exponent)
+    x = ldexp(x, -exponent)
     xh = x.conj().T
     gram = x @ xh if x.shape[0] <= x.shape[1] else xh @ x
-    root = math.sqrt(float(np.linalg.eigvalsh(gram)[-1]))
-    with np.errstate(over="ignore"):
-        return float(np.ldexp(root, exponent))
+    return scaled_root(float(np.linalg.eigvalsh(gram)[-1]), exponent)
 
 
 def kernel_projector(matrix, rel_tol: float = DEFAULT_REL_TOL) -> np.ndarray:

@@ -467,14 +467,14 @@ class TestSweep:
     def test_failed_m_is_marked_not_fatal(self, monkeypatch):
         basis, design, theta = self.small_setup(seed=15)
         clean = {r.m: r for r in decomposition.sweep(basis, design, theta, range(1, 6))}
-        original = decomposition.risk_and_errors
+        original = decomposition._fit
 
-        def flaky(panel, *args, **kwargs):
-            if panel.m == 3:
+        def flaky(products, *args):
+            if products.panel.m == 3:
                 raise DecompositionMismatchError("synthetic failure for testing")
-            return original(panel, *args, **kwargs)
+            return original(products, *args)
 
-        monkeypatch.setattr(decomposition, "risk_and_errors", flaky)
+        monkeypatch.setattr(decomposition, "_fit", flaky)
         records = decomposition.sweep(basis, design, theta, range(1, 6))
         by_m = {r.m: r for r in records}
         assert by_m[3].error is not None
@@ -489,26 +489,26 @@ class TestSweep:
     LAMBDAS = (0.0, 1e-4, 1e-2, 1.0)
 
     def test_failed_lambda_fails_only_its_row(self, monkeypatch):
-        # ridge norm and risk run once per lambda on the shared panel: a failure
-        # there marks one (lambda, m) row, and the lambda-free rank is still
-        # stored, so no later flag needs a prefix-rank SVD
+        # each lambda's fit runs on the products shared at m: a failure there
+        # marks one (lambda, m) row, and the lambda-free rank is still stored,
+        # so no later flag needs a prefix-rank SVD
         basis, design, theta = self.small_setup(seed=25)
         ms = range(1, 16)
         clean = decomposition.sweep(basis, design, theta, ms, lambdas=self.LAMBDAS)
-        original_risk = decomposition.risk_and_errors
+        original_fit = decomposition._fit
         original_spectrum = decomposition.spectrum
         prefix_svds = []
 
-        def flaky(panel, theta, y_full, lam=0.0, **kwargs):
-            if panel.m == 7 and lam == 1e-2:
+        def flaky(products, lam, *args):
+            if products.panel.m == 7 and lam == 1e-2:
                 raise DecompositionMismatchError("synthetic failure for testing")
-            return original_risk(panel, theta, y_full, lam=lam, **kwargs)
+            return original_fit(products, lam, *args)
 
         def counted(*args, **kwargs):
             prefix_svds.append(1)
             return original_spectrum(*args, **kwargs)
 
-        monkeypatch.setattr(decomposition, "risk_and_errors", flaky)
+        monkeypatch.setattr(decomposition, "_fit", flaky)
         monkeypatch.setattr(decomposition, "spectrum", counted)
         records = decomposition.sweep(basis, design, theta, ms, lambdas=self.LAMBDAS)
         assert len(records) == len(clean)
@@ -520,6 +520,68 @@ class TestSweep:
         assert all(got == want for i, (got, want) in enumerate(zip(records, clean))
                    if i != failed[0])
         assert not prefix_svds
+
+    @pytest.mark.parametrize("target, bad", [("svd", 1), ("eigvalsh", 2)])
+    def test_failed_stacked_call_fails_only_its_rows(self, monkeypatch, target, bad):
+        # at m = 7 the stacked call over every lambda raises.  Each row then
+        # makes it again on its own matrix, in lambda order, and there only
+        # the matrix of lambda = 1e-2 fails: the augmented SVDs stack the
+        # three active lambdas, the Grams of ||A|| all four
+        basis, design, theta = self.small_setup(seed=29)
+        ms = range(1, 16)
+        clean = decomposition.sweep(basis, design, theta, ms, lambdas=self.LAMBDAS)
+        original_panels = decomposition.build_panels
+        original = getattr(np.linalg, target)
+        state = {"m": 0, "single": 0}
+
+        def track(operator, design, m, *args, **kwargs):
+            state["m"], state["single"] = m, 0
+            return original_panels(operator, design, m, *args, **kwargs)
+
+        def flaky(a, *args, **kwargs):
+            if np.ndim(a) == 3 and state["m"] == 7:
+                if a.shape[0] > 1:
+                    raise np.linalg.LinAlgError("planted")
+                state["single"] += 1
+                if state["single"] == bad + 1:
+                    raise np.linalg.LinAlgError("planted")
+            return original(a, *args, **kwargs)
+
+        monkeypatch.setattr(decomposition, "build_panels", track)
+        monkeypatch.setattr(np.linalg, target, flaky)
+        records = decomposition.sweep(basis, design, theta, ms, lambdas=self.LAMBDAS)
+        assert len(records) == len(clean)
+        failed = [i for i, r in enumerate(records) if r.error is not None]
+        assert failed == [2 * len(ms) + 6]
+        bad_row = records[failed[0]]
+        assert (bad_row.m, bad_row.lam, bad_row.rank_TM) == (7, 1e-2, -1)
+        assert bad_row.error == "LinAlgError: planted"
+        assert all(got == want for i, (got, want) in enumerate(zip(records, clean))
+                   if i != failed[0])
+
+    @pytest.mark.parametrize("lambdas", [(0.0,), LAMBDAS, (1e-2,) + LAMBDAS + (1e-2,)],
+                             ids=["one", "four", "six-with-duplicates"])
+    def test_lambda_free_products_formed_once_per_m(self, monkeypatch, lambdas):
+        # U^H T_U and the rest of the shared products are formed once per m,
+        # however many lambdas read them; the identity check still runs for
+        # every (lambda, m), the spectrum check for every active lambda
+        basis, design, theta = self.small_setup(seed=31)
+        ms = range(5, 21)
+        counts = {"_shared_products": 0, "_identity_residual": 0, "_checked_pinv_norm": 0}
+        for name in counts:
+            original = getattr(decomposition, name)
+
+            def counted(*args, _name=name, _original=original):
+                counts[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(decomposition, name, counted)
+        records = decomposition.sweep(basis, design, theta, ms, lambdas=lambdas)
+        assert all(r.error is None for r in records)
+        active = sum(1 for lam in lambdas if lam > 0)
+        assert counts == {"_shared_products": len(ms),
+                          "_identity_residual": len(lambdas) * len(ms),
+                          "_checked_pinv_norm": active * len(ms)}
 
     def test_failed_panel_fails_every_lambda_at_that_m(self, monkeypatch):
         # the panel is shared: its failure marks m in every lambda and stores
@@ -617,7 +679,7 @@ class TestSweep:
         # the sweep applies the panel's factor to vectors and forms no dense
         # operator.  At lambda = 0 the range starts past n:
         # with an empty kernel the bias still reads the m x m kernel
-        # projector (see risk_and_errors)
+        # projector (see decomposition._fit)
         basis, design, theta = self.small_setup(seed=23)
         n = design.n_train
 

@@ -126,6 +126,27 @@ class TestSweepRecipe:
             run_config(config, threads=2)
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("seeds, override", [((0,), -1), ((0, -2), None)],
+                             ids=["override", "config"])
+    def test_negative_run_seed_rejected_before_output_dir(self, tmp_path, seeds, override):
+        # the library path that skips the config parser: a negative seed used
+        # to make the output directory and then fail inside numpy
+        config = replace(parse_config_text(SMALL_SWEEP.format(out=tmp_path / "run")), seeds=seeds)
+        with pytest.raises(InvalidInputError, match="run seeds must be nonnegative"):
+            run_config(config, seed_override=override)
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("change", [
+        lambda c: replace(c.basis, seed=-1),
+        lambda c: replace(c.basis, ordering="seeded_permutation", params={"ordering_seed": -3}),
+        lambda c: replace(c.theta, seed=-1),
+    ], ids=["basis", "ordering", "theta"])
+    def test_negative_spec_seed_rejected_when_the_spec_is_made(self, tmp_path, change):
+        # so neither run_config nor a library sweep can hand one to numpy
+        config = parse_config_text(SMALL_SWEEP.format(out=tmp_path / "run"))
+        with pytest.raises(InvalidInputError, match="nonnegative"):
+            change(config)
+
     def test_seed_override_changes_output(self, tmp_path):
         config = parse_config_text(SMALL_SWEEP.format(out=tmp_path / "a"))
         run_config(config)

@@ -140,24 +140,52 @@ def test_sweep_risk_matches_conjugate_gradient_oracle(family, n, seed, data):
         assert gap <= 1e-8, (record.m, record.risk_all, oracle)
 
 
-@PROPERTY
-@given(blocks(), st.integers(-2, 2), st.sampled_from(LAMBDAS), st.integers(0, 2**16))
-def test_sweep_alias_core_matches_dense_aliasing_operator(block, offset, lam, seed):
-    # the sweep reads norm_A and alias_error off the small core C with A = V C;
-    # the reference is the dense aliasing operator A = fit map @ T_U
-    n, budget = block.shape
-    m = min(max(n + offset, 1), budget)  # below, at or above n where the budget allows
-    full, design = system_of(block)
+def sweep_of(full, design, ms, lambdas=(0.0,), seed=0):
+    """Sweep a fixed full operator over ``ms``, with an i.i.d. coefficient draw."""
+    budget = full.shape[1]
     theta_spec = ParameterSpec("unstructured_iid", budget, seed=seed)
     with mock.patch.object(decomposition, "evaluate_columns", return_value=full):
-        (record,) = sweep(BasisSpec("rff", 1, budget), design, theta_spec, [m],
-                          lambdas=(lam,))
-    assert record.error is None
-    aliasing = aliasing_operator(build_panels(full, design, m), lam)
-    norm_a = np.linalg.svd(aliasing, compute_uv=False)[0] if aliasing.size else 0.0
-    alias_error = np.linalg.norm(aliasing @ make_theta(theta_spec)[m:])
-    for got, want in ((record.norm_A, norm_a), (record.alias_error, alias_error)):
-        assert abs(got - want) <= 1e-9 * max(got, want), (got, want)
+        records = sweep(BasisSpec("rff", 1, budget), design, theta_spec, ms, lambdas=lambdas)
+    return records, make_theta(theta_spec)
+
+
+@PROPERTY
+@given(blocks(max_rows=6, max_cols=20), st.integers(-2, 2))
+def test_sweep_nescient_norm_matches_svd(block, offset):
+    # ||T_U|| on both sides of m = n, where U turns square; at the full
+    # budget it is 0
+    n, budget = block.shape
+    ms = sorted({min(max(n + offset, 1), budget), min(2 * n, budget), budget})
+    records, _ = sweep_of(*system_of(block), ms)
+    for record in records:
+        assert record.error is None
+        if record.m == budget:
+            assert record.norm_M_TU == 0.0
+            continue
+        want = np.linalg.svd(block[:, record.m :], compute_uv=False)[0]
+        assert abs(record.norm_M_TU - want) <= 1e-12 * want, (record.m, record.norm_M_TU, want)
+
+
+@PROPERTY
+@given(blocks(max_cols=16), st.integers(-2, 2),
+       st.lists(st.sampled_from(LAMBDAS), min_size=1, max_size=3), st.integers(0, 2**16))
+def test_sweep_alias_core_matches_dense_aliasing_operator(block, offset, drawn, seed):
+    # the sweep reads norm_A and alias_error off the small core C with A = V C.
+    # One sweep over a lambda list that holds 0 and a duplicate; every row is
+    # held against the dense A = fit map @ T_U of its lambda
+    n, budget = block.shape
+    lambdas = (*drawn, 0.0, drawn[0])
+    ms = sorted({min(max(n + offset, 1), budget), budget})
+    full, design = system_of(block)
+    records, theta = sweep_of(full, design, ms, lambdas, seed)
+    assert [(r.lam, r.m) for r in records] == [(lam, m) for lam in lambdas for m in ms]
+    for record in records:
+        assert record.error is None
+        aliasing = aliasing_operator(build_panels(full, design, record.m), record.lam)
+        norm_a = np.linalg.svd(aliasing, compute_uv=False)[0] if aliasing.size else 0.0
+        alias_error = np.linalg.norm(aliasing @ theta[record.m :])
+        for got, want in ((record.norm_A, norm_a), (record.alias_error, alias_error)):
+            assert abs(got - want) <= 1e-9 * max(got, want), (record.lam, got, want)
 
 
 @PROPERTY
