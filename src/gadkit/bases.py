@@ -17,6 +17,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import BudgetExceededError, InvalidInputError
+from .linalg import blocks
 
 FAMILIES = (
     "monomial",
@@ -29,6 +30,9 @@ FAMILIES = (
 )
 
 ORDERINGS = ("natural", "seeded_permutation", "physical_cluster")
+
+# most rows of the operator that evaluate_columns fills per block
+ROW_BLOCK = 256
 
 _FAMILY_PARAM_KEYS = {
     "monomial": {"interval"},
@@ -199,26 +203,59 @@ def _points_nd(points, dim: int) -> np.ndarray:
     return pts
 
 
-def _recurrence_columns(t: np.ndarray, degrees: np.ndarray, kind: str) -> np.ndarray:
-    """Chebyshev or Legendre values for the requested degrees via recurrence."""
-    kmax = int(degrees.max()) if degrees.size else 0
-    table = np.empty((t.size, kmax + 1))
-    table[:, 0] = 1.0
-    if kmax >= 1:
-        table[:, 1] = t
-    for k in range(1, kmax):
-        if kind == "chebyshev":
-            table[:, k + 1] = 2 * t * table[:, k] - table[:, k - 1]
-        else:
-            table[:, k + 1] = ((2 * k + 1) * t * table[:, k] - k * table[:, k - 1]) / (k + 1)
-    return table[:, degrees]
+def _recurrence_columns(t: np.ndarray, degrees: np.ndarray, kind: str, out: np.ndarray) -> None:
+    """Chebyshev or Legendre values for the requested degrees via recurrence, written to ``out``.
+
+    The recurrence holds only its last two columns, and each degree is
+    copied to the output columns that request it.
+    """
+    wanted: dict[int, list[int]] = {}
+    for j, degree in enumerate(degrees.tolist()):
+        wanted.setdefault(degree, []).append(j)
+    previous, current = None, np.ones_like(t)
+    for degree in range(max(wanted, default=-1) + 1):
+        if degree == 1:
+            previous, current = current, t
+        elif degree > 1:
+            k = degree - 1
+            if kind == "chebyshev":
+                following = 2 * t * current - previous
+            else:
+                following = ((2 * k + 1) * t * current - k * previous) / (k + 1)
+            previous, current = current, following
+        for j in wanted.get(degree, ()):
+            out[:, j] = current
+
+
+def _phase_columns(phase: np.ndarray, scale: float, out: np.ndarray) -> None:
+    """``exp(1j * scale * phase)`` into ``out``, scaling ``phase`` in place.
+
+    Writing cos and sin of the scaled phase into the real and imaginary
+    parts gives the same bits as numpy's complex exponential of the
+    purely imaginary argument, without the complex temporary.
+    """
+    phase *= scale
+    # the imaginary part of 1j * scale * phase is phase * scale + 0 * 0,
+    # which turns a -0.0 phase into +0.0 and so sin's zero positive
+    phase += 0.0
+    np.cos(phase, out=out.real)
+    np.sin(phase, out=out.imag)
 
 
 def evaluate_columns(spec: BasisSpec, points, col_range: tuple[int, int]) -> np.ndarray:
     """Evaluate ordered basis columns ``[j_lo, j_hi)`` at the sample points.
 
     Entry (i, j) is the value of the column at display position j_lo + j
-    under the declared column ordering, evaluated at point i.
+    under the declared column ordering, evaluated at point i.  The output is
+    allocated once and filled in near-equal blocks of at most ``ROW_BLOCK``
+    rows (see :func:`gadkit.linalg.blocks`), so that no temporary grows with
+    the number of points.  Each block takes the same arithmetic as the
+    one-shot formula over all rows, so the entries have the same bits, on
+    every shipped config among others.  The one caveat is the random-feature
+    projections, one BLAS product per block: a BLAS may round a small
+    product differently from a large one (OpenBLAS 0.3.31 does so with 32
+    input dimensions below about 1200 entries per block, and for a single
+    column).
     """
     j_lo, j_hi = int(col_range[0]), int(col_range[1])
     if j_lo < 0 or j_hi < j_lo:
@@ -229,45 +266,61 @@ def evaluate_columns(spec: BasisSpec, points, col_range: tuple[int, int]) -> np.
         )
     indices = column_order(spec)[j_lo:j_hi]
 
-    if spec.family == "monomial":
-        t = _points_1d(points)
-        a, b = spec.param("interval", (-1.0, 1.0))
-        if t.size and (t.min() < a or t.max() > b):
-            raise InvalidInputError(f"points outside the interval [{a}, {b}]")
-        return np.power(t[:, None], indices[None, :]).astype(float)
-
-    if spec.family in ("chebyshev", "legendre"):
-        t = _points_1d(points)
-        if t.size and (t.min() < -1.0 or t.max() > 1.0):
-            raise InvalidInputError("points outside [-1, 1]")
-        return _recurrence_columns(t, indices, spec.family)
-
-    if spec.family == "fourier_discrete":
-        t = _points_1d(points)
-        period = float(spec.param("period", 1.0))
-        if t.size and (t.min() < 0.0 or t.max() >= period):
-            raise InvalidInputError(f"points outside [0, {period})")
-        n_base = int(spec.param("base_frequencies"))
-        freqs = np.array([fourier_frequency(int(j), n_base) for j in indices])
-        return np.exp(2j * np.pi * np.outer(t / period, freqs))
+    if spec.family == "cluster_ising":
+        pts = _points_nd(points, spec.input_dim)
+        if pts.size and not np.all(np.isin(pts, (-1.0, 1.0))):
+            raise InvalidInputError("spin configurations must have entries in {-1, +1}")
+        clusters = enumerate_clusters(int(spec.param("chain_length")), spec.max_order)
+        out = np.empty((pts.shape[0], indices.size))
+        for j, idx in enumerate(indices):
+            sites = clusters[int(idx)].sites
+            out[:, j] = pts[:, list(sites)].prod(axis=1) if sites else 1.0
+        return out
 
     if spec.family in ("rff", "rrf"):
         pts = _points_nd(points, spec.input_dim)
-        weights = feature_weights(spec.column_budget, spec.input_dim, spec.seed)
-        projections = pts @ weights[indices].T
-        if spec.family == "rff":
-            return np.exp(1j * np.pi * projections)
-        return np.maximum(0.0, projections)
+        features = feature_weights(spec.column_budget, spec.input_dim, spec.seed)[indices].T
+        out = np.empty((pts.shape[0], indices.size),
+                       dtype=complex if spec.family == "rff" else float)
+        for rows in blocks(pts.shape[0], ROW_BLOCK):
+            if spec.family == "rff":
+                _phase_columns(pts[rows] @ features, np.pi, out[rows])
+            else:
+                block = np.matmul(pts[rows], features, out=out[rows])
+                # (0.0, x), not (x, 0.0): the order decides the sign of a zero
+                np.maximum(0.0, block, out=block)
+        return out
 
-    # cluster_ising
-    pts = _points_nd(points, spec.input_dim)
-    if pts.size and not np.all(np.isin(pts, (-1.0, 1.0))):
-        raise InvalidInputError("spin configurations must have entries in {-1, +1}")
-    clusters = enumerate_clusters(int(spec.param("chain_length")), spec.max_order)
-    out = np.empty((pts.shape[0], indices.size))
-    for j, idx in enumerate(indices):
-        sites = clusters[int(idx)].sites
-        out[:, j] = pts[:, list(sites)].prod(axis=1) if sites else 1.0
+    t = _points_1d(points)
+    if spec.family == "monomial":
+        a, b = spec.param("interval", (-1.0, 1.0))
+        if t.size and (t.min() < a or t.max() > b):
+            raise InvalidInputError(f"points outside the interval [{a}, {b}]")
+        out = np.empty((t.size, indices.size))
+        for rows in blocks(t.size, ROW_BLOCK):
+            np.power(t[rows, None], indices[None, :], out=out[rows])
+        return out
+
+    if spec.family in ("chebyshev", "legendre"):
+        if t.size and (t.min() < -1.0 or t.max() > 1.0):
+            raise InvalidInputError("points outside [-1, 1]")
+        # column-major, the layout these columns have always had: it fixes
+        # the summation order of the products taken with the operator, and
+        # each step of the recurrence writes one contiguous column
+        out = np.empty((t.size, indices.size), order="F")
+        for rows in blocks(t.size, ROW_BLOCK):
+            _recurrence_columns(t[rows], indices, spec.family, out[rows])
+        return out
+
+    # fourier_discrete
+    period = float(spec.param("period", 1.0))
+    if t.size and (t.min() < 0.0 or t.max() >= period):
+        raise InvalidInputError(f"points outside [0, {period})")
+    n_base = int(spec.param("base_frequencies"))
+    freqs = np.array([fourier_frequency(int(j), n_base) for j in indices])
+    out = np.empty((t.size, indices.size), dtype=complex)
+    for rows in blocks(t.size, ROW_BLOCK):
+        _phase_columns(np.outer(t[rows] / period, freqs), 2 * np.pi, out[rows])
     return out
 
 

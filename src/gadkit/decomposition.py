@@ -23,14 +23,15 @@ by entry with the exact aliasing map.
 operator and checks it for finite entries once, then walks m upward with
 lambda inside.  At each m, T_M is factored once, and one object holds the
 products of that factor that no lambda changes: U^H y_train,
-U^H (T_M theta_m), W, W theta_u and, when W has no more rows than
-columns, the Gram of W.  Each lambda is then only filter work on those
-products, and the LAPACK work of all lambdas is
+U^H (T_M theta_m), W theta_u and, when W has no more rows than columns,
+the Gram of W (otherwise W itself).  Each lambda is then only filter work
+on those products, and the LAPACK work of all lambdas is
 stacked into one values-only SVD call (the augmented-spectrum checks) and
 one ``eigvalsh`` call (the norms of A).  No lambda's arithmetic depends on
 the others in the list, so every row is exactly what a sweep over its
-lambda alone gives.  :func:`risk_and_errors` and :func:`ridge_panels` are
-the same route for one lambda.
+lambda alone gives.  Each step's arrays are freed before the next m is
+factored.  :func:`risk_and_errors` and :func:`ridge_panels` are the same
+route for one lambda.
 """
 
 from __future__ import annotations
@@ -44,8 +45,8 @@ import numpy as np
 from .bases import BasisSpec, evaluate_columns
 from .designs import ParameterSpec, SampleDesign, make_theta
 from .errors import DecompositionMismatchError, GadkitError, InvalidInputError
-from .linalg import (DEFAULT_REL_TOL, SvdResult, as_matrix, as_vector, ldexp, scaled_root,
-                     spectral_norm, spectrum, svd)
+from .linalg import (DEFAULT_REL_TOL, SvdResult, as_matrix, as_vector, gram, ldexp, row_peaks,
+                     scaled_root, spectral_norm, spectrum, svd)
 from .linalg import kernel_projector, pseudoinverse  # noqa: F401  (perfbench/spans.py wraps these)
 
 # relative tolerance of the fitted-signal identity that every fit checks
@@ -132,11 +133,11 @@ class _SharedProducts:
     the k x 3 ``coefficients`` hold ``U^H y_train``, ``U^H (T_M theta_m)``
     and ``W theta_u`` as columns; ``V diag(f)`` maps them to ``theta_hat``,
     ``B theta_m`` and ``A theta_u``.  ``y_norm`` is ``||y||`` over every row
-    and ``nescience`` is ``||theta_u||``.  ``w_scaled`` is
-    ``W * 2**-w_exponent``, its largest modulus in [0.5, 1),
-    and ``row_peaks`` the largest modulus in each of its rows.  ``gram`` is
-    ``w_scaled w_scaled^H`` when k <= p - m; otherwise it is None, and each
-    lambda forms the Gram of its own core on the smaller, nescient side.
+    and ``nescience`` is ``||theta_u||``.  With ``W_s = W * 2**-w_exponent``,
+    its largest modulus in [0.5, 1), ``row_peaks`` holds the largest modulus
+    in each row of W_s.  When k <= p - m, ``gram`` is ``W_s W_s^H`` and
+    ``w_scaled`` is None; otherwise ``gram`` is None, ``w_scaled`` is W_s, and
+    each lambda forms the Gram of its own core on the smaller, nescient side.
     """
 
     panel: OperatorPanel
@@ -145,7 +146,7 @@ class _SharedProducts:
     theta_m: np.ndarray
     nescience: float
     coefficients: np.ndarray
-    w_scaled: np.ndarray
+    w_scaled: np.ndarray | None
     w_exponent: int
     row_peaks: np.ndarray
     gram: np.ndarray | None
@@ -203,21 +204,23 @@ def _shared_products(panel: OperatorPanel, theta, y_full) -> _SharedProducts:
     theta_m, theta_u = theta[: panel.m], theta[panel.m :]
     uh = panel.factor.left_vectors.conj().T
     w = uh @ panel.train_nescient
-    row_peaks = np.abs(w).max(axis=1, initial=0.0)
-    exponent = math.frexp(float(row_peaks.max(initial=0.0)))[1]
-    w_scaled = ldexp(w, -exponent)
+    coefficients = np.stack([uh @ y[: panel.n_train], uh @ (panel.train_modeled @ theta_m),
+                             w @ theta_u], axis=1)
+    peaks = row_peaks(w)
+    exponent = math.frexp(float(peaks.max(initial=0.0)))[1]
+    ldexp(w, -exponent, out=w)  # W_s, in the place of W
+    wide = w.shape[0] <= w.shape[1]
     return _SharedProducts(
         panel=panel,
         y=y,
         y_norm=float(np.linalg.norm(y)),
         theta_m=theta_m,
         nescience=float(np.linalg.norm(theta_u)),
-        coefficients=np.stack([uh @ y[: panel.n_train], uh @ (panel.train_modeled @ theta_m),
-                               w @ theta_u], axis=1),
-        w_scaled=w_scaled,
+        coefficients=coefficients,
+        w_scaled=None if wide else w,
         w_exponent=exponent,
-        row_peaks=np.ldexp(row_peaks, -exponent),
-        gram=w_scaled @ w_scaled.conj().T if w.shape[0] <= w.shape[1] else None,
+        row_peaks=np.ldexp(peaks, -exponent),
+        gram=gram(w) if wide else None,
     )
 
 
@@ -486,6 +489,28 @@ def _lambda_rows(products: _SharedProducts, lams: list[float], norm_nescient: fl
     return records
 
 
+def _model_size_rows(operator: _FiniteOperator, design: SampleDesign, m: int, theta: np.ndarray,
+                     y_full: np.ndarray, lams: list[float], ranks: dict[int, int],
+                     rel_tol: float) -> list[SweepRecord]:
+    """Every lambda's record at model size m, in the caller's lambda order.
+
+    The panel, its factor and the shared products live only in this call,
+    so that the sweep holds one model size's arrays at a time.
+    """
+    try:
+        panel = build_panels(operator, design, m, rel_tol)
+        # ||T_U|| before the shared products, so that its scaled copy of
+        # T_U is freed before W and its Gram are made
+        norm_nescient = spectral_norm(panel.train_nescient) if m < panel.budget else 0.0
+        products = _shared_products(panel, theta, y_full)
+        ranks[m] = panel.rank
+        independent = _new_column_independent(operator.matrix[: design.n_train], ranks, m,
+                                               rel_tol)
+    except (GadkitError, np.linalg.LinAlgError) as exc:
+        return [_error_record(m, lam, exc) for lam in lams]
+    return _lambda_rows(products, lams, norm_nescient, independent)
+
+
 def sweep(basis: BasisSpec, design: SampleDesign, theta_spec: ParameterSpec,
           m_range, *, lambdas: Sequence[float] = (0.0,), rel_tol: float = DEFAULT_REL_TOL,
           threads: int = 1) -> list[SweepRecord]:
@@ -501,6 +526,11 @@ def sweep(basis: BasisSpec, design: SampleDesign, theta_spec: ParameterSpec,
     check, and the fit with its identity check.  The augmented SVDs of all
     active lambdas are one stacked call, and so are the eigenvalue problems
     of every ``||A||``.
+
+    One step is held at a time: a step's panel, factor and products are
+    freed before the next m is factored, so the sweep's peak memory is the
+    operator plus one model size's working set (the factor, W and one
+    Gram's temporary), however many model sizes it walks.
 
     An empty or out-of-budget m range, an empty lambda list, or a negative or
     non-finite lambda raises :class:`InvalidInputError` before the operator
@@ -539,24 +569,11 @@ def sweep(basis: BasisSpec, design: SampleDesign, theta_spec: ParameterSpec,
     except InvalidInputError as exc:
         return [_error_record(m, lam, exc) for lam in lams for m in ms]
     y_full = operator.matrix @ theta
-    train_block = operator.matrix[: design.n_train]
 
     ranks = {0: 0}
     rows: list[list[SweepRecord]] = [[] for _ in lams]  # one list per lambda
     for m in ms:
-        try:
-            panel = build_panels(operator, design, m, rel_tol)
-            # ||T_U|| before the shared products, so that its scaled copy of
-            # T_U is freed before W and its Gram are made: the rff window's
-            # peak RSS was 1 MB higher the other way round
-            norm_nescient = spectral_norm(panel.train_nescient) if m < budget else 0.0
-            products = _shared_products(panel, theta, y_full)
-            ranks[m] = panel.rank
-            independent = _new_column_independent(train_block, ranks, m, rel_tol)
-        except (GadkitError, np.linalg.LinAlgError) as exc:
-            for lam, out in zip(lams, rows):
-                out.append(_error_record(m, lam, exc))
-            continue
-        for out, record in zip(rows, _lambda_rows(products, lams, norm_nescient, independent)):
+        for out, record in zip(rows, _model_size_rows(operator, design, m, theta, y_full,
+                                                       lams, ranks, rel_tol)):
             out.append(record)
     return [record for out in rows for record in out]

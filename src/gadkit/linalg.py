@@ -8,10 +8,11 @@ with a strict ``>`` comparison, so ties at the threshold count as dependent.
 The spectral norm takes no SVD: it is the square root of the largest
 eigenvalue of the Gram matrix on the smaller side, formed after an exact
 power-of-two scaling that keeps the Gram entries from overflowing or
-underflowing.
+underflowing.  Peaks and Grams are taken in blocks of at most ``BLOCK``
+rows, so neither makes a temporary the size of its input.
 
-All functions are pure: they never mutate their inputs and are safe to call
-concurrently.
+All functions are pure: they never mutate their inputs, except an ``out``
+array passed to them, and are safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -24,6 +25,9 @@ import numpy as np
 from .errors import InvalidInputError
 
 DEFAULT_REL_TOL = 1e-12
+
+# rows (columns, for the Gram of a tall matrix) per block of row_peaks and gram
+BLOCK = 256
 
 
 def as_matrix(matrix) -> np.ndarray:
@@ -140,13 +144,59 @@ def pseudoinverse(matrix, rel_tol: float = DEFAULT_REL_TOL) -> np.ndarray:
     return svd(matrix, rel_tol).pinv()
 
 
-def ldexp(x: np.ndarray, exponent: int) -> np.ndarray:
-    """``x * 2**exponent``, exact for real and complex entries alike."""
+def ldexp(x: np.ndarray, exponent: int, out: np.ndarray | None = None) -> np.ndarray:
+    """``x * 2**exponent`` into ``out`` (a new array by default; ``x`` itself scales
+    in place), exact for real and complex entries alike."""
+    if out is None:
+        out = np.empty_like(x)
     if not np.iscomplexobj(x):
-        return np.ldexp(x, exponent)
-    out = np.empty_like(x)
+        return np.ldexp(x, exponent, out=out)
     np.ldexp(x.real, exponent, out=out.real)
     np.ldexp(x.imag, exponent, out=out.imag)
+    return out
+
+
+def blocks(total: int, most: int) -> list[slice]:
+    """The fewest slices of at most ``most`` indices that cover ``range(total)``, of near-equal size.
+
+    Near-equal sizes keep a one-row block out unless ``total`` is 1: numpy
+    takes a product with a one-row matrix as a matrix-vector product, which
+    can round differently from the product over every row.
+    """
+    count = max(1, -(-total // most))
+    bounds = [total * i // count for i in range(count + 1)]
+    return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+
+
+def row_peaks(x: np.ndarray) -> np.ndarray:
+    """The largest modulus in each row of a 2-D array; 0 for a row with no entries.
+
+    The moduli are taken in blocks of at most ``BLOCK`` rows, not for the whole array at once.
+    """
+    peaks = np.empty(x.shape[0])
+    for rows in blocks(x.shape[0], BLOCK):
+        peaks[rows] = np.abs(x[rows]).max(axis=1, initial=0.0)
+    return peaks
+
+
+def gram(x: np.ndarray) -> np.ndarray:
+    """The Gram matrix on the smaller side: ``x x^H`` when x is wide or square, ``x^H x`` when tall.
+
+    A real x is multiplied by its own transpose, which takes no copy.  The
+    conjugate of a complex x is copied in blocks of at most ``BLOCK`` rows
+    (columns, when tall), and each block gives the matching columns (rows)
+    of the Gram; with one block this is the one-shot product.
+    """
+    tall = x.shape[0] > x.shape[1]
+    if not np.iscomplexobj(x):
+        return x.T @ x if tall else x @ x.T
+    k = min(x.shape)
+    out = np.empty((k, k), dtype=x.dtype)
+    for block in blocks(k, BLOCK):
+        if tall:
+            np.matmul(x[:, block].conj().T, x, out=out[block])
+        else:
+            np.matmul(x, x[block].conj().T, out=out[:, block])
     return out
 
 
@@ -165,20 +215,18 @@ def spectral_norm(matrix) -> float:
     Taken as the square root of the largest eigenvalue of the Gram matrix on
     the smaller side, after scaling the entries by a power of two so the
     largest modulus lies in [0.5, 1): the scaling is exact, no Gram entry can
-    overflow, and the largest cannot underflow.  A norm beyond the float
-    range reads inf, as it does from an SVD.
+    overflow, and the largest cannot underflow, subnormal inputs included.
+    The scaled copy is the only copy of the matrix that it makes.  A norm
+    beyond the float range reads inf, as it does from an SVD.
     """
     x = as_matrix(matrix)
     if x.size == 0:
         return 0.0
-    peak = float(np.max(np.abs(x)))
+    peak = float(row_peaks(x).max())
     if peak == 0.0:
         return 0.0
     exponent = math.frexp(peak)[1]
-    x = ldexp(x, -exponent)
-    xh = x.conj().T
-    gram = x @ xh if x.shape[0] <= x.shape[1] else xh @ x
-    return scaled_root(float(np.linalg.eigvalsh(gram)[-1]), exponent)
+    return scaled_root(float(np.linalg.eigvalsh(gram(ldexp(x, -exponent)))[-1]), exponent)
 
 
 def kernel_projector(matrix, rel_tol: float = DEFAULT_REL_TOL) -> np.ndarray:

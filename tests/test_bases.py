@@ -1,9 +1,13 @@
 """Basis families: column values, orderings, node computation, spin clusters."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from gadkit.bases import (
+    FAMILIES,
+    ROW_BLOCK,
     BasisSpec,
     column_order,
     enumerate_clusters,
@@ -196,6 +200,102 @@ class TestColumnOrder:
         base = evaluate_columns(natural, points, (0, 4))
         out = evaluate_columns(shuffled, points, (0, 4))
         np.testing.assert_array_equal(out, base[:, column_order(shuffled)])
+
+
+def one_shot(spec, points, col_range):
+    """The columns by the whole-array formulas, all rows at once, with their memory layout."""
+    indices = column_order(spec)[col_range[0] : col_range[1]]
+    if spec.family == "cluster_ising":
+        clusters = enumerate_clusters(int(spec.param("chain_length")))
+        out = np.empty((len(points), indices.size))
+        for j, idx in enumerate(indices):
+            sites = clusters[int(idx)].sites
+            out[:, j] = points[:, list(sites)].prod(axis=1) if sites else 1.0
+        return out
+    if spec.family in ("rff", "rrf"):
+        weights = feature_weights(spec.column_budget, spec.input_dim, spec.seed)
+        projections = points @ weights[indices].T
+        if spec.family == "rff":
+            return np.exp(1j * np.pi * projections)
+        return np.maximum(0.0, projections)
+    if spec.family == "monomial":
+        return np.power(points[:, None], indices[None, :]).astype(float)
+    if spec.family == "fourier_discrete":
+        freqs = np.array([fourier_frequency(int(j), int(spec.param("base_frequencies")))
+                          for j in indices])
+        return np.exp(2j * np.pi * np.outer(points / float(spec.param("period")), freqs))
+    kmax = int(indices.max()) if indices.size else 0
+    table = np.empty((points.size, kmax + 1))
+    table[:, 0] = 1.0
+    if kmax >= 1:
+        table[:, 1] = points
+    for k in range(1, kmax):
+        if spec.family == "chebyshev":
+            table[:, k + 1] = 2 * points * table[:, k] - table[:, k - 1]
+        else:
+            table[:, k + 1] = ((2 * k + 1) * points * table[:, k] - k * table[:, k - 1]) / (k + 1)
+    return table[:, indices]
+
+
+def block_case(family, rows, budget=14, ordering="natural"):
+    """A spec of the family and ``rows`` points in its domain.
+
+    The first point is where a zero's sign can show: the origin for the
+    random features, t = 0 (phase -0.0 at negative frequencies) for Fourier.
+    """
+    rng = np.random.default_rng([rows, budget, FAMILIES.index(family)])
+    params = {"ordering_seed": 5} if ordering == "seeded_permutation" else {}
+    if family == "cluster_ising":
+        spec = BasisSpec(family, 4, min(budget, 16), ordering=ordering,
+                         params={**params, "chain_length": 4})
+        return spec, rng.choice([-1.0, 1.0], size=(rows, 4))
+    if family in ("rff", "rrf"):
+        points = rng.standard_normal((rows, 3))
+        points[:1] = 0.0
+        return BasisSpec(family, 3, budget, ordering=ordering, params=params, seed=2), points
+    if family == "fourier_discrete":
+        params.update(period=2.0, base_frequencies=5)
+        points = np.sort(rng.uniform(0.0, 2.0, rows))
+        points[:1] = 0.0
+        return BasisSpec(family, 1, budget, ordering=ordering, params=params), points
+    if family == "monomial":
+        params["interval"] = (-1.0, 1.0)
+    return BasisSpec(family, 1, budget, ordering=ordering, params=params), rng.uniform(-1, 1, rows)
+
+
+class TestRowBlocks:
+    @pytest.mark.parametrize("rows", [0, 1, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1,
+                                      3 * ROW_BLOCK + 5])
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_bit_identical_to_one_shot_formula(self, family, rows):
+        for ordering in ("natural", "seeded_permutation"):
+            spec, points = block_case(family, rows, ordering=ordering)
+            budget = spec.column_budget
+            for col_range in ((0, budget), (0, 0), (3, budget - 2)):
+                out = evaluate_columns(spec, points, col_range)
+                want = one_shot(spec, points, col_range)
+                assert out.dtype == want.dtype and out.shape == want.shape
+                assert out.tobytes() == want.tobytes(), (ordering, col_range)
+                # the layout fixes the summation order of products with the operator
+                if min(out.shape) > 1:
+                    assert out.strides == want.strides, (ordering, col_range)
+
+    # the spin family filled its output column by column before, so only
+    # these families had whole-array temporaries to lose
+    @pytest.mark.parametrize("ordering", ["natural", "seeded_permutation"])
+    @pytest.mark.parametrize("family", [f for f in FAMILIES if f != "cluster_ising"])
+    def test_peak_is_output_plus_one_block(self, family, ordering):
+        spec, points = block_case(family, 8 * ROW_BLOCK, budget=120, ordering=ordering)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = evaluate_columns(spec, points, (0, spec.column_budget))
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        block = ROW_BLOCK * out.shape[1] * out.itemsize
+        # 16 KiB covers the weights, the column order and the frequencies
+        assert peak <= out.nbytes + block + 16 * 1024, (peak, out.nbytes, block)
 
 
 class TestLegendreGaussNodes:

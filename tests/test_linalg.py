@@ -5,7 +5,8 @@ import pytest
 
 from dense_reference import append_column, interleaving_check
 from gadkit.errors import InvalidInputError
-from gadkit.linalg import kernel_projector, pseudoinverse, spectral_norm, svd
+from gadkit.linalg import (BLOCK, gram, kernel_projector, pseudoinverse, row_peaks,
+                           spectral_norm, svd)
 
 
 def random_matrix(rng, rows, cols, complex_field=False):
@@ -159,7 +160,10 @@ def spectral_case(shape, kind, complex_field, scale):
 
 
 class TestSpectralNormAgainstSvd:
-    @pytest.mark.parametrize("scale", [1e-200, 1.0, 1e200])
+    # 1e-310 and 1e-320 make every entry subnormal, and 1e307 puts the
+    # largest near the top of the float range: a Gram that scaled only one
+    # of its factors, by 2**(-2e), would overflow or underflow there
+    @pytest.mark.parametrize("scale", [1e-320, 1e-310, 1e-200, 1.0, 1e200, 1e307])
     @pytest.mark.parametrize("complex_field", [False, True])
     @pytest.mark.parametrize("kind", ["generic", "rank_deficient", "zero"])
     @pytest.mark.parametrize("shape", SPECTRAL_SHAPES)
@@ -167,10 +171,14 @@ class TestSpectralNormAgainstSvd:
         x = spectral_case(shape, kind, complex_field, scale)
         expected = float(np.linalg.svd(x, compute_uv=False)[0])
         got = spectral_norm(x)
-        assert np.isfinite(got)
         if kind == "zero":
             assert got == 0.0
+        elif np.isinf(expected):
+            # at 1e307 the complex 6 x 6 rank-deficient case has its norm
+            # beyond the float range, and both read inf
+            assert got == np.inf
         else:
+            assert np.isfinite(got)
             assert got == pytest.approx(expected, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("shape", [(0, 0), (0, 5), (5, 0)])
@@ -187,6 +195,23 @@ class TestSpectralNormAgainstSvd:
 
     def test_norm_beyond_float_range_is_inf(self):
         assert spectral_norm(np.full((2, 2), 1e308)) == np.inf
+
+
+class TestBlocks:
+    @pytest.mark.parametrize("complex_field", [False, True])
+    @pytest.mark.parametrize("shape", [(BLOCK + 3, BLOCK + 40), (BLOCK + 40, BLOCK + 3),
+                                       (2 * BLOCK + 1, 2 * BLOCK + 1), (5, 9), (9, 5)])
+    def test_gram_matches_one_shot_product(self, shape, complex_field):
+        x = random_matrix(np.random.default_rng(list(shape)), *shape, complex_field)
+        want = x.conj().T @ x if shape[0] > shape[1] else x @ x.conj().T
+        got = gram(x)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+    @pytest.mark.parametrize("shape", [(2 * BLOCK + 5, 7), (3, 0), (0, 4)])
+    def test_row_peaks_match_one_shot_moduli(self, shape):
+        x = random_matrix(np.random.default_rng(list(shape)), *shape, complex_field=True)
+        np.testing.assert_array_equal(row_peaks(x), np.abs(x).max(axis=1, initial=0.0))
 
 
 class TestKernelProjector:
