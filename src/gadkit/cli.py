@@ -38,7 +38,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        config = parse_config(args.config)
+        # sizes are checked against the budget that --full-scale puts in effect
+        config = parse_config(args.config, full_scale=args.full_scale)
         seed = None if args.seed is None else parse_seed(args.seed, "--seed")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

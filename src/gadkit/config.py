@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .bases import FAMILIES, ORDERINGS, BasisSpec
@@ -37,6 +37,9 @@ ROW_ORDERS = ("size_lex", "seeded")
 DATASET_FORMATS = ("idx", "cifar_bin")
 
 SEED_ENV_VAR = "GADKIT_SEED"
+
+# the reference scale that ``--full-scale`` raises sweep-family dimensions to
+FULL_SCALE = {"n_train": 1000, "column_budget": 6000, "grid_size": 2000}
 
 
 @dataclass(frozen=True)
@@ -250,8 +253,13 @@ def _section_values(sections, name: str, origin: str) -> dict[str, object]:
     return out
 
 
-def parse_config_text(text: str, origin: str = "<config>") -> RunConfig:
-    """Parse and fully validate a config from its text form."""
+def parse_config_text(text: str, origin: str = "<config>", full_scale: bool = False) -> RunConfig:
+    """Parse and fully validate a config from its text form.
+
+    With ``full_scale`` the config is raised to the reference scale (see
+    :func:`apply_full_scale`) before it is validated, so that model sizes
+    are checked against the column budget the run will have.
+    """
     sections = _read_sections(text, origin)
     for name in ("run", "basis", "design", "theta"):
         if name not in sections:
@@ -382,8 +390,32 @@ def parse_config_text(text: str, origin: str = "<config>") -> RunConfig:
         n_values=n_values,
         mc_draws=mc_draws,
     )
+    if full_scale:
+        config = apply_full_scale(config)
     _validate_experiment(config, origin)
     return config
+
+
+def apply_full_scale(config: RunConfig) -> RunConfig:
+    """Raise sweep-family dimensions to the reference scale; applying it twice changes nothing.
+
+    The column budget, the training and grid sizes and the coefficient
+    length rise to at least ``FULL_SCALE``, and ``m_range`` stretches to the
+    new budget.  ``m_values`` is kept, so that it can pick a window of the
+    full-scale sweep.
+    """
+    if config.experiment not in ("sweep", "ridge_sweep"):
+        return config
+    basis = replace(config.basis, column_budget=max(config.basis.column_budget,
+                                                    FULL_SCALE["column_budget"]))
+    design = replace(config.design,
+                     n_train=max(config.design.n_train, FULL_SCALE["n_train"]),
+                     grid_size=max(config.design.grid_size, FULL_SCALE["grid_size"]))
+    theta = replace(config.theta, length=basis.column_budget)
+    m_range = config.m_range
+    if m_range is not None:
+        m_range = (m_range[0], max(m_range[1], basis.column_budget), m_range[2])
+    return replace(config, basis=basis, design=design, theta=theta, m_range=m_range)
 
 
 def _validate_experiment(config: RunConfig, origin: str) -> None:
@@ -439,14 +471,14 @@ def _validate_experiment(config: RunConfig, origin: str) -> None:
         )
 
 
-def parse_config(path) -> RunConfig:
-    """Parse and validate a config file from disk."""
+def parse_config(path, full_scale: bool = False) -> RunConfig:
+    """Parse and validate a config file from disk, at the reference scale with ``full_scale``."""
     p = Path(path)
     try:
         text = p.read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot read config {p}: {exc}") from None
-    return parse_config_text(text, origin=str(p))
+    return parse_config_text(text, origin=str(p), full_scale=full_scale)
 
 
 def _format_value(value) -> str:

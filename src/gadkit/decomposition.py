@@ -21,17 +21,28 @@ by entry with the exact aliasing map.
 
 :func:`sweep` is the one loop over model sizes: it evaluates the full
 operator and checks it for finite entries once, then walks m upward with
-lambda inside.  At each m, T_M is factored once, and one object holds the
-products of that factor that no lambda changes: U^H y_train,
-U^H (T_M theta_m), W theta_u and, when W has no more rows than columns,
-the Gram of W (otherwise W itself).  Each lambda is then only filter work
-on those products, and the LAPACK work of all lambdas is
-stacked into one values-only SVD call (the augmented-spectrum checks) and
-one ``eigvalsh`` call (the norms of A).  No lambda's arithmetic depends on
-the others in the list, so every row is exactly what a sweep over its
-lambda alone gives.  Each step's arrays are freed before the next m is
-factored.  :func:`risk_and_errors` and :func:`ridge_panels` are the same
-route for one lambda.
+lambda inside.  The nescient side, ||T_U|| and the core's Gram, needs T_U
+only through the n x n Gram G = T_U T_U^H while T_U is at least as wide as
+it is tall (p - m >= n, the side :func:`linalg.gram` would take).  There
+the sweep holds one power-of-two-scaled G from step to step: formed at the
+first m, then downdated by the columns that leave T_U, and formed again
+from T_U when its trace has shrunk 2**10-fold or strays from the exact
+squared norm of T_U (see :class:`_NescientGram`).  ||T_U||**2 is the
+largest eigenvalue of G and the core's Gram is K = U^H G U, so W is never
+formed.  Once T_U is thinner than n, G is dropped and each step takes
+||T_U|| and W from T_U itself.
+
+At each m, T_M is factored once, and one object holds the products of that
+factor that no lambda changes: U^H y_train, U^H (T_M theta_m),
+U^H (T_U theta_u) = W theta_u, and the Gram of W (W itself when W is
+taller than wide).  Each lambda is then only filter work on those
+products, and the LAPACK work of all lambdas is stacked into one
+values-only SVD call (the augmented-spectrum checks) and one ``eigvalsh``
+call (the norms of A).  No lambda's arithmetic depends on the others in the
+list, so every row is exactly what a sweep over its lambda alone gives.
+Each step's arrays, G aside, are freed before the next m is factored.
+:func:`risk_and_errors` and :func:`ridge_panels` are the same route for one
+lambda.
 """
 
 from __future__ import annotations
@@ -45,12 +56,21 @@ import numpy as np
 from .bases import BasisSpec, evaluate_columns
 from .designs import ParameterSpec, SampleDesign, make_theta
 from .errors import DecompositionMismatchError, GadkitError, InvalidInputError
-from .linalg import (DEFAULT_REL_TOL, SvdResult, as_matrix, as_vector, gram, ldexp, row_peaks,
-                     scaled_root, spectral_norm, spectrum, svd)
+from .linalg import (BLOCK, DEFAULT_REL_TOL, SvdResult, as_matrix, as_vector, blocks, gram, ldexp,
+                     row_peaks, scaled_gram, scaled_root, spectral_norm, spectrum, svd)
 from .linalg import kernel_projector, pseudoinverse  # noqa: F401  (perfbench/spans.py wraps these)
 
 # relative tolerance of the fitted-signal identity that every fit checks
 IDENTITY_TOL = 1e-8
+
+# The Gram of T_U that the sweep holds is formed again from T_U itself once
+# the exact squared norm of T_U has fallen by REFACTOR_FALL since the Gram was
+# last formed, so that downdating never cancels more than 10 of its bits, or
+# once the held Gram's trace departs from that exact value by more than
+# TRACE_GAP_TOL of it.  The shipped sweeps downdate with trace gaps of at most
+# 1.2e-15; a column left in the Gram by mistake opens a gap of its own share.
+REFACTOR_FALL = 2.0**10
+TRACE_GAP_TOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,13 +151,22 @@ class _SharedProducts:
 
     With ``T_M = U diag(s) V^H`` over k singular values and ``W = U^H T_U``,
     the k x 3 ``coefficients`` hold ``U^H y_train``, ``U^H (T_M theta_m)``
-    and ``W theta_u`` as columns; ``V diag(f)`` maps them to ``theta_hat``,
-    ``B theta_m`` and ``A theta_u``.  ``y_norm`` is ``||y||`` over every row
-    and ``nescience`` is ``||theta_u||``.  With ``W_s = W * 2**-w_exponent``,
-    its largest modulus in [0.5, 1), ``row_peaks`` holds the largest modulus
-    in each row of W_s.  When k <= p - m, ``gram`` is ``W_s W_s^H`` and
-    ``w_scaled`` is None; otherwise ``gram`` is None, ``w_scaled`` is W_s, and
-    each lambda forms the Gram of its own core on the smaller, nescient side.
+    and ``U^H (T_U theta_u) = W theta_u`` as columns; ``V diag(f)`` maps them
+    to ``theta_hat``, ``B theta_m`` and ``A theta_u``.  ``y_norm`` is
+    ``||y||`` over every row and ``nescience`` is ``||theta_u||``.
+
+    ``W_s = W * 2**-w_exponent`` is the core's scaled form, and
+    ``row_scales`` bounds the modulus of each row of W_s.  Two routes give
+    them, chosen by the shape of T_U as :func:`linalg.gram` chooses its side:
+
+    - ``p - m >= n``: from the scaled Gram ``G = T_U T_U^H * 4**-w_exponent``
+      (see :class:`_NescientGram`), ``gram`` is ``K = U^H G U = W_s W_s^H``
+      and ``row_scales`` its row norms ``sqrt(diag K)``.  W is never formed.
+    - ``p - m < n``: W is formed and scaled so that its largest modulus lies
+      in [0.5, 1), and ``row_scales`` holds each row's largest modulus.  When
+      k <= p - m, ``gram`` is ``W_s W_s^H``; otherwise ``gram`` is None,
+      ``w_scaled`` is W_s, and each lambda forms the Gram of its own core on
+      the smaller, nescient side.
     """
 
     panel: OperatorPanel
@@ -148,7 +177,7 @@ class _SharedProducts:
     coefficients: np.ndarray
     w_scaled: np.ndarray | None
     w_exponent: int
-    row_peaks: np.ndarray
+    row_scales: np.ndarray
     gram: np.ndarray | None
 
 
@@ -163,6 +192,58 @@ class _FiniteOperator:
 
     def __init__(self, M_full):
         self.matrix = as_matrix(M_full)
+
+
+class _NescientGram:
+    """The scaled Gram of the nescient training block T_U, carried up the sweep's model sizes.
+
+    :meth:`at` gives ``G = T_U T_U^H * 4**-e`` at model size m together
+    with e.  It is formed from T_U at the first m and then downdated: the
+    columns that left T_U since the last m, scaled by ``2**-e``, are taken
+    out as one ``x x^H``.  Drift is held against the exact squared norms of
+    the columns, summed once per sweep from the last column back.  The Gram
+    is formed again from T_U, with a fresh e, when that exact trace has
+    fallen by ``REFACTOR_FALL`` since the Gram was last formed, or when the
+    held Gram's trace departs from it by more than ``TRACE_GAP_TOL``
+    relative.  A refactor costs one Gram of T_U.  Where the columns have
+    comparable norms the trace shrinks with the width of T_U, so a refactor
+    waits until T_U has narrowed about ``REFACTOR_FALL``-fold.
+    """
+
+    __slots__ = ("train", "gram", "exponent", "m", "_unit", "_suffix", "_formed_at")
+
+    def __init__(self, train: np.ndarray):
+        self.train = train  # the operator's training rows
+        self.gram: np.ndarray | None = None
+        self.exponent = 0
+        self.m = 0
+        # squared column norms in units of 4**unit, so that none overflows
+        self._unit = math.frexp(float(row_peaks(train).max(initial=0.0)))[1]
+        squares = np.empty(train.shape[1])
+        for cols in blocks(train.shape[1], BLOCK):
+            squares[cols] = (np.abs(ldexp(train[:, cols], -self._unit)) ** 2).sum(axis=0)
+        # _suffix[m] is the squared norm of T_U at model size m
+        self._suffix = np.append(np.cumsum(squares[::-1])[::-1], 0.0)
+        self._formed_at = 0.0
+
+    def at(self, m: int) -> tuple[np.ndarray, int]:
+        """The scaled Gram of T_U at model size m, which is no smaller than the last, and e."""
+        exact = float(self._suffix[m])
+        if self.gram is None or exact * REFACTOR_FALL < self._formed_at:
+            return self._refactor(m)
+        x = ldexp(self.train[:, self.m : m], -self.exponent)
+        self.gram -= x @ x.conj().T
+        self.m = m
+        expected = math.ldexp(exact, 2 * (self._unit - self.exponent))
+        if abs(float(np.trace(self.gram).real) - expected) > TRACE_GAP_TOL * expected:
+            return self._refactor(m)
+        return self.gram, self.exponent
+
+    def _refactor(self, m: int) -> tuple[np.ndarray, int]:
+        self.gram = None  # freed before the new Gram is formed
+        self.gram, self.exponent = scaled_gram(self.train[:, m:])
+        self.m, self._formed_at = m, float(self._suffix[m])
+        return self.gram, self.exponent
 
 
 def build_panels(M_full, design: SampleDesign, m: int,
@@ -193,23 +274,36 @@ def build_panels(M_full, design: SampleDesign, m: int,
     )
 
 
-def _shared_products(panel: OperatorPanel, theta, y_full) -> _SharedProducts:
+def _shared_products(panel: OperatorPanel, theta, y_full,
+                     nescient: tuple[np.ndarray, int] | None) -> _SharedProducts:
     """Form the lambda-free products of the panel's factor, once per model size.
 
     ``y_full`` must be the noiseless synthesis ``M_full @ theta`` over the
     training then prediction rows; only its training slice reaches the fit.
+    ``nescient`` is the scaled Gram of T_U and its exponent when
+    ``p - m >= n``, and None otherwise (see :class:`_SharedProducts`).
     """
     theta = as_vector(theta, length=panel.budget)
     y = as_vector(y_full, length=panel.modeled.shape[0])
     theta_m, theta_u = theta[: panel.m], theta[panel.m :]
-    uh = panel.factor.left_vectors.conj().T
-    w = uh @ panel.train_nescient
+    u = panel.factor.left_vectors
+    uh = u.conj().T
     coefficients = np.stack([uh @ y[: panel.n_train], uh @ (panel.train_modeled @ theta_m),
-                             w @ theta_u], axis=1)
-    peaks = row_peaks(w)
-    exponent = math.frexp(float(peaks.max(initial=0.0)))[1]
-    ldexp(w, -exponent, out=w)  # W_s, in the place of W
-    wide = w.shape[0] <= w.shape[1]
+                             uh @ (panel.train_nescient @ theta_u)], axis=1)
+    w_scaled = None
+    if nescient is not None:
+        g_u, exponent = nescient
+        k_gram = uh @ (g_u @ u)
+        scales = np.sqrt(np.maximum(k_gram.diagonal().real, 0.0))
+    else:
+        w = uh @ panel.train_nescient
+        peaks = row_peaks(w)
+        exponent = math.frexp(float(peaks.max(initial=0.0)))[1]
+        ldexp(w, -exponent, out=w)  # W_s, in the place of W
+        scales = np.ldexp(peaks, -exponent)
+        wide = w.shape[0] <= w.shape[1]
+        k_gram = gram(w) if wide else None
+        w_scaled = None if wide else w
     return _SharedProducts(
         panel=panel,
         y=y,
@@ -217,10 +311,10 @@ def _shared_products(panel: OperatorPanel, theta, y_full) -> _SharedProducts:
         theta_m=theta_m,
         nescience=float(np.linalg.norm(theta_u)),
         coefficients=coefficients,
-        w_scaled=None if wide else w,
+        w_scaled=w_scaled,
         w_exponent=exponent,
-        row_peaks=np.ldexp(peaks, -exponent),
-        gram=gram(w) if wide else None,
+        row_scales=scales,
+        gram=k_gram,
     )
 
 
@@ -329,12 +423,12 @@ def aliasing_operator(panel: OperatorPanel, lam: float = 0.0) -> np.ndarray:
 def _alias_gram(products: _SharedProducts, f: np.ndarray) -> tuple[np.ndarray, int] | None:
     """The Gram whose largest eigenvalue gives ``||A|| = ||diag(f) W||``, or None when A = 0.
 
-    The core is scaled by a power of two that puts its largest modulus near
-    [0.5, 1): ``g`` is f so rescaled, and the Gram is ``g K g`` on the factor
-    side, or the core's own Gram on the nescient side when that is smaller.
-    Returns the Gram and the exponent that scales its root back.
+    The core is scaled by a power of two that puts the largest of its row
+    scales in [0.5, 1): ``g`` is f so rescaled, and the Gram is ``g K g`` on
+    the factor side, or the core's own Gram on the nescient side when that is
+    smaller.  Returns the Gram and the exponent that scales its root back.
     """
-    peak = float(np.max(np.abs(f) * products.row_peaks, initial=0.0))
+    peak = float(np.max(np.abs(f) * products.row_scales, initial=0.0))
     if peak == 0.0:
         return None
     exponent = math.frexp(peak)[1]
@@ -411,9 +505,12 @@ def risk_and_errors(panel: OperatorPanel, theta, y_full, lam: float = 0.0) -> Ri
     Verifies that the fitted signal equals the operator-route reconstruction
     ``B theta_m + A theta_u`` to ``IDENTITY_TOL`` relative and records the
     residual.  It takes the sweep's own steps for one lambda, on one
-    matrix where the sweep stacks all of them.
+    matrix where the sweep stacks all of them, with the Gram of T_U formed
+    afresh from the panel when ``p - m >= n``.
     """
-    products = _shared_products(panel, theta, y_full)
+    t_u = panel.train_nescient
+    nescient = scaled_gram(t_u) if t_u.shape[1] >= t_u.shape[0] else None
+    products = _shared_products(panel, theta, y_full, nescient)
     f = _filter(panel, lam)
     alias = _alias_gram(products, f)
     norm_A = 0.0 if alias is None else scaled_root(float(_top_eigenvalue(alias[0])), alias[1])
@@ -491,18 +588,26 @@ def _lambda_rows(products: _SharedProducts, lams: list[float], norm_nescient: fl
 
 def _model_size_rows(operator: _FiniteOperator, design: SampleDesign, m: int, theta: np.ndarray,
                      y_full: np.ndarray, lams: list[float], ranks: dict[int, int],
-                     rel_tol: float) -> list[SweepRecord]:
+                     rel_tol: float, held: _NescientGram | None) -> list[SweepRecord]:
     """Every lambda's record at model size m, in the caller's lambda order.
 
-    The panel, its factor and the shared products live only in this call,
-    so that the sweep holds one model size's arrays at a time.
+    ``held`` is the sweep's Gram of T_U while ``p - m >= n``, and None once
+    T_U is thinner than n.  The panel, its factor and the shared products
+    live only in this call, so that the sweep holds one model size's arrays
+    at a time.
     """
     try:
+        # the Gram advances before the panel is built, so that a failed panel
+        # at this m leaves the Gram of every later m as it would have been
+        nescient = held.at(m) if held is not None else None
         panel = build_panels(operator, design, m, rel_tol)
-        # ||T_U|| before the shared products, so that its scaled copy of
-        # T_U is freed before W and its Gram are made
-        norm_nescient = spectral_norm(panel.train_nescient) if m < panel.budget else 0.0
-        products = _shared_products(panel, theta, y_full)
+        if nescient is not None:
+            norm_nescient = scaled_root(float(_top_eigenvalue(nescient[0])), nescient[1])
+        else:
+            # ||T_U|| before the shared products, so that its scaled copy of
+            # T_U is freed before W and its Gram are made
+            norm_nescient = spectral_norm(panel.train_nescient) if m < panel.budget else 0.0
+        products = _shared_products(panel, theta, y_full, nescient)
         ranks[m] = panel.rank
         independent = _new_column_independent(operator.matrix[: design.n_train], ranks, m,
                                                rel_tol)
@@ -516,29 +621,43 @@ def sweep(basis: BasisSpec, design: SampleDesign, theta_spec: ParameterSpec,
           threads: int = 1) -> list[SweepRecord]:
     """One risk-anatomy record per (lambda, m), in one upward loop over m.
 
-    The operator is evaluated and checked once.  Each step over m builds the
-    panel, whose one SVD every lambda shares, takes ``||T_U||``, forms the
-    lambda-free products of that factor, stores the rank of the modeled
-    block and reads the independence flag of column m off the rank at
-    m - 1: stored when the previous size was swept, otherwise taken from a
-    values-only SVD of the column prefix.  Each lambda then
-    filters those products: the ridge pseudoinverse norm with its spectrum
-    check, and the fit with its identity check.  The augmented SVDs of all
-    active lambdas are one stacked call, and so are the eigenvalue problems
-    of every ``||A||``.
+    The operator is evaluated and checked once.  Each step over m brings the
+    held Gram of T_U to m while ``p - m >= n``, builds the panel, whose one
+    SVD every lambda shares, takes ``||T_U||``, forms the lambda-free
+    products of that factor, stores the rank of the modeled block and reads
+    the independence flag of column m off the rank at m - 1: stored when the
+    previous size was swept, otherwise taken from a values-only SVD of the
+    column prefix.  Each lambda then filters those products: the ridge
+    pseudoinverse norm with its spectrum check, and the fit with its
+    identity check.  The augmented SVDs of all active lambdas are one
+    stacked call, and so are the eigenvalue problems of every ``||A||``.
+
+    The Gram of T_U is n x n and scaled by a power of two.  It is formed
+    from T_U at the first m with ``p - m >= n`` and then downdated by the
+    columns that leave T_U, all of a strided range's gap at once.  It is
+    formed again from T_U, with a fresh scale, when the exact squared norm
+    of T_U has fallen ``REFACTOR_FALL``-fold since it was last formed, or
+    when its trace departs from that norm by more than ``TRACE_GAP_TOL``
+    relative.  From the first m with ``p - m < n`` on, it is dropped, and
+    each step takes ``||T_U||`` and ``W = U^H T_U`` from T_U itself.  The
+    Gram advances before the panel is built, so a step that fails leaves
+    every other row as it would have been.  Where the range starts moves
+    the rows only by rounding: a window of a sweep matches the whole
+    sweep's rows to rounding, not bit for bit.
 
     One step is held at a time: a step's panel, factor and products are
     freed before the next m is factored, so the sweep's peak memory is the
-    operator plus one model size's working set (the factor, W and one
-    Gram's temporary), however many model sizes it walks.
+    operator plus the Gram of T_U plus one model size's working set (the
+    factor, one Gram's temporary, and W on the thin side), however many
+    model sizes it walks.
 
     An empty or out-of-budget m range, an empty lambda list, or a negative or
     non-finite lambda raises :class:`InvalidInputError` before the operator
     is evaluated; -0.0 is reported as 0.0.  Past those checks a failure
     never aborts the sweep: it yields a record carrying the error message.
-    When the panel, ``||T_U||`` or the flag fails at m, every
-    lambda gets an error row there; the rank is stored only once the panel
-    and the norm have succeeded.  When one lambda's ridge norm or risk fails,
+    When the Gram of T_U, the panel, ``||T_U||`` or the flag fails at m,
+    every lambda gets an error row there; the rank is stored only once the
+    panel and the norm have succeeded.  When one lambda's ridge norm or risk fails,
     only that row gets an error, and the rank, which does not depend on
     lambda, is still stored; a stacked call that raises ``LinAlgError`` is
     made again one lambda at a time, so that only the lambdas whose matrix
@@ -570,10 +689,14 @@ def sweep(basis: BasisSpec, design: SampleDesign, theta_spec: ParameterSpec,
         return [_error_record(m, lam, exc) for lam in lams for m in ms]
     y_full = operator.matrix @ theta
 
+    n = design.n_train
+    held = _NescientGram(operator.matrix[:n]) if budget - ms[0] >= n else None
     ranks = {0: 0}
     rows: list[list[SweepRecord]] = [[] for _ in lams]  # one list per lambda
     for m in ms:
+        if budget - m < n:
+            held = None  # T_U is thinner than n from here on
         for out, record in zip(rows, _model_size_rows(operator, design, m, theta, y_full,
-                                                       lams, ranks, rel_tol)):
+                                                       lams, ranks, rel_tol, held)):
             out.append(record)
     return [record for out in rows for record in out]

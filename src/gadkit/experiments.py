@@ -25,7 +25,7 @@ import numpy as np
 
 from ._version import __version__
 from .bases import BasisSpec, evaluate_columns, fourier_frequency
-from .config import DesignConfig, RunConfig, serialize_config
+from .config import DesignConfig, RunConfig, apply_full_scale, serialize_config
 from .datasets import load_cifar_bin, load_idx
 from .decomposition import (
     SweepRecord,
@@ -328,25 +328,6 @@ _RUNNERS = {
     "ising_sweep": _run_ising_sweep,
     "unstructured_eb": _run_unstructured_eb,
 }
-
-FULL_SCALE = {"n_train": 1000, "column_budget": 6000, "grid_size": 2000}
-
-
-def apply_full_scale(config: RunConfig) -> RunConfig:
-    """Raise sweep-family dimensions to the reference scale."""
-    if config.experiment not in ("sweep", "ridge_sweep"):
-        return config
-    basis = replace(config.basis, column_budget=max(config.basis.column_budget,
-                                                    FULL_SCALE["column_budget"]))
-    design = replace(config.design,
-                     n_train=max(config.design.n_train, FULL_SCALE["n_train"]),
-                     grid_size=max(config.design.grid_size, FULL_SCALE["grid_size"]))
-    theta = replace(config.theta, length=basis.column_budget)
-    m_range = config.m_range
-    if m_range is not None:
-        m_range = (m_range[0], max(m_range[1], basis.column_budget), m_range[2])
-    return replace(config, basis=basis, design=design, theta=theta, m_range=m_range)
-
 
 def _blas_build() -> str:
     """Name and version of the BLAS numpy was built against, as numpy reports it."""

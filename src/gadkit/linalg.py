@@ -209,24 +209,30 @@ def scaled_root(top_eigenvalue: float, exponent: int) -> float:
         return math.inf
 
 
+def scaled_gram(x: np.ndarray) -> tuple[np.ndarray, int]:
+    """The Gram on the smaller side of ``x * 2**-e``, and e; e is 0 for a zero x.
+
+    e puts the largest modulus of x in [0.5, 1): the scaling is exact, no
+    Gram entry can overflow, and the largest cannot underflow, subnormal
+    inputs included.  The scaled copy is the only copy of x that it makes.
+    """
+    exponent = math.frexp(float(row_peaks(x).max(initial=0.0)))[1]
+    return gram(ldexp(x, -exponent)), exponent
+
+
 def spectral_norm(matrix) -> float:
     """Largest singular value; 0 for an empty or zero matrix.
 
-    Taken as the square root of the largest eigenvalue of the Gram matrix on
-    the smaller side, after scaling the entries by a power of two so the
-    largest modulus lies in [0.5, 1): the scaling is exact, no Gram entry can
-    overflow, and the largest cannot underflow, subnormal inputs included.
-    The scaled copy is the only copy of the matrix that it makes.  A norm
+    Taken as the square root of the largest eigenvalue of the scaled Gram
+    matrix on the smaller side (:func:`scaled_gram`), scaled back.  A norm
     beyond the float range reads inf, as it does from an SVD.
     """
     x = as_matrix(matrix)
     if x.size == 0:
         return 0.0
-    peak = float(row_peaks(x).max())
-    if peak == 0.0:
-        return 0.0
-    exponent = math.frexp(peak)[1]
-    return scaled_root(float(np.linalg.eigvalsh(gram(ldexp(x, -exponent)))[-1]), exponent)
+    g, exponent = scaled_gram(x)
+    top = float(np.linalg.eigvalsh(g)[-1])
+    return scaled_root(top, exponent) if top > 0 else 0.0
 
 
 def kernel_projector(matrix, rel_tol: float = DEFAULT_REL_TOL) -> np.ndarray:

@@ -1,5 +1,6 @@
 """Panels, operators, risk breakdown, ridge variants, and the sweep engine."""
 
+import math
 import tracemalloc
 from unittest import mock
 
@@ -777,3 +778,113 @@ class TestSweep:
             if records[1].norm_pinv_TM < records[0].norm_pinv_TM:
                 wins += 1
         assert wins >= 95
+
+
+def nescient_mismatches(records, full, design, tol=1e-10):
+    """Every row whose ``norm_M_TU`` or ``norm_A`` strays from the norm taken afresh at its m.
+
+    The references are ``spectral_norm`` of the panel's T_U and of the dense
+    aliasing operator of the row's lambda, both formed from the panel alone.
+    """
+    out = []
+    for record in records:
+        panel = build_panels(full, design, record.m)
+        wants = {"norm_M_TU": spectral_norm(panel.train_nescient),
+                 "norm_A": spectral_norm(aliasing_operator(panel, record.lam))}
+        for column, want in wants.items():
+            got = getattr(record, column)
+            if record.error is not None or not abs(got - want) <= tol * want:
+                out.append((record.lam, record.m, column, got, want, record.error))
+    return out
+
+
+class TestNescientGram:
+    """The sweep's downdated Gram of T_U against the norms of every panel taken afresh.
+
+    n = 12 and p = 60, so the Gram of T_U serves m up to 48 and the thin
+    route the rest.  Every range starts on the Gram side.
+    """
+
+    N, BUDGET = 12, 60
+    LAMBDAS = (0.0, 1e-4, 1.0)
+    RANGES = {"contiguous": range(1, 61), "strided": range(3, 61, 7), "single": [20]}
+
+    def system(self, dtype, weighted):
+        rng = np.random.default_rng(7)
+        block = rng.standard_normal((self.N, self.BUDGET))
+        if dtype is complex:
+            block = block + 1j * rng.standard_normal((self.N, self.BUDGET))
+        if weighted:
+            # column norms fall from 1 to 1e-12, so that the squared norm of
+            # T_U shrinks past REFACTOR_FALL many times over a range
+            block = block * np.logspace(0, -12, self.BUDGET)
+        full = np.vstack([block, np.ones((1, self.BUDGET), dtype=block.dtype)])
+        return full, direct_design(np.zeros(self.N), [0.0])
+
+    def sweep_counting_grams(self, monkeypatch, full, design, ms):
+        """The sweep's records over ms, and the width of T_U at each formation of its Gram."""
+        formed = []
+        original = decomposition.scaled_gram
+
+        def counted(block):
+            formed.append(block.shape[1])
+            return original(block)
+
+        monkeypatch.setattr(decomposition, "scaled_gram", counted)
+        monkeypatch.setattr(decomposition, "evaluate_columns", lambda *args, **kwargs: full)
+        records = decomposition.sweep(BasisSpec("rff", 1, self.BUDGET), design,
+                                      ParameterSpec("unstructured_iid", self.BUDGET, seed=3),
+                                      ms, lambdas=self.LAMBDAS)
+        return records, formed
+
+    @pytest.mark.parametrize("weighted", [False, True], ids=["flat", "power-weighted"])
+    @pytest.mark.parametrize("kind", list(RANGES))
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_matches_norms_taken_afresh(self, monkeypatch, dtype, kind, weighted):
+        full, design = self.system(dtype, weighted)
+        ms = self.RANGES[kind]
+        records, formed = self.sweep_counting_grams(monkeypatch, full, design, ms)
+        assert len(records) == len(self.LAMBDAS) * len(ms)
+        assert nescient_mismatches(records, full, design) == []
+        # formed once at the first m; again only when the trace has fallen
+        # far enough, which a flat basis never lets it do over this range
+        assert formed[0] == self.BUDGET - ms[0]
+        if weighted and kind != "single":
+            assert len(formed) > 1
+        else:
+            assert len(formed) == 1
+        # and no m reads a Gram whose T_U has shrunk more than 2**10-fold
+        # since the Gram was formed
+        train, starts = full[: self.N], [self.BUDGET - width for width in formed]
+        for m in ms:
+            if self.BUDGET - m >= self.N:
+                start = max(s for s in starts if s <= m)
+                assert (np.linalg.norm(train[:, m:]) ** 2 * 2.0**10 * (1 + 1e-9)
+                        >= np.linalg.norm(train[:, start:]) ** 2), (m, start)
+
+    @pytest.mark.parametrize("drift_control", [True, False], ids=["held", "off"])
+    def test_a_skipped_downdate_is_caught(self, monkeypatch, drift_control):
+        # a planted fault: the Gram at m = 20 keeps column 19.  The trace gap
+        # forms the Gram again at once, which the single formation that
+        # test_matches_norms_taken_afresh requires rules out; with drift
+        # control off, the norms stray instead
+        full, design = self.system(complex, weighted=False)
+        original = decomposition._NescientGram.at
+
+        def skipping(self, m):
+            if m == 20:
+                self.m = m
+            return original(self, m)
+
+        monkeypatch.setattr(decomposition._NescientGram, "at", skipping)
+        if not drift_control:
+            monkeypatch.setattr(decomposition, "REFACTOR_FALL", math.inf)
+            monkeypatch.setattr(decomposition, "TRACE_GAP_TOL", math.inf)
+        records, formed = self.sweep_counting_grams(monkeypatch, full, design, range(1, 61))
+        if drift_control:
+            assert formed == [self.BUDGET - 1, self.BUDGET - 20]
+            assert nescient_mismatches(records, full, design) == []
+        else:
+            assert formed == [self.BUDGET - 1]
+            strayed = {row[1] for row in nescient_mismatches(records, full, design)}
+            assert strayed == set(range(20, 49))

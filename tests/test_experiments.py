@@ -553,6 +553,55 @@ class TestFullScale:
         config = parse_config_text(FOURIER.format(out="out/x"))
         assert apply_full_scale(config) == config
 
+    WINDOW = "m_range = 1 48\nm_values = 1000 1001 1002"
+
+    def test_window_is_checked_against_the_full_scale_budget(self):
+        text = SMALL_SWEEP.replace("m_range = 1 48", self.WINDOW).format(out="out/x")
+        with pytest.raises(ConfigError, match=r"\[sweep\] m_values .* column_budget = 48"):
+            parse_config_text(text)
+        config = parse_config_text(text, full_scale=True)
+        assert config.basis.column_budget == 6000
+        assert config.m_values == (1000, 1001, 1002)
+        assert experiments.apply_full_scale(config) == config
+        with pytest.raises(ConfigError, match=r"\[sweep\] m_values .* column_budget = 6000"):
+            parse_config_text(text.replace("1002", "6001"), full_scale=True)
+
+    def test_full_scale_window_runs_from_the_cli(self, tmp_path, monkeypatch):
+        # the runner is stubbed: the window reaches it at full scale, and no
+        # full-scale sweep runs here
+        calls = []
+
+        def run(config, **kwargs):
+            calls.append((config, kwargs))
+            return []
+
+        monkeypatch.setattr("gadkit.cli.run_config", run)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(SMALL_SWEEP.replace("m_range = 1 48", self.WINDOW)
+                       .format(out=tmp_path / "out"))
+        assert main(["--config", str(cfg), "--full-scale"]) == 0
+        [(config, kwargs)] = calls
+        assert kwargs["full_scale"] is True
+        assert config.basis.column_budget == 6000 and config.design.n_train == 1000
+        assert experiments._model_sizes(config) == [1000, 1001, 1002]
+
+    @pytest.mark.parametrize("window, flags", [
+        ("m_values = 1000 1001 1002", []),
+        ("m_values = 1000 6001", ["--full-scale"]),
+    ], ids=["desk-budget", "beyond-full-scale"])
+    def test_window_outside_the_budget_exits_two(self, tmp_path, capsys, monkeypatch,
+                                                 window, flags):
+        def never(*args, **kwargs):
+            raise AssertionError("run_config reached")
+
+        monkeypatch.setattr("gadkit.cli.run_config", never)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(SMALL_SWEEP.replace("m_range = 1 48", f"m_range = 1 48\n{window}")
+                       .format(out=tmp_path / "out"))
+        assert main(["--config", str(cfg), *flags]) == 2
+        assert "[sweep] m_values" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 class TestLocalMaxima:
     def test_single_peak(self):
