@@ -17,7 +17,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import BudgetExceededError, InvalidInputError
-from .linalg import blocks
+from .linalg import BLOCK, blocks
 
 FAMILIES = (
     "monomial",
@@ -30,9 +30,6 @@ FAMILIES = (
 )
 
 ORDERINGS = ("natural", "seeded_permutation", "physical_cluster")
-
-# most rows of the operator that evaluate_columns fills per block
-ROW_BLOCK = 256
 
 _FAMILY_PARAM_KEYS = {
     "monomial": {"interval"},
@@ -247,15 +244,15 @@ def evaluate_columns(spec: BasisSpec, points, col_range: tuple[int, int]) -> np.
 
     Entry (i, j) is the value of the column at display position j_lo + j
     under the declared column ordering, evaluated at point i.  The output is
-    allocated once and filled in near-equal blocks of at most ``ROW_BLOCK``
-    rows (see :func:`gadkit.linalg.blocks`), so that no temporary grows with
-    the number of points.  Each block takes the same arithmetic as the
-    one-shot formula over all rows, so the entries have the same bits, on
-    every shipped config among others.  The one caveat is the random-feature
-    projections, one BLAS product per block: a BLAS may round a small
-    product differently from a large one (OpenBLAS 0.3.31 does so with 32
-    input dimensions below about 1200 entries per block, and for a single
-    column).
+    allocated once and filled in near-equal blocks of at most
+    ``gadkit.linalg.BLOCK`` rows (see :func:`gadkit.linalg.blocks`), so that
+    no temporary grows with the number of points.  Each block takes the same
+    arithmetic as the one-shot formula over all rows, so the entries have the
+    same bits, on every shipped config among others.  The one caveat is the
+    random-feature projections, one BLAS product per block: a BLAS may round
+    a small product differently from a large one (OpenBLAS 0.3.31 does so
+    with 32 input dimensions below about 1200 entries per block, and for a
+    single column).
     """
     j_lo, j_hi = int(col_range[0]), int(col_range[1])
     if j_lo < 0 or j_hi < j_lo:
@@ -282,7 +279,7 @@ def evaluate_columns(spec: BasisSpec, points, col_range: tuple[int, int]) -> np.
         features = feature_weights(spec.column_budget, spec.input_dim, spec.seed)[indices].T
         out = np.empty((pts.shape[0], indices.size),
                        dtype=complex if spec.family == "rff" else float)
-        for rows in blocks(pts.shape[0], ROW_BLOCK):
+        for rows in blocks(pts.shape[0], BLOCK):
             if spec.family == "rff":
                 _phase_columns(pts[rows] @ features, np.pi, out[rows])
             else:
@@ -297,7 +294,7 @@ def evaluate_columns(spec: BasisSpec, points, col_range: tuple[int, int]) -> np.
         if t.size and (t.min() < a or t.max() > b):
             raise InvalidInputError(f"points outside the interval [{a}, {b}]")
         out = np.empty((t.size, indices.size))
-        for rows in blocks(t.size, ROW_BLOCK):
+        for rows in blocks(t.size, BLOCK):
             np.power(t[rows, None], indices[None, :], out=out[rows])
         return out
 
@@ -308,7 +305,7 @@ def evaluate_columns(spec: BasisSpec, points, col_range: tuple[int, int]) -> np.
         # the summation order of the products taken with the operator, and
         # each step of the recurrence writes one contiguous column
         out = np.empty((t.size, indices.size), order="F")
-        for rows in blocks(t.size, ROW_BLOCK):
+        for rows in blocks(t.size, BLOCK):
             _recurrence_columns(t[rows], indices, spec.family, out[rows])
         return out
 
@@ -319,7 +316,7 @@ def evaluate_columns(spec: BasisSpec, points, col_range: tuple[int, int]) -> np.
     n_base = int(spec.param("base_frequencies"))
     freqs = np.array([fourier_frequency(int(j), n_base) for j in indices])
     out = np.empty((t.size, indices.size), dtype=complex)
-    for rows in blocks(t.size, ROW_BLOCK):
+    for rows in blocks(t.size, BLOCK):
         _phase_columns(np.outer(t[rows] / period, freqs), 2 * np.pi, out[rows])
     return out
 

@@ -2,10 +2,18 @@
 
 The format is deliberately small: ``[section]`` headers, ``key = value``
 lines, ``#`` comments, and whitespace-separated tokens for list values.
-Unknown sections or keys are errors (nothing is silently ignored), missing
-required keys are reported by name, and every parse diagnostic carries a
-line number.  Configurations round-trip losslessly through
-:func:`serialize_config`.
+One table, ``_SCHEMA``, states each key once: its parser, the values it may
+take and whether a file must set it.  A key the file leaves out takes the
+default of the dataclass field it fills, and :func:`serialize_config` walks
+the same table, so configurations round-trip losslessly.
+
+Unknown sections or keys are errors (nothing is silently ignored), and
+missing required keys are reported by name.  Every diagnostic about a key
+carries the line that sets it, as ``origin:LINE: [section] key: ...``.  Past
+single values, a config is checked whole before anything runs: model sizes
+against the column budget, what each experiment requires, the dimension of
+the design's points against the one the basis family reads, and an Ising
+design against its ``2**chain_length`` spin configurations.
 
 Seed priority: an explicit ``seeds`` key wins; otherwise the ``GADKIT_SEED``
 environment variable; otherwise seed 0.  Every seed is a nonnegative integer,
@@ -16,13 +24,16 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+from functools import partial
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from .bases import FAMILIES, ORDERINGS, BasisSpec
 from .datasets import SCALE_POLICIES
 from .designs import STRATEGIES, THETA_SCHEMES, ParameterSpec
 from .errors import ConfigError, InvalidInputError
+from .linalg import DEFAULT_REL_TOL
 
 EXPERIMENTS = (
     "sweep",
@@ -58,7 +69,7 @@ class DesignConfig:
     row_order: str = "size_lex"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class RunConfig:
     """A fully validated experiment recipe."""
 
@@ -66,14 +77,18 @@ class RunConfig:
     basis: BasisSpec
     design: DesignConfig
     theta: ParameterSpec
-    m_range: tuple[int, int, int] | None
-    m_values: tuple[int, ...] | None
-    lambdas: tuple[float, ...]
-    seeds: tuple[int, ...]
+    m_range: tuple[int, int, int] | None = None
+    m_values: tuple[int, ...] | None = None
+    lambdas: tuple[float, ...] = (0.0,)
+    seeds: tuple[int, ...] = (0,)
     output_dir: str
-    rel_tol: float
-    n_values: tuple[int, ...] | None
-    mc_draws: int
+    rel_tol: float = DEFAULT_REL_TOL
+    n_values: tuple[int, ...] | None = None
+    mc_draws: int = 2000
+
+
+def _parse_str(text: str, where: str) -> str:
+    return text
 
 
 def _parse_int(text: str, where: str) -> int:
@@ -91,6 +106,13 @@ def parse_seed(text: str, where: str) -> int:
     return seed
 
 
+def _parse_count(text: str, where: str) -> int:
+    count = _parse_int(text, where)
+    if count < 1:
+        raise ConfigError(f"{where}: expected a positive integer, got {text!r}")
+    return count
+
+
 def _parse_float(text: str, where: str) -> float:
     try:
         value = float(text)
@@ -98,6 +120,20 @@ def _parse_float(text: str, where: str) -> float:
         raise ConfigError(f"{where}: expected a number, got {text!r}") from None
     if not math.isfinite(value):
         raise ConfigError(f"{where}: expected a finite number, got {text!r}")
+    return value
+
+
+def _parse_rel_tol(text: str, where: str) -> float:
+    value = _parse_float(text, where)
+    if not 0.0 < value < 1.0:
+        raise ConfigError(f"{where}: expected a number in (0, 1), got {text!r}")
+    return value
+
+
+def _parse_lambda(text: str, where: str) -> float:
+    value = _parse_float(text, where)
+    if value < 0:
+        raise ConfigError(f"{where}: expected a nonnegative number, got {text!r}")
     return value
 
 
@@ -110,110 +146,125 @@ def _parse_bool(text: str, where: str) -> bool:
     raise ConfigError(f"{where}: expected a boolean, got {text!r}")
 
 
-def _parse_int_list(text: str, where: str) -> tuple[int, ...]:
-    tokens = text.split()
-    if not tokens:
-        raise ConfigError(f"{where}: expected at least one integer")
-    return tuple(_parse_int(tok, where) for tok in tokens)
+def _list_of(parse: Callable[[str, str], object]) -> Callable[[str, str], tuple]:
+    """A parser of one or more whitespace-separated values, each read by ``parse``."""
+    def parse_list(text: str, where: str) -> tuple:
+        tokens = text.split()
+        if not tokens:
+            raise ConfigError(f"{where}: expected at least one value")
+        return tuple(parse(token, where) for token in tokens)
+    return parse_list
 
 
 def _parse_seed_list(text: str, where: str) -> tuple[int, ...]:
-    seeds = tuple(parse_seed(tok, where) for tok in text.split())
-    if not seeds:
-        raise ConfigError(f"{where}: expected at least one integer")
+    seeds = _list_of(parse_seed)(text, where)
     for i, seed in enumerate(seeds):
         if seed in seeds[:i]:
             raise ConfigError(f"{where}: seed {seed} is listed more than once")
     return seeds
 
 
-def _parse_float_list(text: str, where: str) -> tuple[float, ...]:
-    tokens = text.split()
-    if not tokens:
-        raise ConfigError(f"{where}: expected at least one number")
-    return tuple(_parse_float(tok, where) for tok in tokens)
-
-
 def _parse_pair(text: str, where: str) -> tuple[float, float]:
-    values = _parse_float_list(text, where)
+    values = _list_of(_parse_float)(text, where)
     if len(values) != 2:
         raise ConfigError(f"{where}: expected exactly two numbers")
     return values  # type: ignore[return-value]
 
 
-_SCHEMA: dict[str, dict[str, str]] = {
+def _parse_m_range(text: str, where: str) -> tuple[int, int, int]:
+    values = _list_of(_parse_int)(text, where)
+    if len(values) not in (2, 3):
+        raise ConfigError(f"{where}: expected 'lo hi' or 'lo hi step'")
+    lo, hi, step = (*values, 1)[:3]
+    if lo < 1 or hi < lo or step < 1:
+        raise ConfigError(f"{where}: values out of order")
+    return lo, hi, step
+
+
+class _Key(NamedTuple):
+    """One config key: how its text is read, the values it may take, whether a file must set it."""
+
+    parse: Callable[[str, str], object]
+    allowed: tuple[str, ...] = ()
+    required: bool = False
+
+
+# every key of every section, in the order serialize_config writes them; a key
+# a file leaves out takes the default of the dataclass field it fills
+_SCHEMA: dict[str, dict[str, _Key]] = {
     "run": {
-        "experiment": "str",
-        "output_dir": "str",
-        "rel_tol": "float",
-        "seeds": "seed_list",
+        "experiment": _Key(_parse_str, EXPERIMENTS, required=True),
+        "output_dir": _Key(_parse_str, required=True),
+        "rel_tol": _Key(_parse_rel_tol),
+        "seeds": _Key(_parse_seed_list),
     },
     "basis": {
-        "family": "str",
-        "input_dim": "int",
-        "column_budget": "int",
-        "ordering": "str",
-        "seed": "seed",
-        "ordering_seed": "seed",
-        "interval": "pair",
-        "period": "float",
-        "base_frequencies": "int",
-        "chain_length": "int",
-        "max_order": "int",
+        "family": _Key(_parse_str, FAMILIES, required=True),
+        "input_dim": _Key(_parse_count),
+        "column_budget": _Key(_parse_count, required=True),
+        "ordering": _Key(_parse_str, ORDERINGS),
+        "seed": _Key(parse_seed),
+        "ordering_seed": _Key(parse_seed),
+        "interval": _Key(_parse_pair),
+        "period": _Key(_parse_float),
+        "base_frequencies": _Key(_parse_count),
+        "chain_length": _Key(_parse_count),
+        "max_order": _Key(_parse_int),
     },
     "design": {
-        "strategy": "str",
-        "n_train": "int",
-        "grid_size": "int",
-        "interval": "pair",
-        "period": "float",
-        "dim": "int",
-        "dataset_path": "str",
-        "dataset_format": "str",
-        "scale_policy": "str",
-        "row_order": "str",
+        "strategy": _Key(_parse_str, STRATEGIES, required=True),
+        "n_train": _Key(_parse_count, required=True),
+        "grid_size": _Key(_parse_count, required=True),
+        "interval": _Key(_parse_pair),
+        "period": _Key(_parse_float),
+        "dim": _Key(_parse_int),
+        "dataset_path": _Key(_parse_str),
+        "dataset_format": _Key(_parse_str, DATASET_FORMATS),
+        "scale_policy": _Key(_parse_str, SCALE_POLICIES),
+        "row_order": _Key(_parse_str, ROW_ORDERS),
     },
     "theta": {
-        "scheme": "str",
-        "seed": "seed",
-        "variance": "float",
-        "scale": "float",
-        "exponent": "float",
-        "random_signs": "bool",
-        "values": "float_list",
+        "scheme": _Key(_parse_str, THETA_SCHEMES, required=True),
+        "seed": _Key(parse_seed),
+        "variance": _Key(_parse_float),
+        "scale": _Key(_parse_float),
+        "exponent": _Key(_parse_float),
+        "random_signs": _Key(_parse_bool),
+        "values": _Key(_list_of(_parse_float)),
     },
     "sweep": {
-        "m_range": "int_list",
-        "m_values": "int_list",
-        "lambda": "float_list",
-        "n_values": "int_list",
-        "mc_draws": "int",
+        "m_range": _Key(_parse_m_range),
+        "m_values": _Key(_list_of(_parse_int)),
+        "lambda": _Key(_list_of(_parse_lambda)),
+        "n_values": _Key(_list_of(_parse_count)),
+        "mc_draws": _Key(_parse_count),
     },
 }
 
-_PARSERS = {
-    "str": lambda text, where: text.strip(),
-    "int": _parse_int,
-    "float": _parse_float,
-    "bool": _parse_bool,
-    "int_list": _parse_int_list,
-    "seed": parse_seed,
-    "seed_list": _parse_seed_list,
-    "float_list": _parse_float_list,
-    "pair": _parse_pair,
-}
-
-_REQUIRED = {
-    "run": ("experiment", "output_dir"),
-    "basis": ("family", "column_budget"),
-    "design": ("strategy", "n_train", "grid_size"),
-    "theta": ("scheme",),
-    "sweep": (),
-}
+# the [basis] keys that are BasisSpec fields; the others go into its params
+_BASIS_FIELDS = {f.name for f in fields(BasisSpec)}
 
 
-def _read_sections(text: str, origin: str) -> dict[str, dict[str, str]]:
-    sections: dict[str, dict[str, str]] = {}
+class _Section(NamedTuple):
+    """A section as read: the line of its header, and each key's line and value text."""
+
+    line: int
+    keys: dict[str, tuple[int, str]]
+
+
+_Sections = dict[str, _Section]
+
+
+def _where(sections: _Sections, origin: str, name: str, key: str) -> str:
+    """``origin:LINE: [name] key`` at the line that sets the key, else at its section's header."""
+    section = sections.get(name)
+    if section is None:
+        return f"{origin}: [{name}] {key}"
+    return f"{origin}:{section.keys.get(key, (section.line,))[0]}: [{name}] {key}"
+
+
+def _read_sections(text: str, origin: str) -> _Sections:
+    sections: _Sections = {}
     current: str | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -225,7 +276,7 @@ def _read_sections(text: str, origin: str) -> dict[str, dict[str, str]]:
                 raise ConfigError(f"{origin}:{lineno}: unknown section [{name}]")
             if name in sections:
                 raise ConfigError(f"{origin}:{lineno}: duplicate section [{name}]")
-            sections[name] = {}
+            sections[name] = _Section(lineno, {})
             current = name
             continue
         if "=" not in line:
@@ -235,22 +286,27 @@ def _read_sections(text: str, origin: str) -> dict[str, dict[str, str]]:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in _SCHEMA[current]:
             raise ConfigError(f"{origin}:{lineno}: unknown key {key!r} in section [{current}]")
-        if key in sections[current]:
+        if key in sections[current].keys:
             raise ConfigError(f"{origin}:{lineno}: duplicate key {key!r} in section [{current}]")
-        sections[current][key] = value
+        sections[current].keys[key] = (lineno, value)
     return sections
 
 
-def _section_values(sections, name: str, origin: str) -> dict[str, object]:
-    raw = sections.get(name, {})
-    for key in _REQUIRED[name]:
-        if key not in raw:
-            raise ConfigError(f"{origin}: section [{name}] is missing required key {key!r}")
-    out: dict[str, object] = {}
-    for key, value in raw.items():
-        parser = _PARSERS[_SCHEMA[name][key]]
-        out[key] = parser(value, f"{origin}: [{name}] {key}")
-    return out
+def _section_values(sections: _Sections, name: str, origin: str) -> dict[str, object]:
+    """The parsed values of the keys that section ``name`` sets, each checked against its list."""
+    section = sections.get(name, _Section(0, {}))
+    values: dict[str, object] = {}
+    for key, spec in _SCHEMA[name].items():
+        if key not in section.keys:
+            if spec.required:
+                raise ConfigError(
+                    f"{origin}:{section.line}: section [{name}] is missing required key {key!r}")
+            continue
+        where = _where(sections, origin, name, key)
+        value = values[key] = spec.parse(section.keys[key][1], where)
+        if spec.allowed and value not in spec.allowed:
+            raise ConfigError(f"{where}: expected one of {', '.join(spec.allowed)}, got {value!r}")
+    return values
 
 
 def parse_config_text(text: str, origin: str = "<config>", full_scale: bool = False) -> RunConfig:
@@ -264,135 +320,30 @@ def parse_config_text(text: str, origin: str = "<config>", full_scale: bool = Fa
     for name in ("run", "basis", "design", "theta"):
         if name not in sections:
             raise ConfigError(f"{origin}: missing required section [{name}]")
-    run = _section_values(sections, "run", origin)
-    basis_raw = _section_values(sections, "basis", origin)
-    design_raw = _section_values(sections, "design", origin)
-    theta_raw = _section_values(sections, "theta", origin)
-    sweep_raw = _section_values(sections, "sweep", origin)
-
-    experiment = run["experiment"]
-    if experiment not in EXPERIMENTS:
-        raise ConfigError(f"{origin}: [run] experiment must be one of {EXPERIMENTS}, got {experiment!r}")
-    rel_tol = float(run.get("rel_tol", 1e-12))
-    if not 0.0 < rel_tol < 1.0:
-        raise ConfigError(f"{origin}: [run] rel_tol must lie in (0, 1)")
-    if "seeds" in run:
-        seeds = tuple(run["seeds"])
-    elif os.environ.get(SEED_ENV_VAR):
-        seeds = (parse_seed(os.environ[SEED_ENV_VAR], f"{origin}: {SEED_ENV_VAR}"),)
-    else:
-        seeds = (0,)
-
-    family = basis_raw.get("family")
-    if family not in FAMILIES:
-        raise ConfigError(f"{origin}: [basis] family must be one of {FAMILIES}, got {family!r}")
-    ordering = basis_raw.get("ordering", "natural")
-    if ordering not in ORDERINGS:
-        raise ConfigError(f"{origin}: [basis] ordering must be one of {ORDERINGS}, got {ordering!r}")
-    params: dict[str, object] = {}
-    for key in ("interval", "period", "base_frequencies", "chain_length", "max_order", "ordering_seed"):
-        if key in basis_raw:
-            params[key] = basis_raw[key]
+    run, basis, design, theta, sweep = (_section_values(sections, name, origin)
+                                        for name in ("run", "basis", "design", "theta", "sweep"))
+    if "seeds" not in run and os.environ.get(SEED_ENV_VAR):
+        run["seeds"] = (parse_seed(os.environ[SEED_ENV_VAR], f"{origin}: {SEED_ENV_VAR}"),)
+    params = {key: basis.pop(key) for key in list(basis) if key not in _BASIS_FIELDS}
     try:
-        basis = BasisSpec(
-            family=family,
-            input_dim=int(basis_raw.get("input_dim", 1)),
-            column_budget=int(basis_raw["column_budget"]),
-            ordering=ordering,
-            params=params,
-            seed=int(basis_raw.get("seed", 0)),
-        )
+        # the one field without a dataclass default: a config's basis is 1-D unless it says so
+        basis_spec = BasisSpec(**{"input_dim": 1, **basis}, params=params)
     except InvalidInputError as exc:
-        raise ConfigError(f"{origin}: [basis] {exc}") from None
-
-    strategy = design_raw.get("strategy")
-    if strategy not in STRATEGIES:
-        raise ConfigError(f"{origin}: [design] strategy must be one of {STRATEGIES}, got {strategy!r}")
-    scale_policy = design_raw.get("scale_policy", "unit_interval")
-    if scale_policy not in SCALE_POLICIES:
-        raise ConfigError(f"{origin}: [design] scale_policy must be one of {SCALE_POLICIES}")
-    row_order = design_raw.get("row_order", "size_lex")
-    if row_order not in ROW_ORDERS:
-        raise ConfigError(f"{origin}: [design] row_order must be one of {ROW_ORDERS}")
-    dataset_format = design_raw.get("dataset_format", "idx")
-    if dataset_format not in DATASET_FORMATS:
-        raise ConfigError(f"{origin}: [design] dataset_format must be one of {DATASET_FORMATS}")
-    n_train = int(design_raw["n_train"])
-    grid_size = int(design_raw["grid_size"])
-    if n_train < 1:
-        raise ConfigError(f"{origin}: [design] n_train must be at least 1")
-    if grid_size < 1:
-        raise ConfigError(f"{origin}: [design] grid_size must be at least 1")
-    design = DesignConfig(
-        strategy=strategy,
-        n_train=n_train,
-        grid_size=grid_size,
-        interval=design_raw.get("interval", (-1.0, 1.0)),
-        period=float(design_raw.get("period", 1.0)),
-        dim=(int(design_raw["dim"]) if "dim" in design_raw else None),
-        dataset_path=design_raw.get("dataset_path"),
-        dataset_format=dataset_format,
-        scale_policy=scale_policy,
-        row_order=row_order,
-    )
-
-    scheme = theta_raw.get("scheme")
-    if scheme not in THETA_SCHEMES:
-        raise ConfigError(f"{origin}: [theta] scheme must be one of {THETA_SCHEMES}, got {scheme!r}")
-    values = theta_raw.get("values")
+        raise ConfigError(f"{origin}:{sections['basis'].line}: [basis] {exc}") from None
     try:
-        theta = ParameterSpec(
-            scheme=scheme,
-            length=basis.column_budget,
-            seed=int(theta_raw.get("seed", 0)),
-            variance=float(theta_raw.get("variance", 1.0)),
-            scale=float(theta_raw.get("scale", 1.0)),
-            exponent=float(theta_raw.get("exponent", 2.0)),
-            random_signs=bool(theta_raw.get("random_signs", True)),
-            values=(tuple(values) if values is not None else None),
-        )
+        theta_spec = ParameterSpec(length=basis_spec.column_budget, **theta)
     except InvalidInputError as exc:
-        raise ConfigError(f"{origin}: [theta] {exc}") from None
-
-    m_range = None
-    if "m_range" in sweep_raw:
-        tokens = sweep_raw["m_range"]
-        if len(tokens) not in (2, 3):
-            raise ConfigError(f"{origin}: [sweep] m_range expects 'lo hi' or 'lo hi step'")
-        lo, hi = tokens[0], tokens[1]
-        step = tokens[2] if len(tokens) == 3 else 1
-        if lo < 1 or hi < lo or step < 1:
-            raise ConfigError(f"{origin}: [sweep] m_range values out of order")
-        m_range = (lo, hi, step)
-    elif experiment == "fourier_check" and "m_values" not in sweep_raw:
-        n_base = int(basis.param("base_frequencies", 1))
-        m_range = (n_base, n_base, 1)
-    m_values = tuple(sweep_raw["m_values"]) if "m_values" in sweep_raw else None
-    lambdas = tuple(sweep_raw.get("lambda", (0.0,)))
-    if any(lam < 0 for lam in lambdas):
-        raise ConfigError(f"{origin}: [sweep] lambda values must be nonnegative")
-    n_values = tuple(sweep_raw["n_values"]) if "n_values" in sweep_raw else None
-    mc_draws = int(sweep_raw.get("mc_draws", 2000))
-    if mc_draws < 1:
-        raise ConfigError(f"{origin}: [sweep] mc_draws must be at least 1")
-
-    config = RunConfig(
-        experiment=experiment,
-        basis=basis,
-        design=design,
-        theta=theta,
-        m_range=m_range,
-        m_values=m_values,
-        lambdas=lambdas,
-        seeds=seeds,
-        output_dir=run["output_dir"],
-        rel_tol=rel_tol,
-        n_values=n_values,
-        mc_draws=mc_draws,
-    )
+        raise ConfigError(f"{origin}:{sections['theta'].line}: [theta] {exc}") from None
+    if "lambda" in sweep:
+        sweep["lambdas"] = sweep.pop("lambda")
+    if run["experiment"] == "fourier_check" and not sweep.keys() & {"m_range", "m_values"}:
+        n_base = int(basis_spec.param("base_frequencies", 1))
+        sweep["m_range"] = (n_base, n_base, 1)
+    config = RunConfig(**run, **sweep, basis=basis_spec, design=DesignConfig(**design),
+                       theta=theta_spec)
     if full_scale:
         config = apply_full_scale(config)
-    _validate_experiment(config, origin)
+    _validate_experiment(config, origin, sections)
     return config
 
 
@@ -418,57 +369,71 @@ def apply_full_scale(config: RunConfig) -> RunConfig:
     return replace(config, basis=basis, design=design, theta=theta, m_range=m_range)
 
 
-def _validate_experiment(config: RunConfig, origin: str) -> None:
-    exp = config.experiment
-    budget = config.basis.column_budget
+def _validate_experiment(config: RunConfig, origin: str, sections: _Sections) -> None:
+    """Checks across keys, each reported at the line of the key at fault (see :func:`_where`)."""
+    at = partial(_where, sections, origin)
+    exp, basis, design = config.experiment, config.basis, config.design
+    budget = basis.column_budget
     if config.m_range is not None and config.m_range[1] > budget:
-        raise ConfigError(f"{origin}: [sweep] m_range must lie in [1, column_budget = {budget}]")
+        raise ConfigError(f"{at('sweep', 'm_range')} must lie in [1, column_budget = {budget}]")
     if config.m_values is not None and not all(1 <= m <= budget for m in config.m_values):
-        raise ConfigError(f"{origin}: [sweep] m_values must lie in [1, column_budget = {budget}]")
-    if config.n_values is not None and min(config.n_values) < 1:
-        raise ConfigError(f"{origin}: [sweep] n_values entries must be at least 1")
-    if exp in ("sweep", "ridge_sweep", "ising_sweep") and config.m_range is None:
-        raise ConfigError(f"{origin}: experiment {exp!r} requires [sweep] m_range")
+        raise ConfigError(f"{at('sweep', 'm_values')} must lie in [1, column_budget = {budget}]")
+    needed = {"sweep": "m_range", "ridge_sweep": "m_range", "ising_sweep": "m_range",
+              "gauss_compare": "n_values", "unstructured_eb": "m_values"}.get(exp)
+    if needed and getattr(config, needed) is None:
+        raise ConfigError(f"{at('run', 'experiment')}: {exp} requires [sweep] {needed}")
+    fixed = {
+        "fourier_check": (("basis", "family", "fourier_discrete"),
+                          ("design", "strategy", "equispaced"), ("basis", "ordering", "natural")),
+        "gauss_compare": (("basis", "family", "legendre"),),
+        "ising_sweep": (("basis", "family", "cluster_ising"),
+                        ("design", "strategy", "from_dataset")),
+        "unstructured_eb": (("theta", "scheme", "unstructured_iid"),),
+    }
+    for name, key, value in fixed.get(exp, ()):
+        if getattr(getattr(config, name), key) != value:
+            raise ConfigError(f"{at(name, key)}: {exp} requires {key} = {value}")
     if exp == "fourier_check":
-        if config.basis.family != "fourier_discrete":
-            raise ConfigError(f"{origin}: fourier_check requires [basis] family = fourier_discrete")
-        if config.design.strategy != "equispaced":
-            raise ConfigError(f"{origin}: fourier_check requires [design] strategy = equispaced")
-        if config.basis.ordering != "natural":
-            raise ConfigError(f"{origin}: fourier_check requires [basis] ordering = natural")
-        n_base = int(config.basis.param("base_frequencies", 0))
-        if config.design.n_train != n_base:
-            raise ConfigError(
-                f"{origin}: fourier_check requires [design] n_train = base_frequencies ({n_base})"
-            )
-        sizes = config.m_values or (config.m_range[: 2] if config.m_range else (n_base, n_base))
+        n_base = int(basis.param("base_frequencies"))
+        if design.n_train != n_base:
+            raise ConfigError(f"{at('design', 'n_train')}: fourier_check requires "
+                              f"n_train = base_frequencies ({n_base})")
+        sizes = config.m_values or config.m_range[:2]
         if sizes[0] != n_base or sizes[-1] != n_base:
-            raise ConfigError(
-                f"{origin}: fourier_check requires the model size to equal base_frequencies ({n_base})"
-            )
-    if exp == "gauss_compare":
-        if config.n_values is None:
-            raise ConfigError(f"{origin}: gauss_compare requires [sweep] n_values")
-        if config.m_range is None or config.m_range[0] != config.m_range[1]:
-            raise ConfigError(f"{origin}: gauss_compare requires a fixed model size (m_range 'm m')")
-        if config.basis.family != "legendre":
-            raise ConfigError(f"{origin}: gauss_compare requires [basis] family = legendre")
+            raise ConfigError(f"{at('sweep', 'm_values' if config.m_values else 'm_range')}: "
+                              "fourier_check requires the model size to equal "
+                              f"base_frequencies ({n_base})")
+    if exp == "gauss_compare" and (config.m_range is None
+                                   or config.m_range[0] != config.m_range[1]):
+        raise ConfigError(f"{at('sweep', 'm_range')}: "
+                          "gauss_compare requires a fixed model size ('m m')")
     if exp == "ising_sweep":
-        if config.basis.family != "cluster_ising":
-            raise ConfigError(f"{origin}: ising_sweep requires [basis] family = cluster_ising")
-        if config.design.strategy != "from_dataset":
-            raise ConfigError(f"{origin}: ising_sweep requires [design] strategy = from_dataset")
-    if exp == "unstructured_eb":
-        if config.m_values is None:
-            raise ConfigError(f"{origin}: unstructured_eb requires [sweep] m_values")
-        if config.theta.scheme != "unstructured_iid":
-            raise ConfigError(f"{origin}: unstructured_eb requires [theta] scheme = unstructured_iid")
-    if (config.design.strategy == "from_dataset" and exp != "ising_sweep"
-            and config.design.dataset_path is None):
-        raise ConfigError(
-            f"{origin}: [design] strategy = from_dataset requires dataset_path "
-            "(ising_sweep generates its own configurations)"
-        )
+        count = 2 ** int(basis.param("chain_length"))
+        if design.n_train + design.grid_size > count:
+            raise ConfigError(f"{at('design', 'n_train')}: n_train + grid_size = "
+                              f"{design.n_train + design.grid_size} exceeds the {count} spin "
+                              f"configurations of chain_length {basis.param('chain_length')}")
+    if design.strategy == "from_dataset" and exp != "ising_sweep" and design.dataset_path is None:
+        raise ConfigError(f"{at('design', 'strategy')}: from_dataset requires dataset_path "
+                          "(ising_sweep generates its own configurations)")
+    if design.strategy == "sphere_uniform" and design.dim is None:
+        raise ConfigError(f"{at('design', 'strategy')}: sphere_uniform requires dim")
+    # the dimension of the design's points against the one the family reads; a
+    # dataset's points are known only once the run loads them, and ising_sweep's
+    # spin configurations have chain_length = input_dim entries, as BasisSpec checks
+    if design.strategy != "from_dataset":
+        key, points = ("strategy", 1)
+        if design.strategy == "sphere_uniform":
+            key, points = "dim", design.dim
+        reads, needs = ("family", 1)
+        if basis.family in ("rff", "rrf", "cluster_ising"):
+            reads, needs = "input_dim", basis.input_dim
+        if points != needs:
+            line = sections["basis"].keys.get(reads, ("",))[0]
+            set_at = f"line {line}" if line else "by default"
+            raise ConfigError(f"{at('design', key)}: points of dimension {points} do not fit "
+                              f"[basis] {reads} = {getattr(basis, reads)} ({set_at}), which reads "
+                              f"points of dimension {needs}")
 
 
 def parse_config(path, full_scale: bool = False) -> RunConfig:
@@ -492,61 +457,17 @@ def _format_value(value) -> str:
 
 
 def serialize_config(config: RunConfig) -> str:
-    """Render a config back to its file format; parsing the result is lossless."""
-    lines = ["[run]"]
-    lines.append(f"experiment = {config.experiment}")
-    lines.append(f"output_dir = {config.output_dir}")
-    lines.append(f"rel_tol = {_format_value(config.rel_tol)}")
-    lines.append(f"seeds = {_format_value(config.seeds)}")
-
-    basis = config.basis
-    lines.append("")
-    lines.append("[basis]")
-    lines.append(f"family = {basis.family}")
-    lines.append(f"input_dim = {basis.input_dim}")
-    lines.append(f"column_budget = {basis.column_budget}")
-    lines.append(f"ordering = {basis.ordering}")
-    lines.append(f"seed = {basis.seed}")
-    for key in ("ordering_seed", "interval", "period", "base_frequencies", "chain_length", "max_order"):
-        if key in basis.params:
-            lines.append(f"{key} = {_format_value(basis.params[key])}")
-
-    design = config.design
-    lines.append("")
-    lines.append("[design]")
-    lines.append(f"strategy = {design.strategy}")
-    lines.append(f"n_train = {design.n_train}")
-    lines.append(f"grid_size = {design.grid_size}")
-    lines.append(f"interval = {_format_value(design.interval)}")
-    lines.append(f"period = {_format_value(design.period)}")
-    if design.dim is not None:
-        lines.append(f"dim = {design.dim}")
-    if design.dataset_path is not None:
-        lines.append(f"dataset_path = {design.dataset_path}")
-    lines.append(f"dataset_format = {design.dataset_format}")
-    lines.append(f"scale_policy = {design.scale_policy}")
-    lines.append(f"row_order = {design.row_order}")
-
-    theta = config.theta
-    lines.append("")
-    lines.append("[theta]")
-    lines.append(f"scheme = {theta.scheme}")
-    lines.append(f"seed = {theta.seed}")
-    lines.append(f"variance = {_format_value(theta.variance)}")
-    lines.append(f"scale = {_format_value(theta.scale)}")
-    lines.append(f"exponent = {_format_value(theta.exponent)}")
-    lines.append(f"random_signs = {_format_value(theta.random_signs)}")
-    if theta.values is not None:
-        lines.append(f"values = {_format_value(theta.values)}")
-
-    lines.append("")
-    lines.append("[sweep]")
-    if config.m_range is not None:
-        lines.append(f"m_range = {_format_value(config.m_range)}")
-    if config.m_values is not None:
-        lines.append(f"m_values = {_format_value(config.m_values)}")
-    lines.append(f"lambda = {_format_value(config.lambdas)}")
-    if config.n_values is not None:
-        lines.append(f"n_values = {_format_value(config.n_values)}")
-    lines.append(f"mc_draws = {config.mc_draws}")
-    return "\n".join(lines) + "\n"
+    """Render each key of a config that holds a value in the file format; parsing it is lossless."""
+    owners = {
+        "run": vars(config),
+        "basis": {**vars(config.basis), **config.basis.params},
+        "design": vars(config.design),
+        "theta": vars(config.theta),
+        "sweep": {**vars(config), "lambda": config.lambdas},
+    }
+    blocks = []
+    for name, keys in _SCHEMA.items():
+        values = [(key, owners[name].get(key)) for key in keys]
+        blocks.append("\n".join([f"[{name}]"] + [f"{key} = {_format_value(value)}"
+                                                  for key, value in values if value is not None]))
+    return "\n\n".join(blocks) + "\n"

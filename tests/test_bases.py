@@ -7,7 +7,6 @@ import pytest
 
 from gadkit.bases import (
     FAMILIES,
-    ROW_BLOCK,
     BasisSpec,
     column_order,
     enumerate_clusters,
@@ -17,6 +16,7 @@ from gadkit.bases import (
     legendre_gauss_nodes,
 )
 from gadkit.errors import BudgetExceededError, InvalidInputError
+from gadkit.linalg import BLOCK
 
 # explicit low-degree polynomials, independent of the recurrence code
 CHEBYSHEV = (
@@ -264,8 +264,8 @@ def block_case(family, rows, budget=14, ordering="natural"):
 
 
 class TestRowBlocks:
-    @pytest.mark.parametrize("rows", [0, 1, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1,
-                                      3 * ROW_BLOCK + 5])
+    @pytest.mark.parametrize("rows", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1,
+                                      3 * BLOCK + 5])
     @pytest.mark.parametrize("family", FAMILIES)
     def test_bit_identical_to_one_shot_formula(self, family, rows):
         for ordering in ("natural", "seeded_permutation"):
@@ -285,7 +285,7 @@ class TestRowBlocks:
     @pytest.mark.parametrize("ordering", ["natural", "seeded_permutation"])
     @pytest.mark.parametrize("family", [f for f in FAMILIES if f != "cluster_ising"])
     def test_peak_is_output_plus_one_block(self, family, ordering):
-        spec, points = block_case(family, 8 * ROW_BLOCK, budget=120, ordering=ordering)
+        spec, points = block_case(family, 8 * BLOCK, budget=120, ordering=ordering)
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
@@ -293,7 +293,7 @@ class TestRowBlocks:
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        block = ROW_BLOCK * out.shape[1] * out.itemsize
+        block = BLOCK * out.shape[1] * out.itemsize
         # 16 KiB covers the weights, the column order and the frequencies
         assert peak <= out.nbytes + block + 16 * 1024, (peak, out.nbytes, block)
 

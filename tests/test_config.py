@@ -1,13 +1,16 @@
 """Config parsing, validation diagnostics, and lossless round-trips."""
 
+import re
 from pathlib import Path
 
 import pytest
 
-from gadkit.config import parse_config, parse_config_text, serialize_config
+from gadkit.cli import main
+from gadkit.config import _SCHEMA, parse_config, parse_config_text, serialize_config
 from gadkit.errors import ConfigError
 
-CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+ROOT = Path(__file__).resolve().parent.parent
+CONFIG_DIR = ROOT / "configs"
 
 MINIMAL = """
 [run]
@@ -134,3 +137,79 @@ class TestParsing:
     def test_comments_and_blank_lines_ignored(self):
         annotated = MINIMAL.replace("[theta]", "# a comment\n\n[theta]")
         assert parse_config_text(annotated) == parse_config_text(MINIMAL)
+
+
+class TestReadme:
+    """The README's config reference states what the schema holds."""
+
+    TEXT = (ROOT / "README.md").read_text(encoding="utf-8")
+
+    def test_key_table_matches_the_schema(self):
+        rows = re.findall(r"^\| `\[(\w+)\]`\s*\| (.*) \|$", self.TEXT, re.M)
+        key_pattern = r"`(\w+)`( \(required\))?"
+        table = {name: [(key, bool(mark)) for key, mark in re.findall(key_pattern, row)]
+                 for name, row in rows}
+        assert table == {name: [(key, spec.required) for key, spec in keys.items()]
+                         for name, keys in _SCHEMA.items()}
+
+    @pytest.mark.parametrize("label, section, key", [
+        ("Families", "basis", "family"),
+        ("Orderings", "basis", "ordering"),
+        ("Design strategies", "design", "strategy"),
+        ("Coefficient schemes", "theta", "scheme"),
+    ])
+    def test_value_lists_match_the_schema(self, label, section, key):
+        listed = re.search(rf"{label}:(.*?)\.(\s\s|\n\n)", self.TEXT, re.S)
+        assert listed, f"no {label!r} list in the README"
+        assert tuple(re.findall(r"`(\w+)`", listed[1])) == _SCHEMA[section][key].allowed
+
+
+def replaced(name: str, *edits: tuple[str, str]) -> str:
+    """The text of a shipped config with each ``(old line, new line)`` edit made once."""
+    lines = (CONFIG_DIR / name).read_text(encoding="utf-8").splitlines()
+    for old, new in edits:
+        lines[lines.index(old)] = new
+    return "\n".join(lines) + "\n"
+
+
+class TestValueErrorsNameTheirLine:
+    @pytest.mark.parametrize("name, edits, fault, message", [
+        ("ridge_sweep.cfg", [("grid_size = 500", "grid_size = many")], "grid_size = many",
+         "[design] grid_size: expected an integer, got 'many'"),
+        ("ridge_sweep.cfg", [("variance = 1.0", "variance = inf")], "variance = inf",
+         "[theta] variance: expected a finite number, got 'inf'"),
+        ("ridge_sweep.cfg", [("family = rff", "family = rbf")], "family = rbf",
+         "[basis] family: expected one of monomial, chebyshev, legendre"),
+        ("ridge_sweep.cfg", [("ordering = natural", "ordering = random")], "ordering = random",
+         "[basis] ordering: expected one of natural, seeded_permutation, physical_cluster"),
+        ("ridge_sweep.cfg", [("seed = 1", "seed = -1")], "seed = -1",
+         "[theta] seed: expected a nonnegative integer, got '-1'"),
+        ("ridge_sweep.cfg", [("dim = 16", "dim = 8")], "dim = 8",
+         "[design] dim: points of dimension 8 do not fit [basis] input_dim = 16 (line 11)"),
+        ("sweep_rff_sphere.cfg", [("family = rff", "family = legendre"), ("dim = 32", "dim = 3")],
+         "dim = 3",
+         "[design] dim: points of dimension 3 do not fit [basis] family = legendre (line 10)"),
+        ("sweep_rff_sphere.cfg", [("strategy = sphere_uniform", "strategy = uniform_interval")],
+         "strategy = uniform_interval",
+         "[design] strategy: points of dimension 1 do not fit [basis] input_dim = 32 (line 11)"),
+        ("sweep_rff_sphere.cfg", [("input_dim = 32", "")], "dim = 32",
+         "[design] dim: points of dimension 32 do not fit [basis] input_dim = 1 (by default)"),
+        ("sweep_rff_sphere.cfg", [("dim = 32", "")], "strategy = sphere_uniform",
+         "[design] strategy: sphere_uniform requires dim"),
+        ("ising_sweep_physical.cfg", [("n_train = 200", "n_train = 900")], "n_train = 900",
+         "[design] n_train: n_train + grid_size = 1724 exceeds the 1024 spin configurations"),
+    ], ids=["bad-integer", "non-finite", "family-not-allowed", "ordering-not-allowed",
+            "negative-seed", "dim-against-input-dim", "dim-against-1d-family",
+            "1d-strategy-against-input-dim", "dim-against-default-input-dim", "sphere-without-dim",
+            "ising-design-too-large"])
+    def test_exits_two_at_the_line_of_the_key(self, tmp_path, capsys, name, edits, fault, message):
+        text = replaced(name, *edits).replace("output_dir = out/", f"output_dir = {tmp_path}/")
+        line = text.splitlines().index(fault) + 1
+        with pytest.raises(ConfigError) as info:
+            parse_config_text(text, origin=name)
+        assert str(info.value).startswith(f"{name}:{line}: {message}")
+        cfg = tmp_path / name
+        cfg.write_text(text, encoding="utf-8")
+        assert main(["--config", str(cfg)]) == 2
+        assert f"{cfg}:{line}: {message}" in capsys.readouterr().err
+        assert not any(path.is_dir() for path in tmp_path.iterdir())
