@@ -1,6 +1,6 @@
 """Block partition of the extended operator and the norm/risk sweep engine.
 
-Given the full operator over training plus prediction rows, a model size m
+Given the operator over training plus prediction rows, a model size m
 splits its columns into a modeled prefix and a nescient remainder.  The
 aliasing operator (pseudoinverse of the modeled training block applied to
 the nescient training block) describes how unmodeled coefficients leak into
@@ -19,11 +19,17 @@ the fitted-signal identity is checked through that same core.  The dense
 :func:`aliasing_operator` is for ``fourier_check``, which compares it entry
 by entry with the exact aliasing map.
 
-:func:`sweep` is the one loop over model sizes: it evaluates the full
-operator and checks it for finite entries once, then walks m upward with
-lambda inside.  The nescient side, ||T_U|| and the core's Gram, needs T_U
-only through the n x n Gram G = T_U T_U^H while T_U is at least as wide as
-it is tall (p - m >= n, the side :func:`linalg.gram` would take).  There
+:func:`sweep` is the one loop over model sizes: it evaluates the operator
+once, in row blocks, then walks m upward with lambda inside.  Each block is
+checked for finite entries and folded into ``y = M theta``, and the sweep
+keeps only what its steps read: the training rows over every column, and
+the prediction rows over the first ``max(m)`` columns, which a step reads
+only through the modeled prediction block P_M.  No array of every row and
+every column is held (see :class:`_FiniteOperator`).
+
+The nescient side, ||T_U|| and the core's Gram, needs T_U only through the
+n x n Gram G = T_U T_U^H while T_U is at least as wide as it is tall
+(p - m >= n, the side :func:`linalg.gram` would take).  There
 the sweep holds one power-of-two-scaled G from step to step: formed at the
 first m, then downdated by the columns that leave T_U, and formed again
 from T_U when its trace has shrunk 2**10-fold or strays from the exact
@@ -41,6 +47,8 @@ values-only SVD call (the augmented-spectrum checks) and one ``eigvalsh``
 call (the norms of A).  No lambda's arithmetic depends on the others in the
 list, so every row is exactly what a sweep over its lambda alone gives.
 Each step's arrays, G aside, are freed before the next m is factored.
+The fitted signal and its reconstruction are the training product and the
+prediction product of the modeled columns, concatenated.
 :func:`risk_and_errors` and :func:`ridge_panels` are the same route for one
 lambda.
 """
@@ -75,16 +83,16 @@ TRACE_GAP_TOL = 1e-12
 
 @dataclass(frozen=True, eq=False)
 class OperatorPanel:
-    """The four blocks of the extended operator at one model size.
+    """The blocks of the extended operator at one model size.
 
-    ``modeled`` is the first m columns over the training then prediction
-    rows; ``train_modeled`` and ``pred_modeled`` are its two row blocks.
+    ``train`` is the training rows over every column and ``pred`` the
+    prediction rows over at least the first m columns; ``train_modeled``,
+    ``train_nescient`` and ``pred_modeled`` are views of them.
     """
 
     m: int
-    modeled: np.ndarray
-    train_nescient: np.ndarray
-    pred_nescient: np.ndarray
+    train: np.ndarray
+    pred: np.ndarray
     factor: SvdResult  # of train_modeled: the one factorization at this model size
 
     @property
@@ -93,19 +101,27 @@ class OperatorPanel:
 
     @property
     def n_train(self) -> int:
-        return self.train_nescient.shape[0]
+        return self.train.shape[0]
 
     @property
     def budget(self) -> int:
-        return self.m + self.train_nescient.shape[1]
+        return self.train.shape[1]
 
     @property
     def train_modeled(self) -> np.ndarray:
-        return self.modeled[: self.n_train]
+        return self.train[:, : self.m]
+
+    @property
+    def train_nescient(self) -> np.ndarray:
+        return self.train[:, self.m :]
 
     @property
     def pred_modeled(self) -> np.ndarray:
-        return self.modeled[self.n_train :]
+        return self.pred[:, : self.m]
+
+    def modeled_product(self, x: np.ndarray) -> np.ndarray:
+        """``[T_M; P_M] x``: the training product, then the prediction product."""
+        return np.concatenate([self.train_modeled @ x, self.pred_modeled @ x])
 
 
 @dataclass(frozen=True)
@@ -182,16 +198,52 @@ class _SharedProducts:
 
 
 class _FiniteOperator:
-    """The full operator, checked for finite entries when the object is made.
+    """The rows of the operator that a sweep reads, evaluated once, in row blocks.
 
-    :func:`sweep` makes one per sweep, and :func:`build_panels` takes it
-    without checking the whole operator again at every model size.
+    Each block of rows that :func:`linalg.blocks` gives for ``BLOCK`` is
+    evaluated over every column by one :func:`evaluate_columns` call, which
+    gives every entry the bits of one call over all rows.  The block is
+    checked for finite entries and folded into ``y = M theta``, and only two
+    parts of it are kept: ``train``, the training rows over every column,
+    and ``pred``, the prediction rows over the first ``width`` columns.  No
+    array of every row and every column is held.
+
+    ``error`` is the :class:`InvalidInputError` of the first block with a
+    non-finite entry, or None.  The blocks after it are still evaluated, so
+    that an evaluation error raises as it would from one call over all rows.
+    :func:`build_panels` takes the object without checking it again.
     """
 
-    __slots__ = ("matrix",)
+    __slots__ = ("train", "pred", "y", "error")
 
-    def __init__(self, M_full):
-        self.matrix = as_matrix(M_full)
+    def __init__(self, basis: BasisSpec, design: SampleDesign, width: int, theta: np.ndarray):
+        points = design.all_points
+        self.error: InvalidInputError | None = None
+        for rows in blocks(points.shape[0], BLOCK):
+            # the block lives only in _keep, so it is freed before the next is evaluated
+            self._keep(rows, evaluate_columns(basis, points[rows], (0, basis.column_budget)),
+                       design, width, theta)
+
+    def _keep(self, rows: slice, block: np.ndarray, design: SampleDesign, width: int,
+              theta: np.ndarray) -> None:
+        """Check one row block, fold it into y and keep its training and prediction parts."""
+        if self.error is not None:
+            return
+        try:
+            block = as_matrix(block)
+        except InvalidInputError as exc:
+            self.error = exc
+            return
+        n, total = design.n_train, design.n_train + design.prediction_points.shape[0]
+        if rows.start == 0:
+            self.train = np.empty_like(block, shape=(n, block.shape[1]))
+            self.pred = np.empty_like(block, shape=(total - n, width))
+            self.y = np.empty(total, dtype=np.result_type(block, theta))
+        self.y[rows] = block @ theta
+        cut = min(max(n - rows.start, 0), block.shape[0])  # the block's training rows
+        self.train[rows.start : rows.start + cut] = block[:cut]
+        if cut < block.shape[0]:
+            self.pred[rows.start + cut - n : rows.stop - n] = block[cut:, :width]
 
 
 class _NescientGram:
@@ -248,30 +300,28 @@ class _NescientGram:
 
 def build_panels(M_full, design: SampleDesign, m: int,
                  rel_tol: float = DEFAULT_REL_TOL) -> OperatorPanel:
-    """Split the full operator into its four blocks at model size m.
+    """Split the operator into its training and prediction rows at model size m.
 
-    Rows of ``M_full`` must be ordered training first, then prediction; the
-    modeled columns are the first m under the basis ordering already baked
-    into ``M_full``.
+    ``M_full`` is the full operator, its rows ordered training first, then
+    prediction, or a sweep's :class:`_FiniteOperator`, whose prediction rows
+    cover only the model sizes it sweeps.  The modeled columns are the first
+    m under the basis ordering already baked into the operator.
     """
-    full = M_full.matrix if isinstance(M_full, _FiniteOperator) else as_matrix(M_full)
     n = design.n_train
-    total_rows = n + design.prediction_points.shape[0]
-    if full.shape[0] != total_rows:
-        raise InvalidInputError(
-            f"operator has {full.shape[0]} rows, design implies {total_rows}"
-        )
-    budget = full.shape[1]
-    if not 1 <= m <= budget:
-        raise InvalidInputError(f"model size {m} outside [1, {budget}]")
-    modeled = full[:, :m]
-    return OperatorPanel(
-        m=int(m),
-        modeled=modeled,
-        train_nescient=full[:n, m:],
-        pred_nescient=full[n:, m:],
-        factor=svd(modeled[:n], rel_tol),
-    )
+    if isinstance(M_full, _FiniteOperator):
+        train, pred = M_full.train, M_full.pred
+    else:
+        full = as_matrix(M_full)
+        total_rows = n + design.prediction_points.shape[0]
+        if full.shape[0] != total_rows:
+            raise InvalidInputError(
+                f"operator has {full.shape[0]} rows, design implies {total_rows}"
+            )
+        train, pred = full[:n], full[n:]
+    width = pred.shape[1]
+    if not 1 <= m <= width:
+        raise InvalidInputError(f"model size {m} outside [1, {width}]")
+    return OperatorPanel(m=int(m), train=train, pred=pred, factor=svd(train[:, :m], rel_tol))
 
 
 def _shared_products(panel: OperatorPanel, theta, y_full,
@@ -284,7 +334,7 @@ def _shared_products(panel: OperatorPanel, theta, y_full,
     ``p - m >= n``, and None otherwise (see :class:`_SharedProducts`).
     """
     theta = as_vector(theta, length=panel.budget)
-    y = as_vector(y_full, length=panel.modeled.shape[0])
+    y = as_vector(y_full, length=panel.n_train + panel.pred.shape[0])
     theta_m, theta_u = theta[: panel.m], theta[panel.m :]
     u = panel.factor.left_vectors
     uh = u.conj().T
@@ -464,8 +514,9 @@ def _fit(products: _SharedProducts, lam: float, f: np.ndarray, norm_A: float) ->
     filtered = f[:, None] * products.coefficients
     # the fit map V diag(f) U^H applied to y_train, T_M theta_m and T_U theta_u
     theta_m_hat, fitted_m, aliased_m = (v @ filtered).T
-    y_hat = panel.modeled @ theta_m_hat
-    residual = _identity_residual(y_hat, panel.modeled @ (fitted_m + aliased_m), products.y_norm)
+    y_hat = panel.modeled_product(theta_m_hat)
+    residual = _identity_residual(y_hat, panel.modeled_product(fitted_m + aliased_m),
+                                  products.y_norm)
 
     theta_m = products.theta_m
     if lam > 0:
@@ -587,8 +638,8 @@ def _lambda_rows(products: _SharedProducts, lams: list[float], norm_nescient: fl
 
 
 def _model_size_rows(operator: _FiniteOperator, design: SampleDesign, m: int, theta: np.ndarray,
-                     y_full: np.ndarray, lams: list[float], ranks: dict[int, int],
-                     rel_tol: float, held: _NescientGram | None) -> list[SweepRecord]:
+                     lams: list[float], ranks: dict[int, int], rel_tol: float,
+                     held: _NescientGram | None) -> list[SweepRecord]:
     """Every lambda's record at model size m, in the caller's lambda order.
 
     ``held`` is the sweep's Gram of T_U while ``p - m >= n``, and None once
@@ -607,10 +658,9 @@ def _model_size_rows(operator: _FiniteOperator, design: SampleDesign, m: int, th
             # ||T_U|| before the shared products, so that its scaled copy of
             # T_U is freed before W and its Gram are made
             norm_nescient = spectral_norm(panel.train_nescient) if m < panel.budget else 0.0
-        products = _shared_products(panel, theta, y_full, nescient)
+        products = _shared_products(panel, theta, operator.y, nescient)
         ranks[m] = panel.rank
-        independent = _new_column_independent(operator.matrix[: design.n_train], ranks, m,
-                                               rel_tol)
+        independent = _new_column_independent(operator.train, ranks, m, rel_tol)
     except (GadkitError, np.linalg.LinAlgError) as exc:
         return [_error_record(m, lam, exc) for lam in lams]
     return _lambda_rows(products, lams, norm_nescient, independent)
@@ -621,7 +671,8 @@ def sweep(basis: BasisSpec, design: SampleDesign, theta_spec: ParameterSpec,
           threads: int = 1) -> list[SweepRecord]:
     """One risk-anatomy record per (lambda, m), in one upward loop over m.
 
-    The operator is evaluated and checked once.  Each step over m brings the
+    The operator is evaluated once, in row blocks, and every entry is checked
+    for finite values.  Each step over m brings the
     held Gram of T_U to m while ``p - m >= n``, builds the panel, whose one
     SVD every lambda shares, takes ``||T_U||``, forms the lambda-free
     products of that factor, stores the rank of the modeled block and reads
@@ -645,16 +696,25 @@ def sweep(basis: BasisSpec, design: SampleDesign, theta_spec: ParameterSpec,
     the rows only by rounding: a window of a sweep matches the whole
     sweep's rows to rounding, not bit for bit.
 
-    One step is held at a time: a step's panel, factor and products are
-    freed before the next m is factored, so the sweep's peak memory is the
-    operator plus the Gram of T_U plus one model size's working set (the
-    factor, one Gram's temporary, and W on the thin side), however many
-    model sizes it walks.
+    The operator is evaluated in the row blocks of :func:`linalg.blocks`
+    for ``BLOCK``, one :func:`evaluate_columns` call over every column per
+    block, and each block is freed before the next is evaluated.  The sweep
+    keeps the training rows over every column and the prediction rows over
+    the first ``max(m)`` columns, so a window at small m keeps the
+    prediction rows over a small share of the columns.  One step is held at a time: a step's panel,
+    factor and products are freed before the next m is factored.  The
+    sweep's peak memory is therefore those kept rows plus the Gram of T_U
+    plus the larger of one block's evaluation and one model size's working
+    set (the factor, one Gram's temporary, and W on the thin side), however
+    many model sizes it walks.
 
     An empty or out-of-budget m range, an empty lambda list, or a negative or
     non-finite lambda raises :class:`InvalidInputError` before the operator
-    is evaluated; -0.0 is reported as 0.0.  Past those checks a failure
-    never aborts the sweep: it yields a record carrying the error message.
+    is evaluated; -0.0 is reported as 0.0.  An error that evaluating the
+    operator raises is raised.  Past those checks a failure never aborts the
+    sweep: it yields a record carrying the error message.  A non-finite
+    entry anywhere in the operator, in a column the sweep does not keep
+    too, gives every (lambda, m) the error row of that check.
     When the Gram of T_U, the panel, ``||T_U||`` or the flag fails at m,
     every lambda gets an error row there; the rank is stored only once the
     panel and the norm have succeeded.  When one lambda's ridge norm or risk fails,
@@ -681,22 +741,19 @@ def sweep(basis: BasisSpec, design: SampleDesign, theta_spec: ParameterSpec,
     if not lambdas:
         raise InvalidInputError("empty lambda list")
     lams = [_check_lambda(lam) for lam in lambdas]
-    M_full = evaluate_columns(basis, design.all_points, (0, budget))
     theta = make_theta(theta_spec)
-    try:
-        operator = _FiniteOperator(M_full)
-    except InvalidInputError as exc:
-        return [_error_record(m, lam, exc) for lam in lams for m in ms]
-    y_full = operator.matrix @ theta
+    operator = _FiniteOperator(basis, design, ms[-1], theta)
+    if operator.error is not None:
+        return [_error_record(m, lam, operator.error) for lam in lams for m in ms]
 
     n = design.n_train
-    held = _NescientGram(operator.matrix[:n]) if budget - ms[0] >= n else None
+    held = _NescientGram(operator.train) if budget - ms[0] >= n else None
     ranks = {0: 0}
     rows: list[list[SweepRecord]] = [[] for _ in lams]  # one list per lambda
     for m in ms:
         if budget - m < n:
             held = None  # T_U is thinner than n from here on
-        for out, record in zip(rows, _model_size_rows(operator, design, m, theta, y_full,
-                                                       lams, ranks, rel_tol, held)):
+        for out, record in zip(rows, _model_size_rows(operator, design, m, theta, lams, ranks,
+                                                       rel_tol, held)):
             out.append(record)
     return [record for out in rows for record in out]

@@ -13,6 +13,7 @@ recipe.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
@@ -356,14 +357,23 @@ def run_config(config: RunConfig, *, out_dir: str | None = None,
         if not isinstance(seed, numbers.Integral) or seed < 0:
             raise InvalidInputError(f"run seeds must be nonnegative integers, got {seed!r}")
     out = Path(out_dir if out_dir is not None else config.output_dir)
+    made = not out.exists()
     out.mkdir(parents=True, exist_ok=True)
     runner = _RUNNERS[config.experiment]
     paths: list[Path] = []
     run_details = []
-    for run_seed in config.seeds:
-        seed_paths, extra = runner(config, run_seed, out)
-        paths.extend(seed_paths)
-        run_details.append({"seed": run_seed, **extra})
+    try:
+        for run_seed in config.seeds:
+            seed_paths, extra = runner(config, run_seed, out)
+            paths.extend(seed_paths)
+            run_details.append({"seed": run_seed, **extra})
+    except BaseException:
+        # a run that fails in set-up leaves no empty directory of its own behind;
+        # rmdir removes nothing that holds a file
+        if made:
+            with contextlib.suppress(OSError):
+                out.rmdir()
+        raise
     meta = {
         "tool": "gadkit",
         "version": __version__,

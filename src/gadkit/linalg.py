@@ -26,7 +26,9 @@ from .errors import InvalidInputError
 
 DEFAULT_REL_TOL = 1e-12
 
-# rows (columns, for the Gram of a tall matrix) per block of row_peaks and gram
+# rows (columns, for the Gram of a tall matrix) per block of row_peaks and gram,
+# and rows per block of bases.evaluate_columns and of the sweep's evaluation of
+# the operator (decomposition._FiniteOperator)
 BLOCK = 256
 
 

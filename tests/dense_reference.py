@@ -3,7 +3,7 @@
 The sweep applies the panel's factor to vectors and never forms these
 matrices.  ``b_operator``, ``infer_theta`` and ``invertibility_operator``
 apply the shipped fit map: each calls :func:`gadkit.decomposition.aliasing_operator`
-on a copy of the panel whose nescient block is the right-hand side, so they
+on a copy of the panel whose nescient training block is the right-hand side, so they
 check the package's own arithmetic, not a second copy of it.
 """
 
@@ -18,7 +18,7 @@ from gadkit.linalg import DEFAULT_REL_TOL, as_matrix, as_vector, svd
 
 def _fit(panel: OperatorPanel, rhs: np.ndarray, lam: float) -> np.ndarray:
     """The panel's fit map ``V diag(f) U^H`` applied to the columns of ``rhs``."""
-    return aliasing_operator(replace(panel, train_nescient=rhs), lam)
+    return aliasing_operator(replace(panel, train=np.hstack([panel.train_modeled, rhs])), lam)
 
 
 def b_operator(panel: OperatorPanel, lam: float = 0.0) -> np.ndarray:

@@ -28,7 +28,7 @@ from gadkit.decomposition import (
     risk_and_errors,
 )
 from gadkit.designs import SampleDesign
-from gadkit.linalg import SvdResult, kernel_projector, pseudoinverse, spectral_norm
+from gadkit.linalg import BLOCK, SvdResult, kernel_projector, pseudoinverse, spectral_norm
 
 RIDGE_CONFIG = """
 [run]
@@ -87,8 +87,8 @@ class TestBuildPanels:
         design, full = monomial_system([0.0, 0.5, 1.0], [0.25, 0.75], 5, (0.0, 1.0))
         panel = build_panels(full, design, 3)
         top = np.hstack([panel.train_modeled, panel.train_nescient])
-        bottom = np.hstack([panel.pred_modeled, panel.pred_nescient])
-        np.testing.assert_array_equal(np.vstack([top, bottom]), full)
+        np.testing.assert_array_equal(np.vstack([top, panel.pred]), full)
+        np.testing.assert_array_equal(panel.pred_modeled, full[3:, :3])
 
     def test_full_budget_has_empty_nescience(self):
         design, full = monomial_system([0.0, 1.0], [0.5], 3, (0.0, 1.0))
@@ -888,3 +888,165 @@ class TestNescientGram:
             assert formed == [self.BUDGET - 1]
             strayed = {row[1] for row in nescient_mismatches(records, full, design)}
             assert strayed == set(range(20, 49))
+
+
+class TestRowBlocks:
+    """The sweep evaluates the operator in row blocks and keeps only what it reads.
+
+    Every design here has more than ``BLOCK`` rows, so the sweep makes at
+    least two ``evaluate_columns`` calls.  It keeps the training rows over
+    every column and the prediction rows over the first ``max(m)`` columns.
+    """
+
+    LAMBDAS = (0.0, 1e-2)
+
+    def system(self, family, n=24, grid=400, budget=60):
+        if family in ("rff", "rrf"):
+            basis = BasisSpec(family, 6, budget, seed=3)
+            design = make_design("sphere_uniform", n, grid, dim=6, seed=3)
+        else:
+            basis = BasisSpec(family, 1, budget)
+            design = make_design("uniform_interval", n, grid, interval=(-1.0, 1.0), seed=3)
+        assert design.all_points.shape[0] > BLOCK
+        return basis, design, ParameterSpec("unstructured_iid", budget, seed=4)
+
+    @pytest.mark.parametrize("family", ["rff", "rrf"])
+    def test_window_matches_the_whole_sweep(self, family):
+        # the window trims the prediction rows to m = 40 where the whole
+        # sweep keeps 60 columns, and starts its Gram of T_U at m = 20.
+        # Ranks, flags and errors match exactly, every float to 1e-9
+        basis, design, theta = self.system(family)
+        whole = sweep(basis, design, theta, range(1, 61), lambdas=self.LAMBDAS)
+        window = sweep(basis, design, theta, range(20, 41), lambdas=self.LAMBDAS)
+        rows = [r for r in whole if 20 <= r.m <= 40]
+        assert len(window) == len(rows) == 2 * 21
+        floats = ("norm_A", "norm_pinv_TM", "norm_M_TU", "alias_error", "bias_error",
+                  "nescience_error", "risk_all", "risk_prediction_only")
+        for got, want in zip(window, rows):
+            assert (got.m, got.lam, got.rank_TM, got.new_col_independent, got.error) == (
+                want.m, want.lam, want.rank_TM, want.new_col_independent, want.error)
+            assert want.error is None
+            for name in floats:
+                a, b = getattr(got, name), getattr(want, name)
+                assert abs(a - b) <= 1e-9 * max(abs(a), abs(b)), (got.m, got.lam, name, a, b)
+
+    @pytest.mark.parametrize("family", ["rff", "rrf", "legendre"])
+    def test_keeps_training_rows_and_prediction_rows_up_to_the_largest_m(self, monkeypatch,
+                                                                          family):
+        # n = 300 > BLOCK: the training rows span two of the three blocks,
+        # and the middle block holds training and prediction rows.  The rows
+        # kept are those of one evaluation over all rows, bit for bit and in
+        # its memory layout, and y is M theta over every column
+        basis, design, theta = self.system(family, n=300, grid=300, budget=320)
+        original = decomposition.build_panels
+        seen = []
+
+        def spy(operator, *args, **kwargs):
+            seen.append(operator)
+            return original(operator, *args, **kwargs)
+
+        monkeypatch.setattr(decomposition, "build_panels", spy)
+        records = sweep(basis, design, theta, [150, 299, 301])
+        assert [r.error for r in records] == [None] * 3
+        full = evaluate_columns(basis, design.all_points, (0, 320))
+        operator = seen[0]
+        assert all(o is operator for o in seen)
+        np.testing.assert_array_equal(operator.train, full[:300])
+        np.testing.assert_array_equal(operator.pred, full[300:, :301])
+        assert operator.train.flags.f_contiguous == full.flags.f_contiguous
+        y = full @ decomposition.make_theta(theta)
+        assert np.max(np.abs(operator.y - y)) <= 1e-13 * np.max(np.abs(y))
+
+    def test_every_point_evaluated_once_in_blocks(self, monkeypatch):
+        basis, design, theta = self.system("rff")
+        original = decomposition.evaluate_columns
+        calls = []
+
+        def spy(spec, points, col_range):
+            calls.append((np.array(points), col_range))
+            return original(spec, points, col_range)
+
+        monkeypatch.setattr(decomposition, "evaluate_columns", spy)
+        records = sweep(basis, design, theta, range(20, 41), lambdas=self.LAMBDAS)
+        assert all(r.error is None for r in records)
+        assert len(calls) >= 2
+        assert all(col_range == (0, basis.column_budget) for _, col_range in calls)
+        assert all(0 < points.shape[0] <= BLOCK for points, _ in calls)
+        np.testing.assert_array_equal(np.vstack([points for points, _ in calls]),
+                                      design.all_points)
+
+    def test_no_array_of_every_row_and_column(self):
+        # 1024 x 400 complex entries are 6.6 MB.  The sweep keeps 24 training
+        # rows over 400 columns and 1000 prediction rows over 30, and
+        # evaluates 256 rows at a time; one evaluation peaks at about 2.5 MB
+        basis, design, theta = self.system("rff", grid=1000, budget=400)
+        operator_bytes = design.all_points.shape[0] * 400 * 16
+        tracemalloc.start()
+        try:
+            records = sweep(basis, design, theta, range(25, 31))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(r.error is None for r in records)
+        assert peak < 0.6 * operator_bytes
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_nonfinite_entry_in_a_dropped_column_fails_every_row(self, monkeypatch, value):
+        # the entry sits in a prediction row past max(m), which the sweep
+        # does not keep; it would still reach y = M theta, so every
+        # (lambda, m) gets the finiteness error
+        basis, design, theta = self.system("rff")
+        original = decomposition.evaluate_columns
+        calls = []
+
+        def planted(spec, points, col_range):
+            block = original(spec, points, col_range)
+            calls.append(block.shape[0])
+            if len(calls) == 2:  # the second block holds prediction rows only
+                block[5, 45] = value
+            return block
+
+        monkeypatch.setattr(decomposition, "evaluate_columns", planted)
+        ms = range(20, 41)
+        records = sweep(basis, design, theta, ms, lambdas=self.LAMBDAS)
+        assert calls[0] > design.n_train and len(calls) == 2
+        assert [(r.lam, r.m) for r in records] == [(lam, m) for lam in self.LAMBDAS for m in ms]
+        for record in records:
+            assert record.error == "InvalidInputError: matrix entries must be finite"
+            assert record.rank_TM == -1 and np.isnan(record.risk_all)
+
+    def test_evaluation_error_still_raises(self, monkeypatch):
+        # a non-finite entry in the first block does not turn an evaluation
+        # error in a later block into error rows
+        basis, design, theta = self.system("rff")
+        original = decomposition.evaluate_columns
+        calls = []
+
+        def failing(spec, points, col_range):
+            calls.append(1)
+            if len(calls) == 2:
+                raise InvalidInputError("planted evaluation error")
+            block = original(spec, points, col_range)
+            block[0, 0] = np.nan
+            return block
+
+        monkeypatch.setattr(decomposition, "evaluate_columns", failing)
+        with pytest.raises(InvalidInputError, match="planted evaluation error"):
+            sweep(basis, design, theta, range(20, 41))
+
+    def test_identity_check_reads_every_row(self, monkeypatch):
+        # the fitted signal and its reconstruction cover the training rows
+        # and every prediction row
+        basis, design, theta = self.system("rff")
+        original = decomposition._identity_residual
+        sizes = []
+
+        def spy(y_hat, y_check, y_norm):
+            sizes.append((y_hat.size, y_check.size))
+            return original(y_hat, y_check, y_norm)
+
+        monkeypatch.setattr(decomposition, "_identity_residual", spy)
+        records = sweep(basis, design, theta, range(20, 41), lambdas=self.LAMBDAS)
+        assert all(r.error is None for r in records)
+        rows = design.all_points.shape[0]
+        assert sizes == [(rows, rows)] * len(records)

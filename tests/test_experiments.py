@@ -485,16 +485,7 @@ class TestCli:
         assert not (tmp_path / "out").exists()
 
 
-class TestDatasetSweep:
-    def test_idx_file_feeds_a_sweep(self, tmp_path):
-        # full pipeline: raw IDX bytes -> point cloud -> design -> risk CSV
-        rng = np.random.default_rng(0)
-        pixels = rng.integers(0, 256, size=(40, 16), dtype=np.uint8)
-        header = bytes([0, 0, 0x08, 3]) + (40).to_bytes(4, "big") \
-            + (4).to_bytes(4, "big") + (4).to_bytes(4, "big")
-        idx_path = tmp_path / "points.idx"
-        idx_path.write_bytes(header + pixels.tobytes())
-        text = """
+DATASET_SWEEP = """
 [run]
 experiment = sweep
 output_dir = {out}
@@ -517,14 +508,53 @@ seed = 1
 
 [sweep]
 m_range = 1 36
-""".format(out=tmp_path / "run", idx=idx_path)
-        config = parse_config_text(text)
+"""
+
+
+def write_idx(path: Path, count: int = 40) -> Path:
+    """An IDX file of ``count`` seeded 4 x 4 images, 16 pixels each."""
+    pixels = np.random.default_rng(0).integers(0, 256, size=(count, 16), dtype=np.uint8)
+    header = bytes([0, 0, 0x08, 3]) + count.to_bytes(4, "big") \
+        + (4).to_bytes(4, "big") + (4).to_bytes(4, "big")
+    path.write_bytes(header + pixels.tobytes())
+    return path
+
+
+class TestDatasetSweep:
+    def test_idx_file_feeds_a_sweep(self, tmp_path):
+        # full pipeline: raw IDX bytes -> point cloud -> design -> risk CSV
+        idx_path = write_idx(tmp_path / "points.idx")
+        config = parse_config_text(DATASET_SWEEP.format(out=tmp_path / "run", idx=idx_path))
         run_config(config)
         _, rows = read_csv(tmp_path / "run" / "sweep.csv")
         assert len(rows) == 36
         assert all(row["error"] == "" for row in rows)
         pinv = [float(row["norm_pinv_TM"]) for row in rows]
         assert int(np.argmax(pinv)) + 1 == 12
+
+    @pytest.mark.parametrize("before", ["absent", "empty", "holds-a-file"])
+    def test_failed_set_up_leaves_no_directory_of_its_own(self, tmp_path, capsys, before):
+        # 16-pixel points against input_dim = 8 are known to fail only once
+        # the dataset is read, after the output directory is made.  The run
+        # exits 1 and removes the directory it made; a directory that was
+        # there before the run stays, and so does every file in it
+        idx_path = write_idx(tmp_path / "points.idx")
+        out = tmp_path / "run"
+        if before != "absent":
+            out.mkdir()
+        if before == "holds-a-file":
+            (out / "kept.txt").write_text("kept\n")
+        text = DATASET_SWEEP.replace("input_dim = 16", "input_dim = 8")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text.format(out=out, idx=idx_path))
+        assert main(["--config", str(cfg)]) == 1
+        assert "run failed: expected points of dimension 8" in capsys.readouterr().err
+        if before == "absent":
+            assert not out.exists()
+        else:
+            assert out.is_dir()
+            kept = ["kept.txt"] if before == "holds-a-file" else []
+            assert sorted(path.name for path in out.iterdir()) == kept
 
     def test_from_dataset_outside_ising_needs_a_path(self):
         text = SMALL_SWEEP.format(out="out/x").replace(
