@@ -10,6 +10,7 @@ spin family uses products of site spins over clusters.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import Mapping
@@ -105,9 +106,15 @@ class BasisSpec:
         return None if value is None else int(value)
 
 
+@functools.lru_cache(maxsize=1)
 def feature_weights(count: int, input_dim: int, seed: int) -> np.ndarray:
-    """I.i.d. standard-normal projection vectors, one row per feature, fixed by the seed."""
-    return np.random.default_rng(seed).standard_normal((count, input_dim))
+    """I.i.d. standard-normal projection vectors, one row per feature, fixed by the seed.
+
+    The last draw is kept read-only, so a sweep's row blocks share one draw.
+    """
+    weights = np.random.default_rng(seed).standard_normal((count, input_dim))
+    weights.flags.writeable = False
+    return weights
 
 
 @dataclass(frozen=True)

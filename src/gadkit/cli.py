@@ -51,7 +51,7 @@ def main(argv: list[str] | None = None) -> int:
             seed_override=seed,
             full_scale=args.full_scale,
         )
-    except GadkitError as exc:
+    except (GadkitError, OSError) as exc:  # OSError: an unusable --out or dataset_path, say
         print(f"run failed: {exc}", file=sys.stderr)
         return 1
     for path in paths:

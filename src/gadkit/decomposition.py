@@ -14,10 +14,9 @@ n*lambda) under ridge.  Lambda is a plain float, active exactly when it is
 positive, so lambda = 0 takes the unregularized path and the two agree.
 The sweep applies the factor to vectors and forms neither the fit map, B
 nor the aliasing operator: A = V C with the small core C = diag(f) W and
-W = U^H T_U, so ||A|| = ||C||, the alias error is ||f * (W theta_u)||, and
-the fitted-signal identity is checked through that same core.  The dense
-:func:`aliasing_operator` is for ``fourier_check``, which compares it entry
-by entry with the exact aliasing map.
+W = U^H T_U, so ||A|| = ||C|| and the alias error is ||f * (W theta_u)||.
+The dense :func:`aliasing_operator` is for ``fourier_check``, which compares
+it entry by entry with the exact aliasing map.
 
 :func:`sweep` is the one loop over model sizes: it evaluates the operator
 once, in row blocks, then walks m upward with lambda inside.  Each block is
@@ -41,14 +40,14 @@ formed.  Once T_U is thinner than n, G is dropped and each step takes
 At each m, T_M is factored once, and one object holds the products of that
 factor that no lambda changes: U^H y_train, U^H (T_M theta_m),
 U^H (T_U theta_u) = W theta_u, and the Gram of W (W itself when W is
-taller than wide).  Each lambda is then only filter work on those
-products, and the LAPACK work of all lambdas is stacked into one
-values-only SVD call (the augmented-spectrum checks) and one ``eigvalsh``
-call (the norms of A).  No lambda's arithmetic depends on the others in the
-list, so every row is exactly what a sweep over its lambda alone gives.
-Each step's arrays, G aside, are freed before the next m is factored.
-The fitted signal and its reconstruction are the training product and the
-prediction product of the modeled columns, concatenated.
+taller than wide).  The fitted-signal identity is checked on them once per
+m, before any filter, which would only amplify their rounding (see
+:func:`_identity_residual`).  Each lambda is then only filter work on those
+products, and the LAPACK work of all lambdas is stacked into one values-only
+SVD call (the augmented-spectrum checks) and one ``eigvalsh`` call (the
+norms of A).  No lambda's arithmetic depends on the others in the list, so
+every row is exactly what a sweep over its lambda alone gives.  Each step's
+arrays, G aside, are freed before the next m is factored.
 :func:`risk_and_errors` and :func:`ridge_panels` are the same route for one
 lambda.
 """
@@ -68,7 +67,7 @@ from .linalg import (BLOCK, DEFAULT_REL_TOL, SvdResult, as_matrix, as_vector, bl
                      row_peaks, scaled_gram, scaled_root, spectral_norm, spectrum, svd)
 from .linalg import kernel_projector, pseudoinverse  # noqa: F401  (perfbench/spans.py wraps these)
 
-# relative tolerance of the fitted-signal identity that every fit checks
+# tolerance of the fitted-signal identity that every model size checks, relative to ||y||
 IDENTITY_TOL = 1e-8
 
 # The Gram of T_U that the sweep holds is formed again from T_U itself once
@@ -119,10 +118,6 @@ class OperatorPanel:
     def pred_modeled(self) -> np.ndarray:
         return self.pred[:, : self.m]
 
-    def modeled_product(self, x: np.ndarray) -> np.ndarray:
-        """``[T_M; P_M] x``: the training product, then the prediction product."""
-        return np.concatenate([self.train_modeled @ x, self.pred_modeled @ x])
-
 
 @dataclass(frozen=True)
 class SweepRecord:
@@ -148,7 +143,8 @@ class RiskReport:
     """Risk and error-term breakdown for one fitted model size.
 
     ``norm_A`` is the spectral norm of the aliasing operator, taken from the
-    same core that gives ``alias_error``.
+    same core that gives ``alias_error``.  ``identity_residual`` is the
+    model size's, read off the products before the filter.
     """
 
     theta_hat: np.ndarray
@@ -168,8 +164,8 @@ class _SharedProducts:
     With ``T_M = U diag(s) V^H`` over k singular values and ``W = U^H T_U``,
     the k x 3 ``coefficients`` hold ``U^H y_train``, ``U^H (T_M theta_m)``
     and ``U^H (T_U theta_u) = W theta_u`` as columns; ``V diag(f)`` maps them
-    to ``theta_hat``, ``B theta_m`` and ``A theta_u``.  ``y_norm`` is
-    ``||y||`` over every row and ``nescience`` is ``||theta_u||``.
+    to ``theta_hat``, ``B theta_m`` and ``A theta_u``; ``identity_residual``
+    is :func:`_identity_residual` of them.  ``nescience`` is ``||theta_u||``.
 
     ``W_s = W * 2**-w_exponent`` is the core's scaled form, and
     ``row_scales`` bounds the modulus of each row of W_s.  Two routes give
@@ -187,10 +183,10 @@ class _SharedProducts:
 
     panel: OperatorPanel
     y: np.ndarray  # labels over the training then prediction rows
-    y_norm: float
     theta_m: np.ndarray
     nescience: float
     coefficients: np.ndarray
+    identity_residual: float
     w_scaled: np.ndarray | None
     w_exponent: int
     row_scales: np.ndarray
@@ -340,6 +336,7 @@ def _shared_products(panel: OperatorPanel, theta, y_full,
     uh = u.conj().T
     coefficients = np.stack([uh @ y[: panel.n_train], uh @ (panel.train_modeled @ theta_m),
                              uh @ (panel.train_nescient @ theta_u)], axis=1)
+    residual = _identity_residual(coefficients, float(np.linalg.norm(y)))
     w_scaled = None
     if nescient is not None:
         g_u, exponent = nescient
@@ -357,10 +354,10 @@ def _shared_products(panel: OperatorPanel, theta, y_full,
     return _SharedProducts(
         panel=panel,
         y=y,
-        y_norm=float(np.linalg.norm(y)),
         theta_m=theta_m,
         nescience=float(np.linalg.norm(theta_u)),
         coefficients=coefficients,
+        identity_residual=residual,
         w_scaled=w_scaled,
         w_exponent=exponent,
         row_scales=scales,
@@ -491,10 +488,13 @@ def _alias_gram(products: _SharedProducts, f: np.ndarray) -> tuple[np.ndarray, i
     return gram, exponent + products.w_exponent
 
 
-def _identity_residual(y_hat: np.ndarray, y_check: np.ndarray, y_norm: float) -> float:
-    """``||y_hat - y_check||`` relative to the signal, once it is within ``IDENTITY_TOL``."""
-    scale = max(float(np.linalg.norm(y_hat)), y_norm, 1e-300)
-    residual = float(np.linalg.norm(y_hat - y_check)) / scale
+def _identity_residual(coefficients: np.ndarray, y_norm: float) -> float:
+    """``||U^H (y_train - T_M theta_m - T_U theta_u)||`` over ``||y||``, within ``IDENTITY_TOL``.
+
+    It reads all k rows of ``coefficients``; every lambda's filter maps them alike.
+    """
+    y_coef, modeled, nescient = coefficients.T
+    residual = float(np.linalg.norm(y_coef - (modeled + nescient))) / max(y_norm, 1e-300)
     if residual > IDENTITY_TOL:
         raise DecompositionMismatchError(
             f"fitted signal deviates from the operator route by {residual:.3e} relative"
@@ -503,20 +503,13 @@ def _identity_residual(y_hat: np.ndarray, y_check: np.ndarray, y_norm: float) ->
 
 
 def _fit(products: _SharedProducts, lam: float, f: np.ndarray, norm_A: float) -> RiskReport:
-    """One lambda's filter work on the shared products, with its identity check.
-
-    The fitted signal ``[T_M; P_M] theta_hat`` must equal the operator-route
-    reconstruction ``[T_M; P_M] (B theta_m + A theta_u)`` to ``IDENTITY_TOL``
-    relative.
-    """
+    """One lambda's filter work on the checked products: theta_hat, its fit, risks, errors."""
     panel = products.panel
     n, v = panel.n_train, panel.factor.right_vectors
     filtered = f[:, None] * products.coefficients
-    # the fit map V diag(f) U^H applied to y_train, T_M theta_m and T_U theta_u
-    theta_m_hat, fitted_m, aliased_m = (v @ filtered).T
-    y_hat = panel.modeled_product(theta_m_hat)
-    residual = _identity_residual(y_hat, panel.modeled_product(fitted_m + aliased_m),
-                                  products.y_norm)
+    # the fit map V diag(f) U^H applied to y_train and T_M theta_m
+    theta_m_hat, fitted_m = (v @ filtered[:, :2]).T
+    y_hat = np.concatenate([panel.train_modeled @ theta_m_hat, panel.pred_modeled @ theta_m_hat])
 
     theta_m = products.theta_m
     if lam > 0:
@@ -541,7 +534,7 @@ def _fit(products: _SharedProducts, lam: float, f: np.ndarray, norm_A: float) ->
         alias_error=float(np.linalg.norm(filtered[:, 2])),
         bias_error=float(np.linalg.norm(bias_vec)),
         nescience_error=products.nescience,
-        identity_residual=residual,
+        identity_residual=products.identity_residual,
     )
 
 
@@ -553,11 +546,11 @@ def risk_and_errors(panel: OperatorPanel, theta, y_full, lam: float = 0.0) -> Ri
     so the decomposition itself stays label independent.  The panel's factor
     is applied to vectors: the aliasing operator enters only through its core
     ``C = diag(f) (U^H T_U)``, which gives ``norm_A`` and ``alias_error``.
-    Verifies that the fitted signal equals the operator-route reconstruction
-    ``B theta_m + A theta_u`` to ``IDENTITY_TOL`` relative and records the
-    residual.  It takes the sweep's own steps for one lambda, on one
-    matrix where the sweep stacks all of them, with the Gram of T_U formed
-    afresh from the panel when ``p - m >= n``.
+    Verifies, before the filter, that the fit equals the operator-route
+    reconstruction ``B theta_m + A theta_u`` to ``IDENTITY_TOL`` relative
+    and records the residual.  It takes the sweep's own steps for one
+    lambda, on one matrix where the sweep stacks all of them, with the Gram
+    of T_U formed afresh from the panel when ``p - m >= n``.
     """
     t_u = panel.train_nescient
     nescient = scaled_gram(t_u) if t_u.shape[1] >= t_u.shape[0] else None
@@ -672,16 +665,16 @@ def sweep(basis: BasisSpec, design: SampleDesign, theta_spec: ParameterSpec,
     """One risk-anatomy record per (lambda, m), in one upward loop over m.
 
     The operator is evaluated once, in row blocks, and every entry is checked
-    for finite values.  Each step over m brings the
-    held Gram of T_U to m while ``p - m >= n``, builds the panel, whose one
-    SVD every lambda shares, takes ``||T_U||``, forms the lambda-free
-    products of that factor, stores the rank of the modeled block and reads
-    the independence flag of column m off the rank at m - 1: stored when the
-    previous size was swept, otherwise taken from a values-only SVD of the
-    column prefix.  Each lambda then filters those products: the ridge
-    pseudoinverse norm with its spectrum check, and the fit with its
-    identity check.  The augmented SVDs of all active lambdas are one
-    stacked call, and so are the eigenvalue problems of every ``||A||``.
+    for finite values.  Each step over m brings the held Gram of T_U to m
+    while ``p - m >= n``, builds the panel, whose one SVD every lambda
+    shares, takes ``||T_U||``, forms the lambda-free products of that factor
+    and checks the fitted-signal identity on them, stores the rank of the
+    modeled block and reads the independence flag of column m off the rank
+    at m - 1: stored when the previous size was swept, otherwise taken from
+    a values-only SVD of the column prefix.  Each lambda then filters those
+    products: the ridge pseudoinverse norm with its spectrum check, and the
+    fit.  The augmented SVDs of all active lambdas are one stacked call, and
+    so are the eigenvalue problems of every ``||A||``.
 
     The Gram of T_U is n x n and scaled by a power of two.  It is formed
     from T_U at the first m with ``p - m >= n`` and then downdated by the
@@ -715,15 +708,15 @@ def sweep(basis: BasisSpec, design: SampleDesign, theta_spec: ParameterSpec,
     sweep: it yields a record carrying the error message.  A non-finite
     entry anywhere in the operator, in a column the sweep does not keep
     too, gives every (lambda, m) the error row of that check.
-    When the Gram of T_U, the panel, ``||T_U||`` or the flag fails at m,
-    every lambda gets an error row there; the rank is stored only once the
-    panel and the norm have succeeded.  When one lambda's ridge norm or risk fails,
-    only that row gets an error, and the rank, which does not depend on
-    lambda, is still stored; a stacked call that raises ``LinAlgError`` is
-    made again one lambda at a time, so that only the lambdas whose matrix
-    fails get an error row.  Records come back lambda-major, in the
-    caller's lambda order (duplicates kept), each lambda sorted by m, and are
-    deterministic for fixed seeds.
+    When the Gram of T_U, the panel, ``||T_U||``, the identity check or the
+    flag fails at m, every lambda gets an error row there; the rank is stored
+    only once the panel, the norm and the check have succeeded.  When one
+    lambda's ridge norm, ``||A||`` or fit fails, only that row gets an error,
+    and the rank, which does not depend on lambda, is still stored; a stacked
+    call that raises ``LinAlgError`` is made again one lambda at a time, so
+    that only the lambdas whose matrix fails get an error row.  Records come
+    back lambda-major, in the caller's lambda order (duplicates kept), each
+    lambda sorted by m, and are deterministic for fixed seeds.
     """
     # the sweep is serial; ``threads`` stays only because perfbench/child.py passes it
     if threads != 1:

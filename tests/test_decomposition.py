@@ -7,6 +7,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
+import gadkit.bases as bases
 import gadkit.decomposition as decomposition
 from dense_reference import augmented_block, b_operator, infer_theta, invertibility_operator
 from gadkit import experiments
@@ -254,6 +255,50 @@ class TestRiskAndErrors:
             operator = invertibility_operator(panel)
             np.testing.assert_allclose(combined, np.linalg.norm(operator @ theta), atol=1e-10)
             assert combined <= np.linalg.norm(theta) + 1e-10
+
+
+class TestIdentityCheck:
+    """Planted faults against the fitted-signal identity, through :func:`risk_and_errors`.
+
+    8 training rows, 4 prediction rows and 16 columns, so that m = 4, 8 and
+    12 fall below, at and above the interpolation threshold.  Each fault
+    breaks ``y_train = T_M theta_m + T_U theta_u`` and nothing else.
+    """
+
+    N, BUDGET = 8, 16
+
+    def system(self):
+        rng = np.random.default_rng(41)
+        design = direct_design(rng.standard_normal(self.N), rng.standard_normal(4))
+        full = rng.standard_normal((self.N + 4, self.BUDGET))
+        return design, full, rng.standard_normal(self.BUDGET)
+
+    @pytest.mark.parametrize("lam", [0.0, 1e-2])
+    @pytest.mark.parametrize("m", [4, 8, 12])
+    def test_clean_system_passes(self, m, lam):
+        design, full, theta = self.system()
+        report = risk_and_errors(build_panels(full, design, m), theta, full @ theta, lam)
+        assert 0 <= report.identity_residual < 1e-13
+
+    @pytest.mark.parametrize("lam", [0.0, 1e-2])
+    @pytest.mark.parametrize("m", [4, 8, 12])
+    @pytest.mark.parametrize("fault", ["wrong-T_U", "shifted-split", "perturbed-y"])
+    def test_planted_fault_trips_the_check(self, fault, m, lam):
+        design, full, theta = self.system()
+        y = full @ theta
+        operator = full
+        if fault == "wrong-T_U":
+            # the panel's nescient training block has its columns reversed
+            operator = full.copy()
+            operator[: self.N, m:] = full[: self.N, m:][:, ::-1]
+        elif fault == "shifted-split":
+            # theta_u starts one coefficient early
+            theta = np.concatenate([theta[:m], theta[m - 1 : -1]])
+        else:
+            signs = np.random.default_rng(43).choice([-1.0, 1.0], y.size)
+            y = y * (1 + 1e-6 * signs)
+        with pytest.raises(DecompositionMismatchError, match="fitted signal deviates"):
+            risk_and_errors(build_panels(operator, design, m), theta, y, lam)
 
 
 class TestInvertibilityOperator:
@@ -586,8 +631,8 @@ class TestSweep:
                              ids=["one", "four", "six-with-duplicates"])
     def test_lambda_free_products_formed_once_per_m(self, monkeypatch, lambdas):
         # U^H T_U and the rest of the shared products are formed once per m,
-        # however many lambdas read them; the identity check still runs for
-        # every (lambda, m), the spectrum check for every active lambda
+        # however many lambdas read them, and so is the identity check, which
+        # no filter enters; the spectrum check runs for every active lambda
         basis, design, theta = self.small_setup(seed=31)
         ms = range(5, 21)
         counts = {"_shared_products": 0, "_identity_residual": 0, "_checked_pinv_norm": 0}
@@ -603,16 +648,20 @@ class TestSweep:
         assert all(r.error is None for r in records)
         active = sum(1 for lam in lambdas if lam > 0)
         assert counts == {"_shared_products": len(ms),
-                          "_identity_residual": len(lambdas) * len(ms),
+                          "_identity_residual": len(ms),
                           "_checked_pinv_norm": active * len(ms)}
 
-    def test_failed_panel_fails_every_lambda_at_that_m(self, monkeypatch):
-        # the panel is shared: its failure marks m in every lambda and stores
-        # no rank, so the flag at m + 1 comes from a prefix-rank SVD
+    @pytest.mark.parametrize("stage", ["panel", "identity-check"])
+    def test_failed_step_fails_every_lambda_at_that_m(self, monkeypatch, stage):
+        # the panel and the identity check are shared: a failure of either
+        # marks m in every lambda and stores no rank, so the flag at m + 1
+        # comes from a prefix-rank SVD.  The planted identity fault is a
+        # 1e-6 relative change of the labels at m = 7 alone
         basis, design, theta = self.small_setup(seed=27)
         ms = range(1, 16)
         clean = decomposition.sweep(basis, design, theta, ms, lambdas=self.LAMBDAS)
         original_panels = decomposition.build_panels
+        original_products = decomposition._shared_products
         original_spectrum = decomposition.spectrum
         prefix_widths = []
 
@@ -621,17 +670,27 @@ class TestSweep:
                 raise np.linalg.LinAlgError("SVD did not converge")
             return original_panels(operator, design, m, *args, **kwargs)
 
+        def planted(panel, theta, y_full, nescient):
+            if panel.m == 7:
+                y_full = y_full * (1 + 1e-6)
+            return original_products(panel, theta, y_full, nescient)
+
         def counted(block, *args, **kwargs):
             prefix_widths.append(block.shape[1])
             return original_spectrum(block, *args, **kwargs)
 
-        monkeypatch.setattr(decomposition, "build_panels", flaky)
+        if stage == "panel":
+            monkeypatch.setattr(decomposition, "build_panels", flaky)
+            message = "LinAlgError: SVD did not converge"
+        else:
+            monkeypatch.setattr(decomposition, "_shared_products", planted)
+            message = "DecompositionMismatchError: fitted signal deviates from the operator route"
         monkeypatch.setattr(decomposition, "spectrum", counted)
         records = decomposition.sweep(basis, design, theta, ms, lambdas=self.LAMBDAS)
         assert [(r.lam, r.m) for r in records] == [(lam, m) for lam in self.LAMBDAS for m in ms]
         for got, want in zip(records, clean):
             if got.m == 7:
-                assert got.error == "LinAlgError: SVD did not converge"
+                assert got.error.startswith(message)
                 assert got.rank_TM == -1 and np.isnan(got.risk_all)
             else:
                 assert got == want
@@ -1034,19 +1093,45 @@ class TestRowBlocks:
         with pytest.raises(InvalidInputError, match="planted evaluation error"):
             sweep(basis, design, theta, range(20, 41))
 
-    def test_identity_check_reads_every_row(self, monkeypatch):
-        # the fitted signal and its reconstruction cover the training rows
-        # and every prediction row
+    def test_identity_check_reads_every_coefficient(self, monkeypatch):
+        # once per m, before the filter: the three columns over all
+        # k = min(n, m) singular vectors of T_M, on both sides of m = n = 24.
+        # A 1e-6 change to any one of the k coefficients of y_train trips it
         basis, design, theta = self.system("rff")
         original = decomposition._identity_residual
-        sizes = []
+        shapes = []
 
-        def spy(y_hat, y_check, y_norm):
-            sizes.append((y_hat.size, y_check.size))
-            return original(y_hat, y_check, y_norm)
+        def spy(coefficients, y_norm):
+            shapes.append(coefficients.shape)
+            for row in range(coefficients.shape[0]):
+                planted = coefficients.copy()
+                planted[row, 0] += 1e-6 * y_norm
+                with pytest.raises(DecompositionMismatchError):
+                    original(planted, y_norm)
+            return original(coefficients, y_norm)
 
         monkeypatch.setattr(decomposition, "_identity_residual", spy)
-        records = sweep(basis, design, theta, range(20, 41), lambdas=self.LAMBDAS)
+        ms = range(20, 41)
+        records = sweep(basis, design, theta, ms, lambdas=self.LAMBDAS)
         assert all(r.error is None for r in records)
-        rows = design.all_points.shape[0]
-        assert sizes == [(rows, rows)] * len(records)
+        assert shapes == [(min(design.n_train, m), 3) for m in ms]
+
+    @pytest.mark.parametrize("family", ["rff", "rrf"])
+    def test_random_features_drawn_once_per_sweep(self, monkeypatch, family):
+        # 624 rows are three row blocks, one evaluate_columns call each, and
+        # the calls share one draw of the projection vectors
+        basis, design, theta = self.system(family, grid=600)
+        original = decomposition.evaluate_columns
+        calls = []
+
+        def spy(*args):
+            calls.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(decomposition, "evaluate_columns", spy)
+        bases.feature_weights.cache_clear()
+        records = sweep(basis, design, theta, range(20, 41))
+        assert all(r.error is None for r in records)
+        info = bases.feature_weights.cache_info()
+        assert len(calls) >= 3
+        assert (info.misses, info.hits) == (1, len(calls) - 1)

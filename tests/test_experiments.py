@@ -405,6 +405,19 @@ class TestCli:
     def test_missing_file_exits_two(self, tmp_path):
         assert main(["--config", str(tmp_path / "nope.cfg")]) == 2
 
+    def test_out_naming_a_file_fails_the_run(self, tmp_path, capsys):
+        # --out names an existing file: mkdir cannot make the directory, and
+        # the run exits 1 with one line, leaving the file as it was
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(SMALL_SWEEP.format(out=tmp_path / "ignored"))
+        out = tmp_path / "taken"
+        out.write_text("kept\n")
+        assert main(["--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("run failed: ") and "Traceback" not in err
+        assert out.read_text() == "kept\n"
+        assert not (tmp_path / "ignored").exists()
+
     def test_threads_flag_exits_two(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(SMALL_SWEEP.format(out=tmp_path / "out"))
@@ -555,6 +568,17 @@ class TestDatasetSweep:
             assert out.is_dir()
             kept = ["kept.txt"] if before == "holds-a-file" else []
             assert sorted(path.name for path in out.iterdir()) == kept
+
+    def test_missing_dataset_fails_the_run(self, tmp_path, capsys):
+        # the dataset is read after the output directory is made: the run
+        # exits 1 with one line and removes that directory
+        out = tmp_path / "run"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(DATASET_SWEEP.format(out=out, idx=tmp_path / "missing.idx"))
+        assert main(["--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("run failed: ") and "missing.idx" in err
+        assert not out.exists()
 
     def test_from_dataset_outside_ising_needs_a_path(self):
         text = SMALL_SWEEP.format(out="out/x").replace(
