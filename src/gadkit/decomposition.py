@@ -18,8 +18,11 @@ W = U^H T_U, so ||A|| = ||C|| and the alias error is ||f * (W theta_u)||.
 The dense :func:`aliasing_operator` is for ``fourier_check``, which compares
 it entry by entry with the exact aliasing map.
 
-:func:`sweep` is the one loop over model sizes: it evaluates the operator
-once, in row blocks, then walks m upward with lambda inside.  Each block is
+:func:`sweep_steps` is the one loop over model sizes: it evaluates the
+operator once, in row blocks, then walks m upward with lambda inside and
+gives each m's panel, factored once, with that m's rows.  A recipe that
+needs more of a panel than its rows reads it there instead of evaluating
+and factoring again; :func:`sweep` keeps only the rows.  Each block is
 checked for finite entries and folded into ``y = M theta``, and the sweep
 keeps only what its steps read: the training rows over every column, and
 the prediction rows over the first ``max(m)`` columns, which a step reads
@@ -44,10 +47,11 @@ taller than wide).  The fitted-signal identity is checked on them once per
 m, before any filter, which would only amplify their rounding (see
 :func:`_identity_residual`).  Each lambda is then only filter work on those
 products, and the LAPACK work of all lambdas is stacked into one values-only
-SVD call (the augmented-spectrum checks) and one ``eigvalsh`` call (the
-norms of A).  No lambda's arithmetic depends on the others in the list, so
-every row is exactly what a sweep over its lambda alone gives.  Each step's
-arrays, G aside, are freed before the next m is factored.
+SVD call (the augmented-spectrum checks, on 2k x k blocks reduced by one QR
+of T_M, k = min(n, m); see :func:`_augmented`) and one ``eigvalsh`` call
+(the norms of A).  No lambda's arithmetic depends on the others in the
+list, so every row is exactly what a sweep over its lambda alone gives.
+Each step's arrays, G aside, are freed before the next m is factored.
 :func:`risk_and_errors` and :func:`ridge_panels` are the same route for one
 lambda.
 """
@@ -55,8 +59,9 @@ lambda.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -415,21 +420,32 @@ def _top_eigenvalue(stack: np.ndarray) -> np.ndarray:
 
 
 def _augmented(panel: OperatorPanel, shifts: list[float]) -> np.ndarray:
-    """The ridge blocks ``[T_M; sqrt(n*lambda) I]``, one per shift, stacked."""
+    """The reduced ridge blocks ``[R; sqrt(n*lambda) I]``, one per shift, stacked.
+
+    R is the k x k triangle, k = min(n, m), of one Householder QR of T_M, or
+    of T_M^H when m > n.  It has the singular values of T_M, so each block
+    has the k singular values ``sqrt(sigma**2 + n*lambda)`` of the full
+    block ``[T_M; sqrt(n*lambda) I]``; the full block's other m - k equal
+    ``sqrt(n*lambda)`` exactly, since rank T_M <= n.  Every shift shares R,
+    which takes nothing from the panel's factor.
+    """
     x = panel.train_modeled
-    n, m = x.shape
-    aug = np.zeros((len(shifts), n + m, m), dtype=x.dtype)
-    aug[:, :n] = x
-    aug[:, n + np.arange(m), np.arange(m)] = np.sqrt(shifts)[:, None]
+    r = np.linalg.qr(x if x.shape[0] >= x.shape[1] else x.conj().T, mode="r")
+    k = r.shape[0]
+    aug = np.zeros((len(shifts), 2 * k, k), dtype=r.dtype)
+    aug[:, :k] = r
+    aug[:, k + np.arange(k), np.arange(k)] = np.sqrt(shifts)[:, None]
     return aug
 
 
 def _checked_pinv_norm(panel: OperatorPanel, shift: float, s_aug: np.ndarray) -> float:
-    """``1 / min s_aug``, once the augmented spectrum matches sqrt(sigma**2 + n*lambda)."""
-    s_base = panel.factor.singular_values
-    padded = np.zeros(panel.m)
-    padded[: s_base.size] = s_base
-    expected = np.sqrt(padded**2 + shift)
+    """``||pinv([T_M; sqrt(n*lambda) I])||`` off the reduced spectrum ``s_aug``, once it checks.
+
+    ``s_aug`` must match ``sqrt(sigma**2 + n*lambda)`` over the factor's k
+    singular values.  The full block's other m - k singular values equal
+    ``sqrt(n*lambda)``, so the norm is ``1 / sqrt(n*lambda)`` when m > n.
+    """
+    expected = np.sqrt(panel.factor.singular_values**2 + shift)
     scale = max(float(expected[0]), 1.0)
     deviation = np.abs(s_aug - expected)
     # np.allclose(s_aug, expected, rtol=1e-9, atol=1e-12 * scale), NaN failing
@@ -438,17 +454,21 @@ def _checked_pinv_norm(panel: OperatorPanel, shift: float, s_aug: np.ndarray) ->
             f"augmented spectrum deviates from sqrt(sigma^2 + n*lambda) by "
             f"{float(np.max(deviation)):.3e}"
         )
-    return float(1.0 / s_aug[-1])
+    least = float(s_aug[-1])
+    if panel.m > s_aug.size:
+        least = min(least, math.sqrt(shift))
+    return 1.0 / least
 
 
 def ridge_panels(panel: OperatorPanel, lam: float) -> float:
     """Norm of the pseudoinverse of the augmented block ``[T_M; sqrt(n*lambda) I]``.
 
-    Asserts the shifted-spectrum identity: each singular value of the
-    augmented block equals sqrt(sigma_i**2 + n*lambda) over the m base
-    singular values (zeros included, taken from the panel's factor), to 1e-9
-    relative.  The norm is bounded by 1/sqrt(n*lambda) whenever lambda is
-    positive; at lambda = 0 it is the norm of pinv(T_M).
+    Asserts the shifted-spectrum identity on the reduced block of
+    :func:`_augmented`: its k = min(n, m) singular values equal
+    sqrt(sigma_i**2 + n*lambda) over the panel factor's singular values, to
+    1e-9 relative.  The norm is bounded by 1/sqrt(n*lambda) whenever lambda
+    is positive, and equals it when m > n; at lambda = 0 it is the norm of
+    pinv(T_M).
     """
     shift = _ridge_shift(panel, lam)
     if not shift:
@@ -630,15 +650,15 @@ def _lambda_rows(products: _SharedProducts, lams: list[float], norm_nescient: fl
     return records
 
 
-def _model_size_rows(operator: _FiniteOperator, design: SampleDesign, m: int, theta: np.ndarray,
-                     lams: list[float], ranks: dict[int, int], rel_tol: float,
-                     held: _NescientGram | None) -> list[SweepRecord]:
-    """Every lambda's record at model size m, in the caller's lambda order.
+def _step(operator: _FiniteOperator, design: SampleDesign, m: int, theta: np.ndarray,
+          lams: list[float], ranks: dict[int, int], rel_tol: float,
+          held: _NescientGram | None) -> tuple[OperatorPanel | None, list[SweepRecord]]:
+    """The panel at model size m and every lambda's record there, in the caller's lambda order.
 
-    ``held`` is the sweep's Gram of T_U while ``p - m >= n``, and None once
-    T_U is thinner than n.  The panel, its factor and the shared products
-    live only in this call, so that the sweep holds one model size's arrays
-    at a time.
+    The panel is None when the step failed, and then every lambda has an
+    error row.  ``held`` is the sweep's Gram of T_U while ``p - m >= n``,
+    and None once T_U is thinner than n.  The shared products live only in
+    this call, so that the sweep holds one model size's arrays at a time.
     """
     try:
         # the Gram advances before the panel is built, so that a failed panel
@@ -655,8 +675,61 @@ def _model_size_rows(operator: _FiniteOperator, design: SampleDesign, m: int, th
         ranks[m] = panel.rank
         independent = _new_column_independent(operator.train, ranks, m, rel_tol)
     except (GadkitError, np.linalg.LinAlgError) as exc:
-        return [_error_record(m, lam, exc) for lam in lams]
-    return _lambda_rows(products, lams, norm_nescient, independent)
+        return None, [_error_record(m, lam, exc) for lam in lams]
+    return panel, _lambda_rows(products, lams, norm_nescient, independent)
+
+
+def _steps(operator: _FiniteOperator, design: SampleDesign, ms: list[int], theta: np.ndarray,
+           lams: list[float], rel_tol: float) -> Iterator[tuple[OperatorPanel | None,
+                                                                 list[SweepRecord]]]:
+    """The step loop over an evaluated operator: one :func:`_step` per m, upward."""
+    if operator.error is not None:
+        for m in ms:
+            yield None, [_error_record(m, lam, operator.error) for lam in lams]
+        return
+    n, budget = design.n_train, operator.train.shape[1]
+    held = _NescientGram(operator.train) if budget - ms[0] >= n else None
+    ranks = {0: 0}
+    for m in ms:
+        if budget - m < n:
+            held = None  # T_U is thinner than n from here on
+        # yielded unbound, so that no step's panel outlives its consumer's hold
+        yield _step(operator, design, m, theta, lams, ranks, rel_tol, held)
+
+
+def sweep_steps(basis: BasisSpec, design: SampleDesign, theta_spec: ParameterSpec, m_range, *,
+                lambdas: Sequence[float] = (0.0,), rel_tol: float = DEFAULT_REL_TOL
+                ) -> Iterator[tuple[OperatorPanel | None, list[SweepRecord]]]:
+    """The sweep one model size at a time: ``(panel, rows)`` for each m, upward.
+
+    Checks the arguments and evaluates the operator as :func:`sweep` does,
+    before it returns.  Each step then gives the panel that every lambda at
+    m shares, whose factor is the one SVD of T_M there, or None when the step
+    failed, with that m's record for each lambda in the caller's order.
+    :func:`lambda_major` puts the rows of every step in the order
+    :func:`sweep` returns them.
+    """
+    budget = basis.column_budget
+    ms = sorted({int(m) for m in m_range})
+    if not ms:
+        raise InvalidInputError("empty model-size range")
+    if ms[0] < 1 or ms[-1] > budget:
+        raise InvalidInputError(f"model sizes must lie in [1, {budget}]")
+    if theta_spec.length != budget:
+        raise InvalidInputError(
+            f"coefficient length {theta_spec.length} does not match budget {budget}"
+        )
+    if not lambdas:
+        raise InvalidInputError("empty lambda list")
+    lams = [_check_lambda(lam) for lam in lambdas]
+    theta = make_theta(theta_spec)
+    operator = _FiniteOperator(basis, design, ms[-1], theta)
+    return _steps(operator, design, ms, theta, lams, rel_tol)
+
+
+def lambda_major(rows: Iterable[list[SweepRecord]]) -> list[SweepRecord]:
+    """Every step's records, each step's in lambda order, put lambda-major, each lambda by m."""
+    return [record for column in zip(*rows) for record in column]
 
 
 def sweep(basis: BasisSpec, design: SampleDesign, theta_spec: ParameterSpec,
@@ -664,17 +737,20 @@ def sweep(basis: BasisSpec, design: SampleDesign, theta_spec: ParameterSpec,
           threads: int = 1) -> list[SweepRecord]:
     """One risk-anatomy record per (lambda, m), in one upward loop over m.
 
-    The operator is evaluated once, in row blocks, and every entry is checked
-    for finite values.  Each step over m brings the held Gram of T_U to m
-    while ``p - m >= n``, builds the panel, whose one SVD every lambda
-    shares, takes ``||T_U||``, forms the lambda-free products of that factor
-    and checks the fitted-signal identity on them, stores the rank of the
-    modeled block and reads the independence flag of column m off the rank
-    at m - 1: stored when the previous size was swept, otherwise taken from
-    a values-only SVD of the column prefix.  Each lambda then filters those
-    products: the ridge pseudoinverse norm with its spectrum check, and the
-    fit.  The augmented SVDs of all active lambdas are one stacked call, and
-    so are the eigenvalue problems of every ``||A||``.
+    The rows of :func:`sweep_steps`, put lambda-major; each step's panel is
+    dropped as soon as its rows are kept.  The operator is evaluated once,
+    in row blocks, and every entry is checked for finite values.  Each step
+    over m brings the held Gram of T_U to m while ``p - m >= n``, builds
+    the panel, whose one SVD every lambda shares, takes ``||T_U||``, forms
+    the lambda-free products of that factor and checks the fitted-signal
+    identity on them, stores the rank of the modeled block and reads the
+    independence flag of column m off the rank at m - 1: stored when the
+    previous size was swept, otherwise taken from a values-only SVD of the
+    column prefix.  Each lambda then filters those products: the ridge
+    pseudoinverse norm with its spectrum check, and the fit.  The spectrum
+    checks of all active lambdas share one QR of T_M and are one stacked
+    values-only SVD of the reduced blocks (see :func:`_augmented`), and the
+    eigenvalue problems of every ``||A||`` are another stacked call.
 
     The Gram of T_U is n x n and scaled by a power of two.  It is formed
     from T_U at the first m with ``p - m >= n`` and then downdated by the
@@ -694,12 +770,12 @@ def sweep(basis: BasisSpec, design: SampleDesign, theta_spec: ParameterSpec,
     block, and each block is freed before the next is evaluated.  The sweep
     keeps the training rows over every column and the prediction rows over
     the first ``max(m)`` columns, so a window at small m keeps the
-    prediction rows over a small share of the columns.  One step is held at a time: a step's panel,
-    factor and products are freed before the next m is factored.  The
-    sweep's peak memory is therefore those kept rows plus the Gram of T_U
-    plus the larger of one block's evaluation and one model size's working
-    set (the factor, one Gram's temporary, and W on the thin side), however
-    many model sizes it walks.
+    prediction rows over a small share of the columns.  One step is held at
+    a time: a step's panel, factor and products are freed before the next m
+    is factored.  The sweep's peak memory is therefore those kept rows plus
+    the Gram of T_U plus the larger of one block's evaluation and one model
+    size's working set (the factor, one Gram's temporary, and W on the thin
+    side), however many model sizes it walks.
 
     An empty or out-of-budget m range, an empty lambda list, or a negative or
     non-finite lambda raises :class:`InvalidInputError` before the operator
@@ -721,32 +797,6 @@ def sweep(basis: BasisSpec, design: SampleDesign, theta_spec: ParameterSpec,
     # the sweep is serial; ``threads`` stays only because perfbench/child.py passes it
     if threads != 1:
         raise InvalidInputError(f"the sweep runs serially; threads must be 1, got {threads}")
-    budget = basis.column_budget
-    ms = sorted({int(m) for m in m_range})
-    if not ms:
-        raise InvalidInputError("empty model-size range")
-    if ms[0] < 1 or ms[-1] > budget:
-        raise InvalidInputError(f"model sizes must lie in [1, {budget}]")
-    if theta_spec.length != budget:
-        raise InvalidInputError(
-            f"coefficient length {theta_spec.length} does not match budget {budget}"
-        )
-    if not lambdas:
-        raise InvalidInputError("empty lambda list")
-    lams = [_check_lambda(lam) for lam in lambdas]
-    theta = make_theta(theta_spec)
-    operator = _FiniteOperator(basis, design, ms[-1], theta)
-    if operator.error is not None:
-        return [_error_record(m, lam, operator.error) for lam in lams for m in ms]
-
-    n = design.n_train
-    held = _NescientGram(operator.train) if budget - ms[0] >= n else None
-    ranks = {0: 0}
-    rows: list[list[SweepRecord]] = [[] for _ in lams]  # one list per lambda
-    for m in ms:
-        if budget - m < n:
-            held = None  # T_U is thinner than n from here on
-        for out, record in zip(rows, _model_size_rows(operator, design, m, theta, lams, ranks,
-                                                       rel_tol, held)):
-            out.append(record)
-    return [record for out in rows for record in out]
+    # only the rows are kept: each step's panel is dropped before the next m is factored
+    return lambda_major(map(itemgetter(1), sweep_steps(basis, design, theta_spec, m_range,
+                                                       lambdas=lambdas, rel_tol=rel_tol)))

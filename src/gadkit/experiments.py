@@ -33,10 +33,12 @@ from .decomposition import (
     aliasing_operator,
     build_panels,
     expected_unstructured_error,
+    lambda_major,
     sweep,
+    sweep_steps,
 )
-from .designs import SampleDesign, make_design
-from .errors import ConfigError, InvalidInputError
+from .designs import ParameterSpec, SampleDesign, make_design
+from .errors import ConfigError, GadkitError, InvalidInputError
 from .linalg import kernel_projector  # noqa: F401  (perfbench/spans.py wraps this)
 
 CSV_COLUMNS = (
@@ -137,11 +139,13 @@ def materialize_design(design: DesignConfig, run_seed: int) -> SampleDesign:
     return make_design(design.strategy, design.n_train, design.grid_size, **kwargs)
 
 
+def _theta_spec(config: RunConfig, run_seed: int, basis: BasisSpec) -> ParameterSpec:
+    return replace(config.theta, seed=config.theta.seed + run_seed, length=basis.column_budget)
+
+
 def _sweep_records(config: RunConfig, run_seed: int, design: SampleDesign,
                    basis: BasisSpec) -> list[SweepRecord]:
-    theta_spec = replace(config.theta, seed=config.theta.seed + run_seed,
-                         length=basis.column_budget)
-    return sweep(basis, design, theta_spec, _model_sizes(config),
+    return sweep(basis, design, _theta_spec(config, run_seed, basis), _model_sizes(config),
                  lambdas=config.lambdas, rel_tol=config.rel_tol)
 
 
@@ -234,8 +238,7 @@ def _run_fourier_check(config: RunConfig, run_seed: int, out: Path):
 def _run_gauss_compare(config: RunConfig, run_seed: int, out: Path):
     basis = _shift_seed(config.basis, run_seed)
     m = config.m_range[0]
-    theta_spec = replace(config.theta, seed=config.theta.seed + run_seed,
-                         length=basis.column_budget)
+    theta_spec = _theta_spec(config, run_seed, basis)
     gauss_records: list[SweepRecord] = []
     uniform_records: list[SweepRecord] = []
     rows = []
@@ -283,16 +286,18 @@ def _run_ising_sweep(config: RunConfig, run_seed: int, out: Path):
 def _run_unstructured_eb(config: RunConfig, run_seed: int, out: Path):
     basis = _shift_seed(config.basis, run_seed)
     design = materialize_design(config.design, run_seed)
-    records = _sweep_records(config, run_seed, design, basis)
-    csv_path = write_sweep_csv(out / _seed_name(config, run_seed, "sweep.csv"), records)
-
     budget = basis.column_budget
-    M_full = evaluate_columns(basis, design.all_points, (0, budget))
     rng = np.random.default_rng(config.theta.seed + run_seed)
     sigma2 = config.theta.variance
-    settings = []
-    for m in sorted(set(config.m_values)):
-        panel = build_panels(M_full, design, m, config.rel_tol)
+    rows, settings = [], []
+    # each kernel projector is read off the panel that the sweep factored at m
+    for panel, step_rows in sweep_steps(basis, design, _theta_spec(config, run_seed, basis),
+                                        _model_sizes(config), lambdas=config.lambdas,
+                                        rel_tol=config.rel_tol):
+        if panel is None:
+            raise GadkitError(f"m = {step_rows[0].m}: {step_rows[0].error}")
+        rows.append(step_rows)
+        m = panel.m
         projector = panel.factor.kernel_projector()
         dim_kernel = m - panel.rank
         dim_nescient = budget - m
@@ -311,6 +316,7 @@ def _run_unstructured_eb(config: RunConfig, run_seed: int, out: Path):
                 "relative_error": abs(mc_mean - expected) / expected if expected else 0.0,
             }
         )
+    csv_path = write_sweep_csv(out / _seed_name(config, run_seed, "sweep.csv"), lambda_major(rows))
     summary = {
         "experiment": "unstructured_eb",
         "mc_draws": config.mc_draws,

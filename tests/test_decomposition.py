@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -690,6 +691,81 @@ class TestSweep:
             else:
                 assert got == want
         assert prefix_widths == [7]
+
+    @pytest.mark.parametrize("target", [6, 12, 20], ids=["m<n", "m=n", "m>n"])
+    def test_planted_spectrum_fault_fails_every_active_lambda(self, monkeypatch, target):
+        # the ridge check compares the factor's k = min(n, m) singular values
+        # with the spectrum of the QR-reduced block.  The factor's largest,
+        # scaled by 1 + 1e-8 at one m, must fail every active lambda there;
+        # the lambda = 0 row and every other m take no check of it
+        basis, design, theta = self.small_setup(seed=33)
+        assert design.n_train == 12
+        ms = range(4, 25)
+        clean = decomposition.sweep(basis, design, theta, ms, lambdas=self.LAMBDAS)
+        original_panels = decomposition.build_panels
+
+        def planted(operator, design, m, *args, **kwargs):
+            panel = original_panels(operator, design, m, *args, **kwargs)
+            if m != target:
+                return panel
+            s = panel.factor.singular_values.copy()
+            s[0] *= 1 + 1e-8
+            return replace(panel, factor=replace(panel.factor, singular_values=s))
+
+        monkeypatch.setattr(decomposition, "build_panels", planted)
+        records = decomposition.sweep(basis, design, theta, ms, lambdas=self.LAMBDAS)
+        assert [(r.lam, r.m) for r in records] == [(lam, m) for lam in self.LAMBDAS for m in ms]
+        for got, want in zip(records, clean):
+            if got.m != target:
+                assert got == want
+            elif got.lam > 0:
+                assert got.error.startswith("DecompositionMismatchError: augmented spectrum")
+                assert got.rank_TM == -1 and np.isnan(got.norm_pinv_TM)
+            else:
+                assert got.error is None and got.rank_TM == want.rank_TM
+
+    def test_ridge_norm_past_n_is_the_shift_bound(self):
+        # past m = n the full augmented block has m - n singular values equal
+        # to sqrt(n*lambda), the least of its spectrum
+        basis, design, theta = self.small_setup(seed=35)
+        n = design.n_train
+        records = decomposition.sweep(basis, design, theta, range(1, 41), lambdas=self.LAMBDAS)
+        for record in records:
+            assert record.error is None
+            if record.lam > 0:
+                bound = 1 / math.sqrt(n * record.lam)
+                assert record.norm_pinv_TM <= (1 + 1e-12) * bound
+                if record.m > n:
+                    assert record.norm_pinv_TM == pytest.approx(bound, rel=1e-12, abs=0)
+
+    def test_steps_give_each_panel_with_its_rows(self):
+        # sweep_steps gives the panel every lambda at m shares, with that m's
+        # rows in lambda order; sweep is those rows put lambda-major
+        basis, design, theta = self.small_setup(seed=37)
+        ms = [3, 9, 12, 20, 40]
+        steps = list(decomposition.sweep_steps(basis, design, theta, reversed(ms),
+                                               lambdas=self.LAMBDAS))
+        assert [panel.m for panel, _ in steps] == ms
+        for panel, rows in steps:
+            assert [(r.m, r.lam) for r in rows] == [(panel.m, lam) for lam in self.LAMBDAS]
+            assert all(r.rank_TM == panel.rank for r in rows)
+            assert panel.factor.singular_values.size == min(design.n_train, panel.m)
+        records = decomposition.lambda_major(rows for _, rows in steps)
+        assert records == decomposition.sweep(basis, design, theta, ms, lambdas=self.LAMBDAS)
+
+    def test_failed_step_gives_no_panel(self, monkeypatch):
+        basis, design, theta = self.small_setup(seed=39)
+        original_panels = decomposition.build_panels
+
+        def flaky(operator, design, m, *args, **kwargs):
+            if m == 7:
+                raise np.linalg.LinAlgError("SVD did not converge")
+            return original_panels(operator, design, m, *args, **kwargs)
+
+        monkeypatch.setattr(decomposition, "build_panels", flaky)
+        steps = list(decomposition.sweep_steps(basis, design, theta, [6, 7, 8], lambdas=(0.0, 1.0)))
+        assert [panel is None for panel, _ in steps] == [False, True, False]
+        assert [r.error for r in steps[1][1]] == ["LinAlgError: SVD did not converge"] * 2
 
     def test_lambdas_share_one_operator_and_one_panel_per_m(self, monkeypatch):
         # driven through the recipes' entry point: a 4-lambda run evaluates

@@ -9,8 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import gadkit.decomposition as decomposition
 from dense_reference import local_maxima
-from gadkit import ConfigError, InvalidInputError
+from gadkit import ConfigError, GadkitError, InvalidInputError
 from gadkit import experiments
 from gadkit.cli import main
 from gadkit.config import parse_config_text
@@ -361,6 +362,48 @@ class TestUnstructuredEbRecipe:
         assert over, "expected an over-parameterized setting"
         for setting in summary["settings"]:
             assert setting["relative_error"] < 0.05
+
+    def test_reads_each_panel_off_the_sweep(self, tmp_path, monkeypatch):
+        # the operator is evaluated once, in the sweep's row blocks, and T_M
+        # is factored once per model size: the summary's kernel projectors
+        # come from the panels the sweep built
+        config = parse_config_text(UNSTRUCTURED_EB.format(out=tmp_path / "run"))
+        original_columns = decomposition.evaluate_columns
+        original_panels = decomposition.build_panels
+        blocks, panels = [], []
+
+        def count_columns(spec, points, col_range):
+            blocks.append(points.shape[0])
+            return original_columns(spec, points, col_range)
+
+        def count_panels(operator, design, m, *args, **kwargs):
+            panels.append(m)
+            return original_panels(operator, design, m, *args, **kwargs)
+
+        def second_path(*args, **kwargs):
+            raise AssertionError("the recipe evaluated or factored outside the sweep")
+
+        monkeypatch.setattr(decomposition, "evaluate_columns", count_columns)
+        monkeypatch.setattr(decomposition, "build_panels", count_panels)
+        monkeypatch.setattr(experiments, "evaluate_columns", second_path)
+        monkeypatch.setattr(experiments, "build_panels", second_path)
+        run_config(config)
+        assert sum(blocks) == 20 + 50
+        assert panels == [8, 20, 32]
+
+    def test_failed_step_fails_the_run_with_its_error(self, tmp_path, monkeypatch):
+        config = parse_config_text(UNSTRUCTURED_EB.format(out=tmp_path / "run"))
+        original_panels = decomposition.build_panels
+
+        def flaky(operator, design, m, *args, **kwargs):
+            if m == 20:
+                raise np.linalg.LinAlgError("SVD did not converge")
+            return original_panels(operator, design, m, *args, **kwargs)
+
+        monkeypatch.setattr(decomposition, "build_panels", flaky)
+        with pytest.raises(GadkitError, match="^m = 20: LinAlgError: SVD did not converge$"):
+            run_config(config)
+        assert not (tmp_path / "run").exists()
 
 
 class TestMultiSeedSummaries:

@@ -19,6 +19,11 @@ the alias error take their empty-block branch.  The benchmark's
 ``ridge_lambda`` workload gates only m 31-70, around m = n.  The rows were
 taken before the sweep put lambda inside its loop over m, so they also
 show that change left the output alone.
+
+``fourier_check`` and ``unstructured_eb`` also pin their ``summary.json``,
+byte for byte.  Both were taken while ``unstructured_eb`` still evaluated
+the operator and factored T_M a second time after its sweep, before it
+read its kernel projectors off the sweep's own panels.
 """
 
 import math
@@ -44,6 +49,8 @@ CASES = {
     "ising_sweep_physical": (901, 916),  # m >> n = 200
     "ridge_sweep": (111, 150),  # m >> n = 50 up to m = budget, all four lambdas
     "gauss_compare": None,
+    "fourier_check": None,
+    "unstructured_eb": None,
 }
 
 
@@ -85,3 +92,5 @@ def test_matches_golden_rows(stem, tmp_path):
         problems += mismatches(name, (tmp_path / name).read_text(encoding="utf-8"),
                                (GOLDEN / stem / name).read_text(encoding="utf-8"))
     assert not problems, "\n".join(problems[:20])
+    for summary in sorted((GOLDEN / stem).glob("*.json")):
+        assert (tmp_path / summary.name).read_bytes() == summary.read_bytes(), summary.name
