@@ -7,8 +7,8 @@ the nescient training block) describes how unmodeled coefficients leak into
 the fitted ones.  Sweeping m produces the label-independent anatomy of the
 risk curve.
 
-Every per-m quantity derives from one SVD of the modeled training block,
-T_M = U diag(s) V^H.  The fit map is V diag(f) U^H with one filter vector f:
+Every per-m quantity derives from one reduced SVD of the modeled training
+block, T_M = U diag(s) V^H.  The fit map is V diag(f) U^H with one filter vector f:
 1/s over the numerical rank and 0 past it when lambda = 0, s / (s**2 +
 n*lambda) under ridge.  Lambda is a plain float, active exactly when it is
 positive, so lambda = 0 takes the unregularized path and the two agree.
@@ -20,7 +20,7 @@ it entry by entry with the exact aliasing map.
 
 :func:`sweep_steps` is the one loop over model sizes: it evaluates the
 operator once, in row blocks, then walks m upward with lambda inside and
-gives each m's panel, factored once, with that m's rows.  A recipe that
+gives each m's panel, with its one factor, with that m's rows.  A recipe that
 needs more of a panel than its rows reads it there instead of evaluating
 and factoring again; :func:`sweep` keeps only the rows.  Each block is
 checked for finite entries and folded into ``y = M theta``, and the sweep
@@ -40,8 +40,16 @@ largest eigenvalue of G and the core's Gram is K = U^H G U, so W is never
 formed.  Once T_U is thinner than n, G is dropped and each step takes
 ||T_U|| and W from T_U itself.
 
-At each m, T_M is factored once, and one object holds the products of that
-factor that no lambda changes: U^H y_train, U^H (T_M theta_m),
+T_M gains one column per step, and the sweep carries its factor up: the
+SVD of T_{m-1} takes column m by Brand's rank-one update
+(:func:`linalg.svd_append`), O((n + m) k**2) against O(n m k) afresh.  T_M
+is factored afresh by ``linalg.svd`` at the first m of a range, after a gap,
+after a factor that raised or failed its check, where the update's residual
+is exactly 0, and at least every ``CARRY_LIMIT`` model sizes.  Every factor,
+afresh or carried, is checked against the held training rows before any
+step reads it (:func:`_checked_factor`, O(n m)); a failure makes every
+lambda at that m an error row.  Lambda never touches the factor.  One
+object then holds the products of the factor that no lambda changes: U^H y_train, U^H (T_M theta_m),
 U^H (T_U theta_u) = W theta_u, and the Gram of W (W itself when W is
 taller than wide).  The fitted-signal identity is checked on them once per
 m, before any filter, which would only amplify their rounding (see
@@ -51,7 +59,8 @@ SVD call (the augmented-spectrum checks, on 2k x k blocks reduced by one QR
 of T_M, k = min(n, m); see :func:`_augmented`) and one ``eigvalsh`` call
 (the norms of A).  No lambda's arithmetic depends on the others in the
 list, so every row is exactly what a sweep over its lambda alone gives.
-Each step's arrays, G aside, are freed before the next m is factored.
+Each step's arrays, G and the carried factor aside, are freed before the
+next m is factored.
 :func:`risk_and_errors` and :func:`ridge_panels` are the same route for one
 lambda.
 """
@@ -69,11 +78,29 @@ from .bases import BasisSpec, evaluate_columns
 from .designs import ParameterSpec, SampleDesign, make_theta
 from .errors import DecompositionMismatchError, GadkitError, InvalidInputError
 from .linalg import (BLOCK, DEFAULT_REL_TOL, SvdResult, as_matrix, as_vector, blocks, gram, ldexp,
-                     row_peaks, scaled_gram, scaled_root, spectral_norm, spectrum, svd)
+                     row_peaks, scaled_gram, scaled_root, spectral_norm, spectrum, svd, svd_append)
 from .linalg import kernel_projector, pseudoinverse  # noqa: F401  (perfbench/spans.py wraps these)
 
 # tolerance of the fitted-signal identity that every model size checks, relative to ||y||
 IDENTITY_TOL = 1e-8
+
+# tolerance of the factor check that every model size makes (see _checked_factor):
+# the residuals of T_M V = U diag(s) and T_M^H U = V diag(s) on a probe x,
+# relative to sigma_max ||x||, and the orthonormality defects of U and V on x,
+# relative to ||x||.  Over every shipped config's whole sweep at seed 0, fresh
+# and carried factors read at most 2.5e-14; V one part in 1e6 off reads 1e-6
+FACTOR_TOL = 1e-10
+FACTOR_SEED = 0
+
+# A sweep factors T_M afresh at least every CARRY_LIMIT model sizes: after
+# CARRY_LIMIT - 1 consecutive carried factors the next is an SVD afresh, so
+# that the rounding of the updates cannot pile up.  Carried with no refresh
+# over m 1-700 of the shipped Ising sweeps and m 1-400 of the random-feature
+# sweeps, the factor drifts by about 1e-15 per update: its singular values
+# stay within 1.8e-13 sigma_max of an SVD afresh, and it reconstructs T_M and
+# keeps U and V orthonormal to 8e-13.  So a chain of 100 drifts to about 1e-13,
+# a thousandth of FACTOR_TOL, and a 40-step window pays one SVD afresh
+CARRY_LIMIT = 100
 
 # The Gram of T_U that the sweep holds is formed again from T_U itself once
 # the exact squared norm of T_U has fallen by REFACTOR_FALL since the Gram was
@@ -97,7 +124,9 @@ class OperatorPanel:
     m: int
     train: np.ndarray
     pred: np.ndarray
-    factor: SvdResult  # of train_modeled: the one factorization at this model size
+    # of train_modeled: the one factorization at this model size, afresh or
+    # carried up from the last, and checked against train_modeled either way
+    factor: SvdResult
 
     @property
     def rank(self) -> int:
@@ -212,14 +241,18 @@ class _FiniteOperator:
     ``error`` is the :class:`InvalidInputError` of the first block with a
     non-finite entry, or None.  The blocks after it are still evaluated, so
     that an evaluation error raises as it would from one call over all rows.
-    :func:`build_panels` takes the object without checking it again.
+    :func:`build_panels` takes the object without checking it again, and
+    asks it for the factor of T_M (:meth:`factor_at`), which it carries from
+    one model size to the next.
     """
 
-    __slots__ = ("train", "pred", "y", "error")
+    __slots__ = ("train", "pred", "y", "error", "_factor", "_carried")
 
     def __init__(self, basis: BasisSpec, design: SampleDesign, width: int, theta: np.ndarray):
         points = design.all_points
         self.error: InvalidInputError | None = None
+        self._factor: SvdResult | None = None  # the last checked factor of T_M
+        self._carried = 0  # how many updates it is from its SVD afresh
         for rows in blocks(points.shape[0], BLOCK):
             # the block lives only in _keep, so it is freed before the next is evaluated
             self._keep(rows, evaluate_columns(basis, points[rows], (0, basis.column_budget)),
@@ -245,6 +278,30 @@ class _FiniteOperator:
         self.train[rows.start : rows.start + cut] = block[:cut]
         if cut < block.shape[0]:
             self.pred[rows.start + cut - n : rows.stop - n] = block[cut:, :width]
+
+    def factor_at(self, m: int, rel_tol: float) -> SvdResult:
+        """The checked reduced SVD of T_M, the first m training columns.
+
+        When the last factor given was of T_{m-1} and fewer than
+        ``CARRY_LIMIT - 1`` updates from an SVD afresh, column m is appended
+        to it (:func:`linalg.svd_append`); otherwise, and when the update
+        gives None, T_M is factored afresh.  Either way the factor must pass
+        :func:`_checked_factor` before it is given and kept.  A factor that
+        raises or fails its check is not kept, so the next m starts afresh.
+        """
+        last, self._factor = self._factor, None
+        block = self.train[:, :m]
+        factor = None
+        if (last is not None and last.right_vectors.shape[0] == m - 1
+                and self._carried < CARRY_LIMIT - 1):
+            factor = svd_append(last, self.train[:, m - 1], rel_tol)
+        del last  # freed before an SVD afresh
+        if factor is None:
+            factor, carried = svd(block, rel_tol), 0
+        else:
+            carried = self._carried + 1
+        self._factor, self._carried = _checked_factor(block, factor), carried
+        return factor
 
 
 class _NescientGram:
@@ -322,7 +379,43 @@ def build_panels(M_full, design: SampleDesign, m: int,
     width = pred.shape[1]
     if not 1 <= m <= width:
         raise InvalidInputError(f"model size {m} outside [1, {width}]")
-    return OperatorPanel(m=int(m), train=train, pred=pred, factor=svd(train[:, :m], rel_tol))
+    if isinstance(M_full, _FiniteOperator):
+        factor = M_full.factor_at(int(m), rel_tol)
+    else:
+        factor = _checked_factor(train[:, :m], svd(train[:, :m], rel_tol))
+    return OperatorPanel(m=int(m), train=train, pred=pred, factor=factor)
+
+
+def _checked_factor(block: np.ndarray, factor: SvdResult) -> SvdResult:
+    """The factor of ``block``, once it checks against the block's own entries.
+
+    A Freivalds-style check (Freivalds, IFIP 1977) at O(rows cols) that
+    shares no arithmetic with how the factor was made: with ``U diag(s) V^H``
+    over k singular values and two fixed-seed Gaussian probes x and y of
+    length k, ``T_M (V x) = U (s * x)`` and ``T_M^H (U y) = V (s * y)`` must
+    hold to ``FACTOR_TOL * sigma_max`` times the probe's norm, and
+    ``U^H (U x) = x`` and ``V^H (V x) = x`` to ``FACTOR_TOL`` times it.  A
+    swapped, rescaled or sign-flipped singular vector breaks one of them.
+    Raises :class:`DecompositionMismatchError` otherwise.  No output reads
+    the probes.
+    """
+    u, s, v = factor.left_vectors, factor.singular_values, factor.right_vectors
+    x, y = np.random.default_rng(FACTOR_SEED).standard_normal((2, s.size))
+    scale = FACTOR_TOL * float(s[0] if s.size else 0.0)
+    size = float(np.linalg.norm(x)), float(np.linalg.norm(y))
+    defects = (
+        ("T_M V = U diag(s)", np.linalg.norm(block @ (v @ x) - u @ (s * x)), scale * size[0]),
+        ("T_M^H U = V diag(s)",
+         np.linalg.norm(block.conj().T @ (u @ y) - v @ (s * y)), scale * size[1]),
+        ("U^H U = I", np.linalg.norm(u.conj().T @ (u @ x) - x), FACTOR_TOL * size[0]),
+        ("V^H V = I", np.linalg.norm(v.conj().T @ (v @ x) - x), FACTOR_TOL * size[0]),
+    )
+    for name, defect, bound in defects:
+        if not defect <= bound:
+            raise DecompositionMismatchError(
+                f"factor of T_M fails {name} by {float(defect):.3e} against {bound:.3e}"
+            )
+    return factor
 
 
 def _shared_products(panel: OperatorPanel, theta, y_full,
@@ -427,7 +520,9 @@ def _augmented(panel: OperatorPanel, shifts: list[float]) -> np.ndarray:
     has the k singular values ``sqrt(sigma**2 + n*lambda)`` of the full
     block ``[T_M; sqrt(n*lambda) I]``; the full block's other m - k equal
     ``sqrt(n*lambda)`` exactly, since rank T_M <= n.  Every shift shares R,
-    which takes nothing from the panel's factor.
+    which takes nothing from the panel's factor, so the spectrum check holds
+    the factor's singular values, carried or afresh, against a factorization
+    of its own.
     """
     x = panel.train_modeled
     r = np.linalg.qr(x if x.shape[0] >= x.shape[1] else x.conj().T, mode="r")
@@ -657,8 +752,11 @@ def _step(operator: _FiniteOperator, design: SampleDesign, m: int, theta: np.nda
 
     The panel is None when the step failed, and then every lambda has an
     error row.  ``held`` is the sweep's Gram of T_U while ``p - m >= n``,
-    and None once T_U is thinner than n.  The shared products live only in
-    this call, so that the sweep holds one model size's arrays at a time.
+    and None once T_U is thinner than n.  The panel's factor comes from the
+    operator, which keeps it for the update at m + 1 once it has passed its
+    check (:meth:`_FiniteOperator.factor_at`).  The shared products live
+    only in this call, so that the sweep holds one model size's arrays at a
+    time.
     """
     try:
         # the Gram advances before the panel is built, so that a failed panel
@@ -704,8 +802,9 @@ def sweep_steps(basis: BasisSpec, design: SampleDesign, theta_spec: ParameterSpe
 
     Checks the arguments and evaluates the operator as :func:`sweep` does,
     before it returns.  Each step then gives the panel that every lambda at
-    m shares, whose factor is the one SVD of T_M there, or None when the step
-    failed, with that m's record for each lambda in the caller's order.
+    m shares, whose factor is the one checked SVD of T_M there, carried up
+    from the last m or made afresh, or None when the step failed, with that
+    m's record for each lambda in the caller's order.
     :func:`lambda_major` puts the rows of every step in the order
     :func:`sweep` returns them.
     """
@@ -761,9 +860,20 @@ def sweep(basis: BasisSpec, design: SampleDesign, theta_spec: ParameterSpec,
     relative.  From the first m with ``p - m < n`` on, it is dropped, and
     each step takes ``||T_U||`` and ``W = U^H T_U`` from T_U itself.  The
     Gram advances before the panel is built, so a step that fails leaves
-    every other row as it would have been.  Where the range starts moves
-    the rows only by rounding: a window of a sweep matches the whole
-    sweep's rows to rounding, not bit for bit.
+    every other step's Gram as it would have been.
+
+    The panel's SVD is carried from m - 1 to m by a rank-one column update
+    (:func:`linalg.svd_append`) and made afresh by ``linalg.svd`` at the
+    first m, after a gap, after a factor that raised or failed its check,
+    where the update's residual is exactly 0, and after ``CARRY_LIMIT - 1``
+    consecutive updates.  Each factor, afresh or carried, must pass the
+    checks of :func:`_checked_factor` against the held rows of T_M, or
+    every lambda at that m gets an error row.  A failure past the factor
+    (the identity check, one lambda's fit) keeps the chain, so every other
+    row stays as it would have been; a failed factor ends it, and the rows
+    after it move by rounding.  So does where the range starts: a window of
+    a sweep matches the whole sweep's rows to rounding, not bit for bit, with
+    ranks, flags and errors exactly.
 
     The operator is evaluated in the row blocks of :func:`linalg.blocks`
     for ``BLOCK``, one :func:`evaluate_columns` call over every column per
@@ -771,11 +881,12 @@ def sweep(basis: BasisSpec, design: SampleDesign, theta_spec: ParameterSpec,
     keeps the training rows over every column and the prediction rows over
     the first ``max(m)`` columns, so a window at small m keeps the
     prediction rows over a small share of the columns.  One step is held at
-    a time: a step's panel, factor and products are freed before the next m
-    is factored.  The sweep's peak memory is therefore those kept rows plus
-    the Gram of T_U plus the larger of one block's evaluation and one model
-    size's working set (the factor, one Gram's temporary, and W on the thin
-    side), however many model sizes it walks.
+    a time: a step's panel and products are freed before the next m is
+    factored, and only its factor is kept, for the update.  The sweep's peak
+    memory is therefore those kept rows plus the Gram of T_U plus the larger
+    of one block's evaluation and one model size's working set (the factor,
+    one Gram's temporary, and W on the thin side), plus the last U and V
+    while the update forms the next, however many model sizes it walks.
 
     An empty or out-of-budget m range, an empty lambda list, or a negative or
     non-finite lambda raises :class:`InvalidInputError` before the operator
@@ -784,8 +895,8 @@ def sweep(basis: BasisSpec, design: SampleDesign, theta_spec: ParameterSpec,
     sweep: it yields a record carrying the error message.  A non-finite
     entry anywhere in the operator, in a column the sweep does not keep
     too, gives every (lambda, m) the error row of that check.
-    When the Gram of T_U, the panel, ``||T_U||``, the identity check or the
-    flag fails at m, every lambda gets an error row there; the rank is stored
+    When the Gram of T_U, the panel or its factor check, ``||T_U||``, the
+    identity check or the flag fails at m, every lambda gets an error row there; the rank is stored
     only once the panel, the norm and the check have succeeded.  When one
     lambda's ridge norm, ``||A||`` or fit fails, only that row gets an error,
     and the rank, which does not depend on lambda, is still stored; a stacked

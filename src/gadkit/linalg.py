@@ -26,6 +26,12 @@ from .errors import InvalidInputError
 
 DEFAULT_REL_TOL = 1e-12
 
+# most Gram-Schmidt passes of svd_append after the first: a pass is repeated
+# while it takes more than 1 - 1/sqrt(2) of the residual's norm (Daniel, Gragg,
+# Kaufman & Stewart, Math. Comp. 30, 1976), which a column in the span of the
+# earlier ones does to rounding; one repeat is the usual case
+REORTHOGONALIZATIONS = 4
+
 # rows (columns, for the Gram of a tall matrix) per block of row_peaks and gram,
 # and rows per block of bases.evaluate_columns and of the sweep's evaluation of
 # the operator (decomposition._FiniteOperator)
@@ -129,6 +135,65 @@ def svd(matrix, rel_tol: float = DEFAULT_REL_TOL) -> SvdResult:
     u, s, vh = np.linalg.svd(x, full_matrices=False)
     rank = int(np.count_nonzero(s > _rank_threshold(s, x.shape, rel_tol)))
     return SvdResult(u, s, vh.conj().T, rank, rel_tol)
+
+
+def svd_append(factor: SvdResult, column: np.ndarray,
+                  rel_tol: float = DEFAULT_REL_TOL) -> SvdResult | None:
+    """The reduced SVD of ``[X, t]`` from the reduced SVD of X, or None when t lies in range(U).
+
+    Brand's rank-one column update (Linear Algebra Appl. 415, 2006): with
+    ``c = U^H t`` and ``r = t - U c``, ``[X, t] = [U, r/rho] K [[V, 0], [0, 1]]^H``
+    for the arrow ``K = [[diag(s), c], [0, rho]]``, ``rho = ||r||``.  While U
+    is thinner than X is tall, c and r come from classical Gram-Schmidt with
+    at least one reorthogonalization, repeated while a pass takes more than
+    ``1 - 1/sqrt(2)`` of the residual's norm, so that ``r/rho`` is
+    orthogonal to U even when t lies in range(U) up to rounding.  Once U is
+    square, r is rounding and K drops its last row.  The phase
+    ``D = diag(c/|c|)``, 1 where c is 0, makes K real,
+    ``K = diag(D, 1) [[diag(s), |c|], [0, rho]] diag(D, 1)^H``, so one real
+    SVD ``X sigma Y^T`` of that arrow gives ``U <- [U D, r/rho] X`` and
+    ``V <- [[V D, 0], [0, 1]] Y``.  None when rho is exactly 0, where
+    ``r/rho`` has no direction, or when ``REORTHOGONALIZATIONS`` passes do not
+    settle.  The rank is the rule of :func:`svd` over the new shape.  The
+    cost is O((rows + cols) k**2) for k singular values, against
+    O(rows cols k) for an SVD afresh.
+    """
+    rel_tol = _check_rel_tol(rel_tol)
+    u, s, v = factor.left_vectors, factor.singular_values, factor.right_vectors
+    n, k = u.shape
+    t = as_vector(column, length=n)
+    uh = u.conj().T
+    c = uh @ t
+    grow = k < n
+    if grow:
+        r = t - u @ c
+        rho = float(np.linalg.norm(r))
+        for _ in range(REORTHOGONALIZATIONS):
+            again = uh @ r
+            c += again
+            r -= u @ again
+            rho, last = float(np.linalg.norm(r)), rho
+            if rho > last / math.sqrt(2.0):
+                break
+        else:
+            return None
+        if rho == 0.0:
+            return None
+    modulus = np.abs(c)
+    phase = np.divide(c, modulus, out=np.ones_like(c), where=modulus > 0)
+    arrow = np.zeros((k + grow, k + 1))
+    arrow[np.arange(k), np.arange(k)] = s
+    arrow[:k, k] = modulus
+    if grow:
+        arrow[k, k] = rho
+    x, sigma, yt = np.linalg.svd(arrow, full_matrices=False)
+    left = (u * phase) @ x[:k]
+    if grow:
+        left += np.outer(r / rho, x[k])
+    right = np.concatenate([(v * phase) @ yt[:, :k].T, yt[None, :, k]])
+    shape = (n, v.shape[0] + 1)
+    rank = int(np.count_nonzero(sigma > _rank_threshold(sigma, shape, rel_tol)))
+    return SvdResult(left, sigma, right, rank, rel_tol)
 
 
 def spectrum(matrix, rel_tol: float = DEFAULT_REL_TOL) -> tuple[np.ndarray, int]:

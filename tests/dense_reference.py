@@ -5,15 +5,45 @@ matrices.  ``b_operator``, ``infer_theta`` and ``invertibility_operator``
 apply the shipped fit map: each calls :func:`gadkit.decomposition.aliasing_operator`
 on a copy of the panel whose nescient training block is the right-hand side, so they
 check the package's own arithmetic, not a second copy of it.
+
+``record_mismatches`` compares two sweeps by the golden rule that
+``test_golden.py`` applies to CSV rows.
 """
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from gadkit.decomposition import OperatorPanel, aliasing_operator
+from gadkit.decomposition import OperatorPanel, SweepRecord, aliasing_operator
 from gadkit.errors import InvalidInputError
 from gadkit.linalg import DEFAULT_REL_TOL, as_matrix, as_vector, svd
+
+# the golden rule: these fields match exactly, every other float to REL_TOL
+# relative with an absolute floor of FLOOR times the largest finite magnitude
+# of its column, so that rounding-level entries survive a reordering of the
+# same arithmetic
+EXACT_FIELDS = ("m", "lam", "rank_TM", "new_col_independent", "error")
+REL_TOL = 1e-9
+FLOOR = 1e-12
+
+
+def record_mismatches(got: list[SweepRecord], want: list[SweepRecord]) -> list[str]:
+    """Every field where one sweep's records depart from another's by the golden rule."""
+    if len(got) != len(want):
+        return [f"{len(got)} records against {len(want)}"]
+    problems = []
+    for field in (f.name for f in fields(SweepRecord)):
+        pairs = [(getattr(g, field), getattr(w, field)) for g, w in zip(got, want)]
+        if field in EXACT_FIELDS:
+            problems += [f"record {i} {field}: {a!r} != {b!r}"
+                         for i, (a, b) in enumerate(pairs) if a != b]
+            continue
+        scale = max((abs(b) for _, b in pairs if math.isfinite(b)), default=0.0)
+        problems += [f"record {i} {field}: {a!r} != {b!r}" for i, (a, b) in enumerate(pairs)
+                     if not (math.isnan(a) and math.isnan(b))
+                     and not abs(a - b) <= REL_TOL * max(abs(a), abs(b)) + FLOOR * scale]
+    return problems
 
 
 def _fit(panel: OperatorPanel, rhs: np.ndarray, lam: float) -> np.ndarray:

@@ -32,6 +32,7 @@ from pathlib import Path
 
 import pytest
 
+from dense_reference import FLOOR, REL_TOL
 from gadkit import parse_config
 from gadkit.experiments import run_config
 
@@ -39,8 +40,6 @@ ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 EXACT_COLUMNS = ("m", "n", "rank_TM", "new_col_independent", "error")
-REL_TOL = 1e-9
-FLOOR = 1e-12
 
 # config stem -> model-size window (None: the config's own range)
 CASES = {

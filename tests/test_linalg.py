@@ -1,4 +1,4 @@
-"""Kernels: SVD, pseudoinverse, projectors, column appends, interlacing."""
+"""Kernels: SVD and its column update, pseudoinverse, projectors, column appends, interlacing."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,7 @@ import pytest
 from dense_reference import append_column, interleaving_check
 from gadkit.errors import InvalidInputError
 from gadkit.linalg import (BLOCK, gram, kernel_projector, pseudoinverse, row_peaks,
-                           spectral_norm, svd)
+                           spectral_norm, svd, svd_append)
 
 
 def random_matrix(rng, rows, cols, complex_field=False):
@@ -65,6 +65,67 @@ class TestSvd:
         res = svd(np.zeros((3, 0)))
         assert res.numerical_rank == 0
         assert res.singular_values.size == 0
+
+
+def factor_defects(factor, x):
+    """Reconstruction error over sigma_max, and the orthonormality defects of U and V."""
+    u, s, v = factor.left_vectors, factor.singular_values, factor.right_vectors
+    rebuilt = np.linalg.norm((u * s) @ v.conj().T - x) / s[0]
+    eye = np.eye(s.size)
+    return rebuilt, np.linalg.norm(u.conj().T @ u - eye), np.linalg.norm(v.conj().T @ v - eye)
+
+
+class TestSvdAppend:
+    @pytest.mark.parametrize("complex_field", [False, True], ids=["real", "complex"])
+    @pytest.mark.parametrize("cols", [3, 7, 8, 12], ids=["m<n", "m+1=n", "m=n", "m>n"])
+    def test_matches_svd_of_the_wider_block(self, complex_field, cols):
+        rng = np.random.default_rng(cols)
+        x = random_matrix(rng, 8, cols + 1, complex_field)
+        got, want = svd_append(svd(x[:, :cols]), x[:, cols]), svd(x)
+        assert got.numerical_rank == want.numerical_rank
+        assert got.left_vectors.shape == want.left_vectors.shape
+        assert got.right_vectors.shape == want.right_vectors.shape
+        np.testing.assert_allclose(got.singular_values, want.singular_values,
+                                   rtol=0, atol=1e-14 * want.singular_values[0])
+        assert max(factor_defects(got, x)) < 1e-14
+
+    def test_dependent_column_keeps_the_rank(self):
+        rng = np.random.default_rng(3)
+        x = random_matrix(rng, 8, 4)
+        got = svd_append(svd(x), x @ np.array([1.0, -2.0, 0.5, 3.0]))
+        assert got.numerical_rank == 4 and got.singular_values.size == 5
+        assert max(factor_defects(got, np.column_stack([x, x @ [1.0, -2.0, 0.5, 3.0]]))) < 1e-13
+
+    def test_zero_residual_gives_none(self):
+        # a column exactly in range(U) while U is thinner than the block is tall
+        assert svd_append(svd(np.eye(3)[:, :2]), np.array([2.0, -1.0, 0.0])) is None
+        assert svd_append(svd(np.eye(3)[:, :2]), np.zeros(3)) is None
+
+    @pytest.mark.parametrize("complex_field", [False, True], ids=["real", "complex"])
+    def test_drift_over_600_consecutive_updates(self, complex_field):
+        # one factor carried from 1 to 650 columns of a 50-row block, across
+        # m = n, with no refresh: singular values stay within 1e-12 sigma_max
+        # of an SVD afresh, and the factor reconstructs and stays orthonormal
+        # to 1e-12 (about 1e-13, 3e-13 and 3e-13 here)
+        rng = np.random.default_rng(11)
+        x = random_matrix(rng, 50, 650, complex_field)
+        factor = svd(x[:, :1])
+        for m in range(2, 651):
+            factor = svd_append(factor, x[:, m - 1])
+            if m % 50 == 0:
+                want = svd(x[:, :m])
+                assert factor.numerical_rank == want.numerical_rank
+                deviation = np.abs(factor.singular_values - want.singular_values).max()
+                assert deviation <= 1e-12 * want.singular_values[0], m
+        assert max(factor_defects(factor, x)) < 1e-12
+
+    def test_rank_follows_the_rule_of_svd(self):
+        # a column of 1e-14 relative size sits below the threshold
+        # rel_tol * sigma_max * max(rows, cols) of the 4-column block
+        x = np.eye(6)[:, :4]
+        got = svd_append(svd(x), 1e-14 * np.eye(6)[:, 4])
+        assert got.numerical_rank == svd(np.column_stack([x, 1e-14 * np.eye(6)[:, 4]])).numerical_rank == 4
+        assert svd_append(svd(x), 1e-10 * np.eye(6)[:, 4]).numerical_rank == 5
 
 
 class TestPseudoinverse:
