@@ -403,12 +403,13 @@ def _checked_factor(block: np.ndarray, factor: SvdResult) -> SvdResult:
     x, y = np.random.default_rng(FACTOR_SEED).standard_normal((2, s.size))
     scale = FACTOR_TOL * float(s[0] if s.size else 0.0)
     size = float(np.linalg.norm(x)), float(np.linalg.norm(y))
+    # A^H z is taken as the conjugate of z^H A, which copies no matrix
     defects = (
         ("T_M V = U diag(s)", np.linalg.norm(block @ (v @ x) - u @ (s * x)), scale * size[0]),
         ("T_M^H U = V diag(s)",
-         np.linalg.norm(block.conj().T @ (u @ y) - v @ (s * y)), scale * size[1]),
-        ("U^H U = I", np.linalg.norm(u.conj().T @ (u @ x) - x), FACTOR_TOL * size[0]),
-        ("V^H V = I", np.linalg.norm(v.conj().T @ (v @ x) - x), FACTOR_TOL * size[0]),
+         np.linalg.norm((u @ y).conj() @ block - (v @ (s * y)).conj()), scale * size[1]),
+        ("U^H U = I", np.linalg.norm((u @ x).conj() @ u - x), FACTOR_TOL * size[0]),
+        ("V^H V = I", np.linalg.norm((v @ x).conj() @ v - x), FACTOR_TOL * size[0]),
     )
     for name, defect, bound in defects:
         if not defect <= bound:

@@ -1230,12 +1230,15 @@ def flip_column(a, i):
     return out
 
 
-# the factor faults a hand-updated factor could make, planted in one factor
+# the factor faults a hand-updated factor could make, planted in one factor;
+# the sign flip is on the last retained left vector, whose singular value is
+# far below sigma_max, so that only a tight bound sees it
 FACTOR_FAULTS = {
     "right-vectors-swapped": lambda f: replace(f, right_vectors=swap_columns(f.right_vectors, 0, 1)),
     "right-vectors-scaled": lambda f: replace(f, right_vectors=f.right_vectors * (1 + 1e-6)),
     "left-vectors-swapped": lambda f: replace(f, left_vectors=swap_columns(f.left_vectors, 0, 1)),
-    "left-sign-flipped": lambda f: replace(f, left_vectors=flip_column(f.left_vectors, 0)),
+    "left-sign-flipped": lambda f: replace(
+        f, left_vectors=flip_column(f.left_vectors, f.numerical_rank - 1)),
 }
 
 
