@@ -8,9 +8,9 @@ the fitted ones.  Sweeping m produces the label-independent anatomy of the
 risk curve.
 
 Every per-m quantity derives from one reduced SVD of the modeled training
-block, T_M = U diag(s) V^H.  The fit map is V diag(f) U^H with one filter vector f:
-1/s over the numerical rank and 0 past it when lambda = 0, s / (s**2 +
-n*lambda) under ridge.  Lambda is a plain float, active exactly when it is
+block, T_M = U diag(s) V^H.  The fit map is V diag(f) U^H with one filter
+vector f: 1/s over the numerical rank and 0 past it when lambda = 0,
+s / (s**2 + n*lambda) under ridge.  Lambda is a plain float, active exactly when it is
 positive, so lambda = 0 takes the unregularized path and the two agree.
 The sweep applies the factor to vectors and forms neither the fit map, B
 nor the aliasing operator: A = V C with the small core C = diag(f) W and
@@ -20,9 +20,9 @@ it entry by entry with the exact aliasing map.
 
 :func:`sweep_steps` is the one loop over model sizes: it evaluates the
 operator once, in row blocks, then walks m upward with lambda inside and
-gives each m's panel, with its one factor, with that m's rows.  A recipe that
-needs more of a panel than its rows reads it there instead of evaluating
-and factoring again; :func:`sweep` keeps only the rows.  Each block is
+gives each m's panel, with its one factor, and that m's rows.  A recipe
+that needs more of a panel than its rows reads it there instead of
+evaluating and factoring again; :func:`sweep` keeps only the rows.  Each block is
 checked for finite entries and folded into ``y = M theta``, and the sweep
 keeps only what its steps read: the training rows over every column, and
 the prediction rows over the first ``max(m)`` columns, which a step reads
@@ -49,11 +49,11 @@ is exactly 0, and at least every ``CARRY_LIMIT`` model sizes.  Every factor,
 afresh or carried, is checked against the held training rows before any
 step reads it (:func:`_checked_factor`, O(n m)); a failure makes every
 lambda at that m an error row.  Lambda never touches the factor.  One
-object then holds the products of the factor that no lambda changes: U^H y_train, U^H (T_M theta_m),
-U^H (T_U theta_u) = W theta_u, and the Gram of W (W itself when W is
-taller than wide).  The fitted-signal identity is checked on them once per
-m, before any filter, which would only amplify their rounding (see
-:func:`_identity_residual`).  Each lambda is then only filter work on those
+object then holds the products of the factor that no lambda changes:
+U^H y_train, U^H (T_M theta_m), U^H (T_U theta_u) = W theta_u, and the
+Gram of W (W itself when W is taller than wide).  The fitted-signal
+identity is checked on them once per m, before any filter, which would only
+amplify their rounding (see :func:`_identity_residual`).  Each lambda is then only filter work on those
 products, and the LAPACK work of all lambdas is stacked into one values-only
 SVD call (the augmented-spectrum checks, on 2k x k blocks reduced by one QR
 of T_M, k = min(n, m); see :func:`_augmented`) and one ``eigvalsh`` call
@@ -90,7 +90,6 @@ IDENTITY_TOL = 1e-8
 # relative to ||x||.  Over every shipped config's whole sweep at seed 0, fresh
 # and carried factors read at most 2.5e-14; V one part in 1e6 off reads 1e-6
 FACTOR_TOL = 1e-10
-FACTOR_SEED = 0
 
 # A sweep factors T_M afresh at least every CARRY_LIMIT model sizes: after
 # CARRY_LIMIT - 1 consecutive carried factors the next is an SVD afresh, so
@@ -400,7 +399,7 @@ def _checked_factor(block: np.ndarray, factor: SvdResult) -> SvdResult:
     the probes.
     """
     u, s, v = factor.left_vectors, factor.singular_values, factor.right_vectors
-    x, y = np.random.default_rng(FACTOR_SEED).standard_normal((2, s.size))
+    x, y = np.random.default_rng(0).standard_normal((2, s.size))
     scale = FACTOR_TOL * float(s[0] if s.size else 0.0)
     size = float(np.linalg.norm(x)), float(np.linalg.norm(y))
     # A^H z is taken as the conjugate of z^H A, which copies no matrix
@@ -897,8 +896,9 @@ def sweep(basis: BasisSpec, design: SampleDesign, theta_spec: ParameterSpec,
     entry anywhere in the operator, in a column the sweep does not keep
     too, gives every (lambda, m) the error row of that check.
     When the Gram of T_U, the panel or its factor check, ``||T_U||``, the
-    identity check or the flag fails at m, every lambda gets an error row there; the rank is stored
-    only once the panel, the norm and the check have succeeded.  When one
+    identity check or the flag fails at m, every lambda gets an error row
+    there; the rank is stored only once the panel, the norm and the check
+    have succeeded.  When one
     lambda's ridge norm, ``||A||`` or fit fails, only that row gets an error,
     and the rank, which does not depend on lambda, is still stored; a stacked
     call that raises ``LinAlgError`` is made again one lambda at a time, so

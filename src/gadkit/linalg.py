@@ -138,7 +138,7 @@ def svd(matrix, rel_tol: float = DEFAULT_REL_TOL) -> SvdResult:
 
 
 def svd_append(factor: SvdResult, column: np.ndarray,
-                  rel_tol: float = DEFAULT_REL_TOL) -> SvdResult | None:
+               rel_tol: float = DEFAULT_REL_TOL) -> SvdResult | None:
     """The reduced SVD of ``[X, t]`` from the reduced SVD of X, or None when t lies in range(U).
 
     Brand's rank-one column update (Linear Algebra Appl. 415, 2006): with
@@ -153,8 +153,8 @@ def svd_append(factor: SvdResult, column: np.ndarray,
     ``K = diag(D, 1) [[diag(s), |c|], [0, rho]] diag(D, 1)^H``, so one real
     SVD ``X sigma Y^T`` of that arrow gives ``U <- [U D, r/rho] X`` and
     ``V <- [[V D, 0], [0, 1]] Y``.  None when rho is exactly 0, where
-    ``r/rho`` has no direction, or when ``REORTHOGONALIZATIONS`` passes do not
-    settle.  The rank is the rule of :func:`svd` over the new shape.  The
+    ``r/rho`` has no direction, or when ``REORTHOGONALIZATIONS`` passes do
+    not settle.  The rank is the rule of :func:`svd` over the new shape.  The
     cost is O((rows + cols) k**2) for k singular values, against
     O(rows cols k) for an SVD afresh.
     """
@@ -175,9 +175,7 @@ def svd_append(factor: SvdResult, column: np.ndarray,
             rho, last = float(np.linalg.norm(r)), rho
             if rho > last / math.sqrt(2.0):
                 break
-        else:
-            return None
-        if rho == 0.0:
+        else:  # no pass settled, as for an exactly zero residual
             return None
     modulus = np.abs(c)
     phase = np.divide(c, modulus, out=np.ones_like(c), where=modulus > 0)

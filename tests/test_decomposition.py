@@ -1234,7 +1234,8 @@ def flip_column(a, i):
 # the sign flip is on the last retained left vector, whose singular value is
 # far below sigma_max, so that only a tight bound sees it
 FACTOR_FAULTS = {
-    "right-vectors-swapped": lambda f: replace(f, right_vectors=swap_columns(f.right_vectors, 0, 1)),
+    "right-vectors-swapped": lambda f: replace(
+        f, right_vectors=swap_columns(f.right_vectors, 0, 1)),
     "right-vectors-scaled": lambda f: replace(f, right_vectors=f.right_vectors * (1 + 1e-6)),
     "left-vectors-swapped": lambda f: replace(f, left_vectors=swap_columns(f.left_vectors, 0, 1)),
     "left-sign-flipped": lambda f: replace(
@@ -1257,7 +1258,7 @@ class TestFactorCheck:
         return basis, design, ParameterSpec("unstructured_iid", 40, seed=42)
 
     def sweep_noting_fresh(self, monkeypatch, ms, plant=None, kind=None):
-        """The sweep's records and every m factored afresh; ``plant`` corrupts one kind of factor."""
+        """The sweep's records and the m it factors afresh; ``plant`` spoils one kind of factor."""
         fresh = []
         original = {"svd": decomposition.svd, "svd_append": decomposition.svd_append}
 

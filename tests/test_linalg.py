@@ -122,10 +122,10 @@ class TestSvdAppend:
     def test_rank_follows_the_rule_of_svd(self):
         # a column of 1e-14 relative size sits below the threshold
         # rel_tol * sigma_max * max(rows, cols) of the 4-column block
-        x = np.eye(6)[:, :4]
-        got = svd_append(svd(x), 1e-14 * np.eye(6)[:, 4])
-        assert got.numerical_rank == svd(np.column_stack([x, 1e-14 * np.eye(6)[:, 4]])).numerical_rank == 4
-        assert svd_append(svd(x), 1e-10 * np.eye(6)[:, 4]).numerical_rank == 5
+        x, t = np.eye(6)[:, :4], np.eye(6)[:, 4]
+        assert svd_append(svd(x), 1e-14 * t).numerical_rank == 4
+        assert svd(np.column_stack([x, 1e-14 * t])).numerical_rank == 4
+        assert svd_append(svd(x), 1e-10 * t).numerical_rank == 5
 
 
 class TestPseudoinverse:
