@@ -185,10 +185,11 @@ def svd_append(factor: SvdResult, column: np.ndarray,
     if grow:
         arrow[k, k] = rho
     x, sigma, yt = np.linalg.svd(arrow, full_matrices=False)
-    left = (u * phase) @ x[:k]
+    # U D X as U (D X) and V D Y as V (D Y): the phase scales the small factor, not U or V
+    left = u @ (phase[:, None] * x[:k])
     if grow:
         left += np.outer(r / rho, x[k])
-    right = np.concatenate([(v * phase) @ yt[:, :k].T, yt[None, :, k]])
+    right = np.concatenate([v @ (phase[:, None] * yt[:, :k].T), yt[None, :, k]])
     shape = (n, v.shape[0] + 1)
     rank = int(np.count_nonzero(sigma > _rank_threshold(sigma, shape, rel_tol)))
     return SvdResult(left, sigma, right, rank, rel_tol)
