@@ -53,14 +53,14 @@ object then holds the products of the factor that no lambda changes:
 U^H y_train, U^H (T_M theta_m), U^H (T_U theta_u) = W theta_u, and the
 Gram of W (W itself when W is taller than wide).  The fitted-signal
 identity is checked on them once per m, before any filter, which would only
-amplify their rounding (see :func:`_identity_residual`).  Each lambda is then only filter work on those
-products, and the LAPACK work of all lambdas is stacked into one values-only
-SVD call (the augmented-spectrum checks, on 2k x k blocks reduced by one QR
-of T_M, k = min(n, m); see :func:`_augmented`) and one ``eigvalsh`` call
-(the norms of A).  No lambda's arithmetic depends on the others in the
-list, so every row is exactly what a sweep over its lambda alone gives.
-Each step's arrays, G and the carried factor aside, are freed before the
-next m is factored.
+amplify their rounding (see :func:`_identity_residual`).  Each lambda is
+then only filter work on those products, and the LAPACK work of all
+lambdas is stacked into one values-only SVD call (the augmented-spectrum
+checks, on 2k x k blocks reduced by one QR of T_M, k = min(n, m); see
+:func:`_augmented`) and one ``eigvalsh`` call (the norms of A).  No
+lambda's arithmetic depends on the others in the list, so every row is
+exactly what a sweep over its lambda alone gives.  Each step's arrays, G
+and the carried factor aside, are freed before the next m is factored.
 :func:`risk_and_errors` and :func:`ridge_panels` are the same route for one
 lambda.
 """
