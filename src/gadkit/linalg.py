@@ -139,7 +139,7 @@ def svd(matrix, rel_tol: float = DEFAULT_REL_TOL) -> SvdResult:
 
 def svd_append(factor: SvdResult, column: np.ndarray,
                rel_tol: float = DEFAULT_REL_TOL) -> SvdResult | None:
-    """The reduced SVD of ``[X, t]`` from the reduced SVD of X, or None when t lies in range(U).
+    """The reduced SVD of ``[X, t]`` from the reduced SVD of X, or None where that fails.
 
     Brand's rank-one column update (Linear Algebra Appl. 415, 2006): with
     ``c = U^H t`` and ``r = t - U c``, ``[X, t] = [U, r/rho] K [[V, 0], [0, 1]]^H``
