@@ -136,11 +136,16 @@ def _periodic_diameter(sites: tuple[int, ...], chain_length: int) -> int:
     return best
 
 
-def enumerate_clusters(chain_length: int, max_order: int | None = None) -> list[ClusterBasisIndex]:
+@functools.lru_cache(maxsize=1)
+def enumerate_clusters(chain_length: int,
+                       max_order: int | None = None) -> tuple[ClusterBasisIndex, ...]:
     """All site subsets of the chain in bitmask (natural) order.
 
     The empty cluster comes first and indexes the constant column.  An
-    optional ``max_order`` drops clusters with more sites than the cap.
+    optional ``max_order`` drops clusters with more sites than the cap.  The
+    last enumeration is kept, as a tuple that no caller can change: a
+    sweep's spec and each of its row blocks ask for the same one, always as
+    ``enumerate_clusters(chain_length, max_order)``.
     """
     if chain_length < 1:
         raise InvalidInputError("chain_length must be at least 1")
@@ -152,7 +157,7 @@ def enumerate_clusters(chain_length: int, max_order: int | None = None) -> list[
         clusters.append(
             ClusterBasisIndex(sites, len(sites), _periodic_diameter(sites, chain_length))
         )
-    return clusters
+    return tuple(clusters)
 
 
 def fourier_frequency(index: int, base_frequencies: int) -> int:

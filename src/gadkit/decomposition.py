@@ -29,16 +29,21 @@ the prediction rows over the first ``max(m)`` columns, which a step reads
 only through the modeled prediction block P_M.  No array of every row and
 every column is held (see :class:`_FiniteOperator`).
 
-The nescient side, ||T_U|| and the core's Gram, needs T_U only through the
-n x n Gram G = T_U T_U^H while T_U is at least as wide as it is tall
-(p - m >= n, the side :func:`linalg.gram` would take).  There
-the sweep holds one power-of-two-scaled G from step to step: formed at the
-first m, then downdated by the columns that leave T_U, and formed again
-from T_U when its trace has shrunk 2**10-fold or strays from the exact
-squared norm of T_U (see :class:`_NescientGram`).  ||T_U||**2 is the
-largest eigenvalue of G and the core's Gram is K = U^H G U, so W is never
-formed.  Once T_U is thinner than n, G is dropped and each step takes
-||T_U|| and W from T_U itself.
+The nescient side, ||T_U|| and the core's Gram, takes one of two routes,
+chosen by the shape of T_U as :func:`linalg.gram` chooses its side.  While
+T_U is at least as wide as it is tall (p - m >= n), it needs T_U only
+through the n x n Gram G = T_U T_U^H, and the sweep holds one
+power-of-two-scaled G from step to step: formed at the first such m, then
+downdated by the columns that leave T_U, and formed again from T_U when its
+trace has shrunk 2**10-fold or strays from the exact squared norm of T_U.
+||T_U||**2 is the largest eigenvalue of G and the core's Gram is
+K = U^H G U, so W is never formed.  Once T_U is thinner than n, G is
+dropped and each step takes ||T_U|| (:func:`linalg.spectral_norm`, 0 for
+an empty T_U) and W from T_U itself.  :meth:`_NescientGram.at` is the one
+place that makes this choice, for the sweep and for
+:func:`risk_and_errors` alike; the exact column norms that its drift check
+reads are summed when it first forms a Gram, so a range wholly on the thin
+side pays nothing for them.
 
 T_M gains one column per step, and the sweep carries its factor up: the
 SVD of T_{m-1} takes column m by Brand's rank-one update
@@ -48,8 +53,17 @@ after a factor that raised or failed its check, where the update's residual
 is exactly 0, and at least every ``CARRY_LIMIT`` model sizes.  Every factor,
 afresh or carried, is checked against the held training rows before any
 step reads it (:func:`_checked_factor`, O(n m)); a failure makes every
-lambda at that m an error row.  Lambda never touches the factor.  One
-object then holds the products of the factor that no lambda changes:
+lambda at that m an error row, and only a factor that passed is kept.  The
+independence flag of column m compares the rank of T_M with that of
+T_{m-1}, which is the kept factor's when that factor is of T_{m-1}; only
+where none is held (at the first m of a range past m = 1, after a gap, after
+a failed factor) is it read off a values-only SVD of the column prefix.  So
+the sweep carries three things from one m to the next: the checked factor
+of T_M, the rank of T_{m-1} that the flag reads off it (both held by
+:class:`_FiniteOperator`), and the Gram of T_U (:class:`_NescientGram`).
+Lambda never touches them.
+
+At each m one object holds the products of the factor that no lambda changes:
 U^H y_train, U^H (T_M theta_m), U^H (T_U theta_u) = W theta_u, and the
 Gram of W (W itself when W is taller than wide).  The fitted-signal
 identity is checked on them once per m, before any filter, which would only
@@ -202,12 +216,12 @@ class _SharedProducts:
 
     ``W_s = W * 2**-w_exponent`` is the core's scaled form, and
     ``row_scales`` bounds the modulus of each row of W_s.  Two routes give
-    them, chosen by the shape of T_U as :func:`linalg.gram` chooses its side:
+    them, by the route rule of the module docstring:
 
-    - ``p - m >= n``: from the scaled Gram ``G = T_U T_U^H * 4**-w_exponent``
-      (see :class:`_NescientGram`), ``gram`` is ``K = U^H G U = W_s W_s^H``
+    - the Gram side: from the scaled Gram ``G = T_U T_U^H * 4**-w_exponent``
+      that :meth:`_NescientGram.at` gives, ``gram`` is ``K = U^H G U = W_s W_s^H``
       and ``row_scales`` its row norms ``sqrt(diag K)``.  W is never formed.
-    - ``p - m < n``: W is formed and scaled so that its largest modulus lies
+    - the thin side: W is formed and scaled so that its largest modulus lies
       in [0.5, 1), and ``row_scales`` holds each row's largest modulus.  When
       k <= p - m, ``gram`` is ``W_s W_s^H``; otherwise ``gram`` is None,
       ``w_scaled`` is W_s, and each lambda forms the Gram of its own core on
@@ -241,17 +255,19 @@ class _FiniteOperator:
     non-finite entry, or None.  The blocks after it are still evaluated, so
     that an evaluation error raises as it would from one call over all rows.
     :func:`build_panels` takes the object without checking it again, and
-    asks it for the factor of T_M (:meth:`factor_at`), which it carries from
-    one model size to the next.
+    asks it for the factor of T_M (:meth:`factor_at`).  The object carries
+    that factor, and with it the rank of T_{m-1}, from one model size to the
+    next as the module docstring states.
     """
 
-    __slots__ = ("train", "pred", "y", "error", "_factor", "_carried")
+    __slots__ = ("train", "pred", "y", "error", "_factor", "_carried", "_prior_rank")
 
     def __init__(self, basis: BasisSpec, design: SampleDesign, width: int, theta: np.ndarray):
         points = design.all_points
         self.error: InvalidInputError | None = None
         self._factor: SvdResult | None = None  # the last checked factor of T_M
         self._carried = 0  # how many updates it is from its SVD afresh
+        self._prior_rank: int | None = None  # the rank of T_{m-1} at the last factor_at(m)
         for rows in blocks(points.shape[0], BLOCK):
             # the block lives only in _keep, so it is freed before the next is evaluated
             self._keep(rows, evaluate_columns(basis, points[rows], (0, basis.column_budget)),
@@ -290,10 +306,10 @@ class _FiniteOperator:
         """
         last, self._factor = self._factor, None
         block = self.train[:, :m]
-        factor = None
-        if (last is not None and last.right_vectors.shape[0] == m - 1
-                and self._carried < CARRY_LIMIT - 1):
-            factor = svd_append(last, self.train[:, m - 1], rel_tol)
+        held = last is not None and last.right_vectors.shape[0] == m - 1
+        self._prior_rank = last.numerical_rank if held else None
+        factor = (svd_append(last, self.train[:, m - 1], rel_tol)
+                  if held and self._carried < CARRY_LIMIT - 1 else None)
         del last  # freed before an SVD afresh
         if factor is None:
             factor, carried = svd(block, rel_tol), 0
@@ -302,57 +318,78 @@ class _FiniteOperator:
         self._factor, self._carried = _checked_factor(block, factor), carried
         return factor
 
+    def independent(self, panel: OperatorPanel, rel_tol: float) -> bool:
+        """Whether column m raised the rank, at the panel of the last :meth:`factor_at` call.
+
+        The rank of T_{m-1} is that of the factor held when the panel's was
+        made, if it was of T_{m-1}; otherwise a values-only SVD of the
+        column prefix gives it, and T_0 has rank 0.
+        """
+        prior = self._prior_rank
+        if prior is None:
+            prior = spectrum(self.train[:, : panel.m - 1], rel_tol)[1] if panel.m > 1 else 0
+        return panel.rank == prior + 1
+
 
 class _NescientGram:
-    """The scaled Gram of the nescient training block T_U, carried up the sweep's model sizes.
+    """``||T_U||`` at each model size of a sweep, and the scaled Gram of T_U on the Gram side.
 
-    :meth:`at` gives ``G = T_U T_U^H * 4**-e`` at model size m together
-    with e.  It is formed from T_U at the first m and then downdated: the
-    columns that left T_U since the last m, scaled by ``2**-e``, are taken
-    out as one ``x x^H``.  Drift is held against the exact squared norms of
-    the columns, summed once per sweep from the last column back.  The Gram
-    is formed again from T_U, with a fresh e, when that exact trace has
-    fallen by ``REFACTOR_FALL`` since the Gram was last formed, or when the
-    held Gram's trace departs from it by more than ``TRACE_GAP_TOL``
-    relative.  A refactor costs one Gram of T_U.  Where the columns have
-    comparable norms the trace shrinks with the width of T_U, so a refactor
-    waits until T_U has narrowed about ``REFACTOR_FALL``-fold.
+    :meth:`at` is the one place that applies the route rule of the module
+    docstring.  On the Gram side it gives ``G = T_U T_U^H * 4**-e`` at model
+    size m together with e.  G is formed from T_U at the first such m and
+    then downdated: the columns that left T_U since the last m, scaled by
+    ``2**-e``, are taken out as one ``x x^H``.  Drift is held against the
+    exact squared norms of the columns, summed once, from the last column
+    back, when the first Gram is formed.  The Gram is formed again from T_U,
+    with a fresh e, when that exact trace has fallen by ``REFACTOR_FALL``
+    since the Gram was last formed, or when the held Gram's trace departs
+    from it by more than ``TRACE_GAP_TOL`` relative.  A refactor costs one
+    Gram of T_U.  Where the columns have comparable norms the trace shrinks
+    with the width of T_U, so a refactor waits until T_U has narrowed about
+    ``REFACTOR_FALL``-fold.
     """
 
     __slots__ = ("train", "gram", "exponent", "m", "_unit", "_suffix", "_formed_at")
 
     def __init__(self, train: np.ndarray):
         self.train = train  # the operator's training rows
+        # _refactor sets the Gram's exponent, m and _formed_at with it
         self.gram: np.ndarray | None = None
-        self.exponent = 0
-        self.m = 0
-        # squared column norms in units of 4**unit, so that none overflows
-        self._unit = math.frexp(float(row_peaks(train).max(initial=0.0)))[1]
-        squares = np.empty(train.shape[1])
-        for cols in blocks(train.shape[1], BLOCK):
-            squares[cols] = (np.abs(ldexp(train[:, cols], -self._unit)) ** 2).sum(axis=0)
-        # _suffix[m] is the squared norm of T_U at model size m
-        self._suffix = np.append(np.cumsum(squares[::-1])[::-1], 0.0)
-        self._formed_at = 0.0
+        self._suffix: np.ndarray | None = None  # summed when the first Gram is formed
 
-    def at(self, m: int) -> tuple[np.ndarray, int]:
-        """The scaled Gram of T_U at model size m, which is no smaller than the last, and e."""
-        exact = float(self._suffix[m])
-        if self.gram is None or exact * REFACTOR_FALL < self._formed_at:
-            return self._refactor(m)
-        x = ldexp(self.train[:, self.m : m], -self.exponent)
-        self.gram -= x @ x.conj().T
-        self.m = m
-        expected = math.ldexp(exact, 2 * (self._unit - self.exponent))
-        if abs(float(np.trace(self.gram).real) - expected) > TRACE_GAP_TOL * expected:
-            return self._refactor(m)
-        return self.gram, self.exponent
+    def at(self, m: int) -> tuple[float, tuple[np.ndarray, int] | None]:
+        """``||T_U||`` at model size m, which is no smaller than the last, and the Gram and e.
 
-    def _refactor(self, m: int) -> tuple[np.ndarray, int]:
+        The Gram and e are None on the thin side, where the norm is
+        :func:`linalg.spectral_norm` of T_U.
+        """
+        if self.train.shape[1] - m < self.train.shape[0]:  # p - m < n
+            self.gram = None  # T_U is thinner than n from here on
+            return spectral_norm(self.train[:, m:]), None
+        if self.gram is None or float(self._suffix[m]) * REFACTOR_FALL < self._formed_at:
+            self._refactor(m)
+        else:
+            x = ldexp(self.train[:, self.m : m], -self.exponent)
+            self.gram -= x @ x.conj().T
+            self.m = m
+            expected = math.ldexp(float(self._suffix[m]), 2 * (self._unit - self.exponent))
+            if abs(float(np.trace(self.gram).real) - expected) > TRACE_GAP_TOL * expected:
+                self._refactor(m)
+        norm = scaled_root(float(_top_eigenvalue(self.gram)), self.exponent)
+        return norm, (self.gram, self.exponent)
+
+    def _refactor(self, m: int) -> None:
         self.gram = None  # freed before the new Gram is formed
+        if self._suffix is None:
+            # squared column norms in units of 4**unit, so that none overflows
+            self._unit = math.frexp(float(row_peaks(self.train).max(initial=0.0)))[1]
+            squares = np.empty(self.train.shape[1])
+            for cols in blocks(self.train.shape[1], BLOCK):
+                squares[cols] = (np.abs(ldexp(self.train[:, cols], -self._unit)) ** 2).sum(axis=0)
+            # _suffix[m] is the squared norm of T_U at model size m
+            self._suffix = np.append(np.cumsum(squares[::-1])[::-1], 0.0)
         self.gram, self.exponent = scaled_gram(self.train[:, m:])
         self.m, self._formed_at = m, float(self._suffix[m])
-        return self.gram, self.exponent
 
 
 def build_panels(M_full, design: SampleDesign, m: int,
@@ -424,8 +461,8 @@ def _shared_products(panel: OperatorPanel, theta, y_full,
 
     ``y_full`` must be the noiseless synthesis ``M_full @ theta`` over the
     training then prediction rows; only its training slice reaches the fit.
-    ``nescient`` is the scaled Gram of T_U and its exponent when
-    ``p - m >= n``, and None otherwise (see :class:`_SharedProducts`).
+    ``nescient`` is the scaled Gram of T_U and its exponent on the Gram
+    side, and None on the thin side, as :meth:`_NescientGram.at` gives them.
     """
     theta = as_vector(theta, length=panel.budget)
     y = as_vector(y_full, length=panel.n_train + panel.pred.shape[0])
@@ -664,11 +701,10 @@ def risk_and_errors(panel: OperatorPanel, theta, y_full, lam: float = 0.0) -> Ri
     Verifies, before the filter, that the fit equals the operator-route
     reconstruction ``B theta_m + A theta_u`` to ``IDENTITY_TOL`` relative
     and records the residual.  It takes the sweep's own steps for one
-    lambda, on one matrix where the sweep stacks all of them, with the Gram
-    of T_U formed afresh from the panel when ``p - m >= n``.
+    lambda, on one matrix where the sweep stacks all of them, with a
+    :class:`_NescientGram` of the panel's own for its m.
     """
-    t_u = panel.train_nescient
-    nescient = scaled_gram(t_u) if t_u.shape[1] >= t_u.shape[0] else None
+    _, nescient = _NescientGram(panel.train).at(panel.m)
     products = _shared_products(panel, theta, y_full, nescient)
     f = _filter(panel, lam)
     alias = _alias_gram(products, f)
@@ -681,14 +717,6 @@ def expected_unstructured_error(sigma2: float, dim_kernel: int, dim_nescient: in
     if sigma2 < 0 or dim_kernel < 0 or dim_nescient < 0:
         raise InvalidInputError("arguments must be nonnegative")
     return sigma2 * (dim_kernel + dim_nescient)
-
-
-def _new_column_independent(block: np.ndarray, ranks: dict[int, int], m: int,
-                             rel_tol: float) -> bool:
-    """Whether column m raised the rank; ``ranks`` caches prefix ranks by column count."""
-    if m - 1 not in ranks:
-        ranks[m - 1] = spectrum(block[:, : m - 1], rel_tol)[1]
-    return ranks[m] == ranks[m - 1] + 1
 
 
 def _error_record(m: int, lam: float, exc: Exception) -> SweepRecord:
@@ -746,32 +774,24 @@ def _lambda_rows(products: _SharedProducts, lams: list[float], norm_nescient: fl
 
 
 def _step(operator: _FiniteOperator, design: SampleDesign, m: int, theta: np.ndarray,
-          lams: list[float], ranks: dict[int, int], rel_tol: float,
-          held: _NescientGram | None) -> tuple[OperatorPanel | None, list[SweepRecord]]:
+          lams: list[float], rel_tol: float,
+          nescient: _NescientGram) -> tuple[OperatorPanel | None, list[SweepRecord]]:
     """The panel at model size m and every lambda's record there, in the caller's lambda order.
 
     The panel is None when the step failed, and then every lambda has an
-    error row.  ``held`` is the sweep's Gram of T_U while ``p - m >= n``,
-    and None once T_U is thinner than n.  The panel's factor comes from the
-    operator, which keeps it for the update at m + 1 once it has passed its
-    check (:meth:`_FiniteOperator.factor_at`).  The shared products live
-    only in this call, so that the sweep holds one model size's arrays at a
-    time.
+    error row.  ``operator`` and ``nescient`` carry what the module
+    docstring says from one m to the next.  The shared products live only
+    in this call, so that the sweep holds one model size's arrays at a time.
     """
     try:
         # the Gram advances before the panel is built, so that a failed panel
-        # at this m leaves the Gram of every later m as it would have been
-        nescient = held.at(m) if held is not None else None
+        # at this m leaves the Gram of every later m as it would have been;
+        # on the thin side the scaled copy of T_U that ||T_U|| takes is freed
+        # before W and its Gram are made
+        norm_nescient, gram = nescient.at(m)
         panel = build_panels(operator, design, m, rel_tol)
-        if nescient is not None:
-            norm_nescient = scaled_root(float(_top_eigenvalue(nescient[0])), nescient[1])
-        else:
-            # ||T_U|| before the shared products, so that its scaled copy of
-            # T_U is freed before W and its Gram are made
-            norm_nescient = spectral_norm(panel.train_nescient) if m < panel.budget else 0.0
-        products = _shared_products(panel, theta, operator.y, nescient)
-        ranks[m] = panel.rank
-        independent = _new_column_independent(operator.train, ranks, m, rel_tol)
+        products = _shared_products(panel, theta, operator.y, gram)
+        independent = operator.independent(panel, rel_tol)
     except (GadkitError, np.linalg.LinAlgError) as exc:
         return None, [_error_record(m, lam, exc) for lam in lams]
     return panel, _lambda_rows(products, lams, norm_nescient, independent)
@@ -785,14 +805,10 @@ def _steps(operator: _FiniteOperator, design: SampleDesign, ms: list[int], theta
         for m in ms:
             yield None, [_error_record(m, lam, operator.error) for lam in lams]
         return
-    n, budget = design.n_train, operator.train.shape[1]
-    held = _NescientGram(operator.train) if budget - ms[0] >= n else None
-    ranks = {0: 0}
+    nescient = _NescientGram(operator.train)
     for m in ms:
-        if budget - m < n:
-            held = None  # T_U is thinner than n from here on
         # yielded unbound, so that no step's panel outlives its consumer's hold
-        yield _step(operator, design, m, theta, lams, ranks, rel_tol, held)
+        yield _step(operator, design, m, theta, lams, rel_tol, nescient)
 
 
 def sweep_steps(basis: BasisSpec, design: SampleDesign, theta_spec: ParameterSpec, m_range, *,
@@ -839,41 +855,29 @@ def sweep(basis: BasisSpec, design: SampleDesign, theta_spec: ParameterSpec,
     The rows of :func:`sweep_steps`, put lambda-major; each step's panel is
     dropped as soon as its rows are kept.  The operator is evaluated once,
     in row blocks, and every entry is checked for finite values.  Each step
-    over m brings the held Gram of T_U to m while ``p - m >= n``, builds
-    the panel, whose one SVD every lambda shares, takes ``||T_U||``, forms
-    the lambda-free products of that factor and checks the fitted-signal
-    identity on them, stores the rank of the modeled block and reads the
-    independence flag of column m off the rank at m - 1: stored when the
-    previous size was swept, otherwise taken from a values-only SVD of the
-    column prefix.  Each lambda then filters those products: the ridge
-    pseudoinverse norm with its spectrum check, and the fit.  The spectrum
-    checks of all active lambdas share one QR of T_M and are one stacked
-    values-only SVD of the reduced blocks (see :func:`_augmented`), and the
-    eigenvalue problems of every ``||A||`` are another stacked call.
+    over m takes ``||T_U||``, bringing the held Gram of T_U to m on the Gram
+    side, builds the panel, whose one SVD every lambda shares, forms the
+    lambda-free products of that factor and checks the fitted-signal
+    identity on them, and reads the independence flag of column m off the
+    rank of T_{m-1}: the rank of the factor kept from m - 1 when that factor
+    is of T_{m-1}, otherwise that of a values-only SVD of the column prefix.
+    Each lambda then filters those products: the ridge pseudoinverse norm
+    with its spectrum check, and the fit.  The spectrum checks of all active
+    lambdas share one QR of T_M and are one stacked values-only SVD of the
+    reduced blocks (see :func:`_augmented`), and the eigenvalue problems of
+    every ``||A||`` are another stacked call.
 
-    The Gram of T_U is n x n and scaled by a power of two.  It is formed
-    from T_U at the first m with ``p - m >= n`` and then downdated by the
-    columns that leave T_U, all of a strided range's gap at once.  It is
-    formed again from T_U, with a fresh scale, when the exact squared norm
-    of T_U has fallen ``REFACTOR_FALL``-fold since it was last formed, or
-    when its trace departs from that norm by more than ``TRACE_GAP_TOL``
-    relative.  From the first m with ``p - m < n`` on, it is dropped, and
-    each step takes ``||T_U||`` and ``W = U^H T_U`` from T_U itself.  The
-    Gram advances before the panel is built, so a step that fails leaves
-    every other step's Gram as it would have been.
-
-    The panel's SVD is carried from m - 1 to m by a rank-one column update
-    (:func:`linalg.svd_append`) and made afresh by ``linalg.svd`` at the
-    first m, after a gap, after a factor that raised or failed its check,
-    where the update's residual is exactly 0, and after ``CARRY_LIMIT - 1``
-    consecutive updates.  Each factor, afresh or carried, must pass the
-    checks of :func:`_checked_factor` against the held rows of T_M, or
-    every lambda at that m gets an error row.  A failure past the factor
-    (the identity check, one lambda's fit) keeps the chain, so every other
-    row stays as it would have been; a failed factor ends it, and the rows
-    after it move by rounding.  So does where the range starts: a window of
-    a sweep matches the whole sweep's rows to rounding, not bit for bit, with
-    ranks, flags and errors exactly.
+    The module docstring states the route of the nescient side and what the
+    sweep carries from one m to the next: the factor of T_M, the rank of
+    T_{m-1} with it, and the Gram of T_U, which a strided range downdates by
+    all of a gap's columns at once.  The Gram advances before the panel is
+    built, so a step that fails leaves every other step's Gram as it would
+    have been.  A failure past the factor (the identity check, one lambda's
+    fit) keeps the factor, so every other row stays as it would have been; a
+    failed factor ends the chain, and the rows after it move by rounding.
+    So does where the range starts: a window of a sweep matches the whole
+    sweep's rows to rounding, not bit for bit, with ranks, flags and errors
+    exactly.
 
     The operator is evaluated in the row blocks of :func:`linalg.blocks`
     for ``BLOCK``, one :func:`evaluate_columns` call over every column per
@@ -895,12 +899,11 @@ def sweep(basis: BasisSpec, design: SampleDesign, theta_spec: ParameterSpec,
     sweep: it yields a record carrying the error message.  A non-finite
     entry anywhere in the operator, in a column the sweep does not keep
     too, gives every (lambda, m) the error row of that check.
-    When the Gram of T_U, the panel or its factor check, ``||T_U||``, the
+    When ``||T_U||`` or the Gram of T_U, the panel or its factor check, the
     identity check or the flag fails at m, every lambda gets an error row
-    there; the rank is stored only once the panel, the norm and the check
-    have succeeded.  When one
-    lambda's ridge norm, ``||A||`` or fit fails, only that row gets an error,
-    and the rank, which does not depend on lambda, is still stored; a stacked
+    there; the factor is kept once it has passed its check, so the flag at
+    m + 1 reads its rank whatever fails after it.  When one lambda's ridge
+    norm, ``||A||`` or fit fails, only that row gets an error; a stacked
     call that raises ``LinAlgError`` is made again one lambda at a time, so
     that only the lambdas whose matrix fails get an error row.  Records come
     back lambda-major, in the caller's lambda order (duplicates kept), each

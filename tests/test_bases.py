@@ -16,7 +16,7 @@ from gadkit.bases import (
     legendre_gauss_nodes,
 )
 from gadkit.errors import BudgetExceededError, InvalidInputError
-from gadkit.linalg import BLOCK
+from gadkit.linalg import BLOCK, blocks
 
 # explicit low-degree polynomials, independent of the recurrence code
 CHEBYSHEV = (
@@ -176,6 +176,21 @@ class TestClusterFamily:
         clusters = enumerate_clusters(5, max_order=2)
         assert all(c.order <= 2 for c in clusters)
         assert len(clusters) == 1 + 5 + 10
+
+    def test_one_enumeration_per_chain(self):
+        # the spec's own check and every row block that a sweep evaluates
+        # share one enumeration: 1024 configurations make four blocks, each
+        # of which asks for the clusters twice.  The kept enumeration is a tuple
+        enumerate_clusters.cache_clear()
+        spec = self.spec(10, ordering="physical_cluster")
+        points = self.all_configs(10)
+        row_blocks = blocks(points.shape[0], BLOCK)
+        assert len(row_blocks) == 4
+        for rows in row_blocks:
+            evaluate_columns(spec, points[rows], (0, 1 << 10))
+        info = enumerate_clusters.cache_info()
+        assert (info.misses, info.hits) == (1, 8)
+        assert isinstance(enumerate_clusters(10, None), tuple)
 
 
 class TestColumnOrder:

@@ -658,12 +658,13 @@ class TestSweep:
     @pytest.mark.parametrize("stage", ["panel", "identity-check"])
     def test_failed_step_fails_every_lambda_at_that_m(self, monkeypatch, stage):
         # the panel and the identity check are shared: a failure of either
-        # marks m in every lambda and stores no rank, so the flag at m + 1
-        # comes from a prefix-rank SVD.  The planted identity fault is a
-        # 1e-6 relative change of the labels at m = 7 alone.  A failed panel
-        # leaves no factor to carry, so m = 8 is factored afresh and the rows
-        # past 7 match the clean sweep's by the golden rule; an identity
-        # fault keeps the checked factor, and every other row exactly
+        # marks m in every lambda.  The planted identity fault is a 1e-6
+        # relative change of the labels at m = 7 alone.  A failed panel
+        # leaves no factor to carry, so m = 8 is factored afresh, its flag
+        # comes from a prefix-rank SVD, and the rows past 7 match the clean
+        # sweep's by the golden rule; an identity fault keeps the checked
+        # factor, whose rank the flag at m = 8 reads, and every other row
+        # exactly
         basis, design, theta = self.small_setup(seed=27)
         ms = range(1, 16)
         clean = decomposition.sweep(basis, design, theta, ms, lambdas=self.LAMBDAS)
@@ -705,7 +706,35 @@ class TestSweep:
             assert record_mismatches(got, want) == []
         else:
             assert got == want
-        assert prefix_widths == [7]
+        assert prefix_widths == ([7] if stage == "panel" else [])
+
+    @pytest.mark.parametrize("ms, widths", [
+        (range(1, 46), []),
+        (range(5, 46), [4]),
+        ([10, 30, 45], [9, 29, 44]),
+        ([*range(1, 9), *range(20, 31), 45], [19, 44]),
+    ], ids=["from-1", "from-5", "sparse", "runs-with-gaps"])
+    def test_prefix_rank_svd_only_where_no_factor_is_held(self, monkeypatch, ms, widths):
+        # the flag of column m reads the rank of T_{m-1} off the factor kept
+        # from m - 1; a values-only SVD of the prefix is taken once per range
+        # start past m = 1 and once per gap, never inside a contiguous run.
+        # Every flag and rank matches the whole sweep's
+        basis, design, theta = self.small_setup(budget=48, seed=41)
+        whole = {r.m: r for r in decomposition.sweep(basis, design, theta, range(1, 46))}
+        original = decomposition.spectrum
+        prefix_widths = []
+
+        def counted(block, *args, **kwargs):
+            prefix_widths.append(block.shape[1])
+            return original(block, *args, **kwargs)
+
+        monkeypatch.setattr(decomposition, "spectrum", counted)
+        records = decomposition.sweep(basis, design, theta, ms)
+        assert prefix_widths == widths
+        assert all(r.error is None for r in records)
+        assert [(r.m, r.rank_TM, r.new_col_independent) for r in records] == [
+            (m, whole[m].rank_TM, whole[m].new_col_independent) for m in ms]
+        assert {r.new_col_independent for r in records} == {True, False}
 
     @pytest.mark.parametrize("target", [6, 12, 20], ids=["m<n", "m=n", "m>n"])
     def test_planted_spectrum_fault_fails_every_active_lambda(self, monkeypatch, target):
@@ -947,12 +976,15 @@ class TestNescientGram:
     """The sweep's downdated Gram of T_U against the norms of every panel taken afresh.
 
     n = 12 and p = 60, so the Gram of T_U serves m up to 48 and the thin
-    route the rest.  Every range starts on the Gram side.
+    route the rest.  Ranges start on either side, and two of them cross the
+    handoff at m = 48 with a stride.
     """
 
     N, BUDGET = 12, 60
     LAMBDAS = (0.0, 1e-4, 1.0)
-    RANGES = {"contiguous": range(1, 61), "strided": range(3, 61, 7), "single": [20]}
+    RANGES = {"contiguous": range(1, 61), "strided": range(3, 61, 7), "single": [20],
+              "thin-start": range(50, 61), "thin-single": [55],
+              "strided-across-handoff": range(44, 61, 8)}
 
     def system(self, dtype, weighted):
         rng = np.random.default_rng(7)
@@ -967,20 +999,26 @@ class TestNescientGram:
         return full, direct_design(np.zeros(self.N), [0.0])
 
     def sweep_counting_grams(self, monkeypatch, full, design, ms):
-        """The sweep's records over ms, and the width of T_U at each formation of its Gram."""
-        formed = []
-        original = decomposition.scaled_gram
+        """The sweep's records over ms, and the width of T_U at each formation of its Gram
+        and at each ``spectral_norm`` call."""
+        formed, normed = [], []
+        original_gram, original_norm = decomposition.scaled_gram, decomposition.spectral_norm
 
-        def counted(block):
+        def counted_gram(block):
             formed.append(block.shape[1])
-            return original(block)
+            return original_gram(block)
 
-        monkeypatch.setattr(decomposition, "scaled_gram", counted)
+        def counted_norm(block):
+            normed.append(block.shape[1])
+            return original_norm(block)
+
+        monkeypatch.setattr(decomposition, "scaled_gram", counted_gram)
+        monkeypatch.setattr(decomposition, "spectral_norm", counted_norm)
         monkeypatch.setattr(decomposition, "evaluate_columns", lambda *args, **kwargs: full)
         records = decomposition.sweep(BasisSpec("rff", 1, self.BUDGET), design,
                                       ParameterSpec("unstructured_iid", self.BUDGET, seed=3),
                                       ms, lambdas=self.LAMBDAS)
-        return records, formed
+        return records, formed, list(normed)
 
     @pytest.mark.parametrize("weighted", [False, True], ids=["flat", "power-weighted"])
     @pytest.mark.parametrize("kind", list(RANGES))
@@ -988,16 +1026,22 @@ class TestNescientGram:
     def test_matches_norms_taken_afresh(self, monkeypatch, dtype, kind, weighted):
         full, design = self.system(dtype, weighted)
         ms = self.RANGES[kind]
-        records, formed = self.sweep_counting_grams(monkeypatch, full, design, ms)
+        records, formed, normed = self.sweep_counting_grams(monkeypatch, full, design, ms)
         assert len(records) == len(self.LAMBDAS) * len(ms)
         assert nescient_mismatches(records, full, design) == []
-        # formed once at the first m; again only when the trace has fallen
-        # far enough, which a flat basis never lets it do over this range
-        assert formed[0] == self.BUDGET - ms[0]
-        if weighted and kind != "single":
+        # the thin side takes spectral_norm of T_U once per m, empty T_U at
+        # m = 60 included, and the Gram side never does
+        widths = [self.BUDGET - m for m in ms]
+        assert normed == [width for width in widths if width < self.N]
+        # formed once at the first m of the Gram side; again only when the
+        # trace has fallen far enough, which a flat basis never lets it do
+        # over this range.  A range that starts thin forms none
+        gram_side = [width for width in widths if width >= self.N]
+        assert formed[:1] == gram_side[:1]
+        if weighted and len(gram_side) > 1:
             assert len(formed) > 1
         else:
-            assert len(formed) == 1
+            assert len(formed) == len(gram_side[:1])
         # and no m reads a Gram whose T_U has shrunk more than 2**10-fold
         # since the Gram was formed
         train, starts = full[: self.N], [self.BUDGET - width for width in formed]
@@ -1025,7 +1069,7 @@ class TestNescientGram:
         if not drift_control:
             monkeypatch.setattr(decomposition, "REFACTOR_FALL", math.inf)
             monkeypatch.setattr(decomposition, "TRACE_GAP_TOL", math.inf)
-        records, formed = self.sweep_counting_grams(monkeypatch, full, design, range(1, 61))
+        records, formed, _ = self.sweep_counting_grams(monkeypatch, full, design, range(1, 61))
         if drift_control:
             assert formed == [self.BUDGET - 1, self.BUDGET - 20]
             assert nescient_mismatches(records, full, design) == []
