@@ -47,7 +47,10 @@ side pays nothing for them.
 
 T_M gains one column per step, and the sweep carries its factor up: the
 SVD of T_{m-1} takes column m by Brand's rank-one update
-(:func:`linalg.svd_append`), O((n + m) k**2) against O(n m k) afresh.  T_M
+(:func:`linalg.svd_append`): O((n + m) k**2) products and one LAPACK SVD of
+a (k + 1)-square arrow, of its values alone where the arrow's secular
+equation gives the vectors and with vectors elsewhere, against an SVD of
+the n x m block afresh.  T_M
 is factored afresh by ``linalg.svd`` at the first m of a range, after a gap,
 after a factor that raised or failed its check, where the update's residual
 is exactly 0, and at least every ``CARRY_LIMIT`` model sizes.  Every factor,

@@ -11,6 +11,16 @@ power-of-two scaling that keeps the Gram entries from overflowing or
 underflowing.  Peaks and Grams are taken in blocks of at most ``BLOCK``
 rows, so neither makes a temporary the size of its input.
 
+:func:`svd_append` carries an SVD across one appended column through the
+SVD of a small real arrow.  Where the arrow carries at least
+``ARROW_CROSSOVER`` singular values and an O(k) deflation test finds no
+weight and no pole gap within ``DEFLATION_TOL`` times its largest entry,
+that SVD comes from the arrow's secular equation: LAPACK's values-only SVD,
+one Newton step per root and closed-form vectors, kept only where the
+roots interlace the poles strictly and the backward error is within
+``GUARD_TOL`` times sigma_max.  Elsewhere it is the dense
+``np.linalg.svd`` of the arrow.
+
 All functions are pure: they never mutate their inputs, except an ``out``
 array passed to them, and are safe to call concurrently.
 """
@@ -36,6 +46,20 @@ REORTHOGONALIZATIONS = 4
 # and rows per block of bases.evaluate_columns and of the sweep's evaluation of
 # the operator (decomposition._FiniteOperator)
 BLOCK = 256
+
+# svd_append's arrow (see _arrow_svd).  The secular route takes arrows that
+# carry at least ARROW_CROSSOVER singular values: in two timeit runs at one
+# BLAS thread it took 315 and 168 us at k = 35 against the dense SVD's 273
+# and 184 us, and 391 and 182 us at k = 40 against 438 and 246 us
+# (BENCH_cheaper_arrow.json).  A weight or a pole gap of at most
+# DEFLATION_TOL times the arrow's largest entry sends it to the dense SVD
+# before any SVD is taken.  GUARD_TOL bounds the secular route's backward
+# error ||w-hat - w|| relative to sigma_max: over the arrows of the shipped
+# RFF, RRF and ridge sweeps it read at most 1.6 eps with the Newton step and
+# at least 38 eps without it
+ARROW_CROSSOVER = 40
+DEFLATION_TOL = 8 * np.finfo(float).eps
+GUARD_TOL = 16 * np.finfo(float).eps
 
 
 def as_matrix(matrix) -> np.ndarray:
@@ -154,9 +178,19 @@ def svd_append(factor: SvdResult, column: np.ndarray,
     SVD ``X sigma Y^T`` of that arrow gives ``U <- [U D, r/rho] X`` and
     ``V <- [[V D, 0], [0, 1]] Y``.  None when rho is exactly 0, where
     ``r/rho`` has no direction, or when ``REORTHOGONALIZATIONS`` passes do
-    not settle.  The rank is the rule of :func:`svd` over the new shape.  The
-    cost is O((rows + cols) k**2) for k singular values, against
-    O(rows cols k) for an SVD afresh.
+    not settle.  The rank is the rule of :func:`svd` over the new shape.
+
+    The arrow's SVD takes one of two routes (:func:`_arrow_svd`), chosen
+    from the inputs.  An arrow that carries at least ``ARROW_CROSSOVER``
+    singular values, with no weight and no gap between poles within
+    ``DEFLATION_TOL`` times its largest entry, takes the secular route:
+    its singular values from LAPACK's values-only SVD, one Newton step on
+    the secular equation, and X and Y in closed form from Löwner's weights
+    (:func:`_secular_svd`), guarded by strict interlacing and a backward
+    error of at most ``GUARD_TOL`` times sigma_max.  Every other arrow,
+    and one that fails the guard, takes the dense ``np.linalg.svd``.  The
+    cost is O((rows + cols) k**2) for k singular values and one values-only
+    SVD of the arrow, against O(rows cols k) for an SVD afresh.
     """
     rel_tol = _check_rel_tol(rel_tol)
     u, s, v = factor.left_vectors, factor.singular_values, factor.right_vectors
@@ -179,12 +213,7 @@ def svd_append(factor: SvdResult, column: np.ndarray,
             return None
     modulus = np.abs(c)
     phase = np.divide(c, modulus, out=np.ones_like(c), where=modulus > 0)
-    arrow = np.zeros((k + grow, k + 1))
-    arrow[np.arange(k), np.arange(k)] = s
-    arrow[:k, k] = modulus
-    if grow:
-        arrow[k, k] = rho
-    x, sigma, yt = np.linalg.svd(arrow, full_matrices=False)
+    x, sigma, yt = _arrow_svd(s, modulus, rho if grow else None)
     # U D X as U (D X) and V D Y as V (D Y): the phase scales the small factor, not U or V
     left = u @ (phase[:, None] * x[:k])
     if grow:
@@ -193,6 +222,107 @@ def svd_append(factor: SvdResult, column: np.ndarray,
     shape = (n, v.shape[0] + 1)
     rank = int(np.count_nonzero(sigma > _rank_threshold(sigma, shape, rel_tol)))
     return SvdResult(left, sigma, right, rank, rel_tol)
+
+
+def _arrow_svd(s: np.ndarray, modulus: np.ndarray,
+               rho: float | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``X, sigma, Y^T`` of the arrow ``[[diag(s), modulus], [0, rho]]``, or of
+    ``[diag(s), modulus]`` when rho is None, by the secular equation where it applies.
+
+    The arrow's singular values are the roots of the secular equation whose
+    poles are s (and 0 when rho is given) with weights modulus (and rho).
+    The secular route (:func:`_secular_svd`) needs poles and weights apart
+    from rounding, so an O(k) test sends an arrow with a weight, or a gap
+    between neighbouring values of s or from the last to 0, of at most
+    ``DEFLATION_TOL`` times its largest entry to ``np.linalg.svd``
+    before any SVD is taken, as it does an arrow that carries fewer than
+    ``ARROW_CROSSOVER`` singular values.  An arrow whose secular route
+    fails its checks takes ``np.linalg.svd`` after its values-only SVD.
+    """
+    k = s.size
+    arrow = np.zeros((k + (rho is not None), k + 1))
+    arrow[np.arange(k), np.arange(k)] = s
+    arrow[:k, k] = modulus
+    if rho is not None:
+        arrow[k, k] = rho
+    if k >= ARROW_CROSSOVER:
+        weights = modulus if rho is None else np.append(modulus, rho)
+        tol = DEFLATION_TOL * max(s[0], weights.max())
+        if weights.min() > tol and s[-1] > tol and (s[:-1] - s[1:]).min() > tol:
+            poles = s if rho is None else np.append(s, 0.0)
+            factor = _secular_svd(poles, weights, np.linalg.svd(arrow, compute_uv=False), k)
+            if factor is not None:
+                return factor
+    return np.linalg.svd(arrow, full_matrices=False)
+
+
+def _secular_svd(poles: np.ndarray, weights: np.ndarray, sigma: np.ndarray,
+                 k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """The arrow's ``X, sigma, Y^T`` in closed form from its singular values, or None.
+
+    The arrow K has ``K K^T = diag(d)**2 + w w^T`` for the poles d and
+    weights w, so each singular value sigma_j is a root of the secular
+    equation ``f(sigma**2) = 1 + sum_i w_i**2 / (d_i**2 - sigma**2) = 0``
+    and lies strictly between d_j and d_{j-1} (Gu & Eisenstat, SIAM J.
+    Matrix Anal. Appl. 16, 1995).  LAPACK's values are refined by one
+    Newton step per root on ``(d_p**2 - sigma**2) f``, with the root held as
+    the offset ``mu = sigma**2 - d_p**2`` from its nearest pole p, so that
+    every ``sigma_j**2 - d_i**2 = (d_p**2 - d_i**2) + mu_j`` keeps its
+    relative accuracy.  Löwner's formula then gives the weights w-hat for
+    which these roots are exact, as products of O(1) ratios
+    ``(sigma_j**2 - d_i**2) / (d_j**2 - d_i**2)``, and the vectors follow
+    in closed form: column j of X is ``w-hat / (sigma_j**2 - d**2)`` and
+    row j of Y^T is ``d w-hat / (sigma_j**2 - d**2)`` over the first k
+    poles with 1 last, each normalized; they are orthonormal to working
+    precision whatever the roots' error, which moves only w-hat.  None when
+    a root does not interlace the poles strictly, before or after the
+    step, or when the backward error ``||w-hat - w||`` exceeds
+    ``GUARD_TOL`` times sigma_max.  Besides the arrow, at most two
+    arrays of its size are held at once, as the dense SVD's X and Y^T are.
+    """
+    exponent = math.frexp(max(poles[0], weights.max()))[1]
+    d, w, sigma = (np.ldexp(v, -exponent) for v in (poles, weights, sigma))
+    near = np.arange(d.size)
+    near[1:] -= sigma[1:] - d[1:] > d[:-1] - sigma[1:]
+    mu = (sigma - d[near]) * (sigma + d[near])
+    # row j, column i: root j against pole i.  Non-finite values, from a
+    # root LAPACK put on a pole, fail the tests below
+    with np.errstate(all="ignore"):
+        squares = np.subtract.outer(d, d)
+        squares *= np.add.outer(d, d)  # d_l**2 - d_i**2 with exact differences
+        gaps = squares[near]
+        gaps += mu[:, None]  # sigma_j**2 - d_i**2
+        if not _interlaced(gaps):
+            return None
+        np.reciprocal(gaps, out=gaps)
+        w2 = w * w
+        f = 1.0 - gaps @ w2
+        slope = np.einsum("ji,ji,i->j", gaps, gaps, w2)
+        mu -= mu * f / (f + mu * slope)
+        del gaps  # before the next gather, so that two arrays are held at most
+        gaps = squares[near]
+        gaps += mu[:, None]
+        if not _interlaced(gaps):
+            return None
+        squares.reshape(-1)[:: d.size + 1] = 1.0  # the lone factor sigma_i**2 - d_i**2
+        w_hat = np.sqrt(np.multiply.reduce(np.divide(gaps, squares, out=squares), axis=0))
+        sigma = np.sqrt(d[near] ** 2 + mu)
+        if not np.linalg.norm(w_hat - w) <= GUARD_TOL * sigma[0]:
+            return None
+    del squares
+    xt = np.divide(w_hat, gaps, out=gaps)
+    yt = np.empty((d.size, k + 1))
+    np.multiply(xt[:, :k], d[:k], out=yt[:, :k])
+    yt[:, k] = 1.0
+    xt *= 1.0 / np.sqrt(np.einsum("ji,ji->j", xt, xt))[:, None]
+    yt *= 1.0 / np.sqrt(np.einsum("ji,ji->j", yt, yt))[:, None]
+    return xt.T, np.ldexp(sigma, exponent), yt
+
+
+def _interlaced(gaps: np.ndarray) -> bool:
+    """Whether every root j lies strictly between poles j and j - 1:
+    ``sigma_j**2 - d_{j-1}**2 < 0 < sigma_j**2 - d_j**2``."""
+    return bool(np.diagonal(gaps).min() > 0 and np.diagonal(gaps, -1).max(initial=-1.0) < 0)
 
 
 def spectrum(matrix, rel_tol: float = DEFAULT_REL_TOL) -> tuple[np.ndarray, int]:

@@ -1,6 +1,7 @@
 """Panels, operators, risk breakdown, ridge variants, and the sweep engine."""
 
 import math
+import re
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -11,6 +12,7 @@ import pytest
 
 import gadkit.bases as bases
 import gadkit.decomposition as decomposition
+import gadkit.linalg as linalg
 from dense_reference import (augmented_block, b_operator, infer_theta, invertibility_operator,
                              record_mismatches)
 from gadkit import experiments
@@ -1463,6 +1465,37 @@ class TestCarriedFactor:
         records = sweep(basis, design, theta, range(1, 49))
         assert all(r.error is None for r in records)
         assert fresh == [1, 11, 13, 23, 33, 43]
+
+    @pytest.mark.parametrize("stem, lo, hi, route", [
+        ("sweep_rff_sphere", 81, 120, [False]),
+        ("ising_sweep_physical", 190, 230, [True]),
+    ], ids=["rff", "spin-chain"])
+    def test_arrow_routes_over_a_window(self, monkeypatch, tmp_path, stem, lo, hi, route):
+        # the np.linalg.svd calls of each arrow, by compute_uv: every arrow
+        # of the benchmark's RFF window takes the secular route ([False], a
+        # values-only SVD); past m = 100 every arrow of the physical spin
+        # chain has a weight or a pole gap at rounding and takes the dense
+        # SVD with no values-only SVD before it ([True])
+        routes, original_svd, original_route = [], np.linalg.svd, linalg._arrow_svd
+
+        def recorded(*args):
+            calls = []
+
+            def spy(matrix, *svd_args, **kwargs):
+                calls.append(kwargs.get("compute_uv", True))
+                return original_svd(matrix, *svd_args, **kwargs)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(np.linalg, "svd", spy)
+                routes.append(calls)
+                return original_route(*args)
+
+        monkeypatch.setattr(linalg, "_arrow_svd", recorded)
+        text = (Path(__file__).resolve().parent.parent / "configs" / f"{stem}.cfg").read_text()
+        text = re.sub(r"(?m)^m_range = .*$", f"m_range = {lo} {hi}", text)
+        experiments.run_config(parse_config_text(text), out_dir=str(tmp_path), seed_override=0)
+        assert len(routes) == hi - lo
+        assert all(calls == route for calls in routes)
 
     @pytest.mark.parametrize("stem", ["fourier_check", "gauss_compare", "unstructured_eb"])
     def test_recipes_without_neighbouring_sizes_never_update(self, monkeypatch, tmp_path, stem):

@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dense_reference import append_column, interleaving_check
 from gadkit.errors import InvalidInputError
-from gadkit.linalg import (BLOCK, gram, kernel_projector, pseudoinverse, row_peaks,
-                           spectral_norm, svd, svd_append)
+from gadkit.linalg import (ARROW_CROSSOVER, BLOCK, DEFLATION_TOL, SvdResult, gram,
+                           kernel_projector, pseudoinverse, row_peaks, spectral_norm, svd,
+                           svd_append)
 
 
 def random_matrix(rng, rows, cols, complex_field=False):
@@ -67,12 +70,34 @@ class TestSvd:
         assert res.singular_values.size == 0
 
 
-def factor_defects(factor, x):
-    """Reconstruction error over sigma_max, and the orthonormality defects of U and V."""
+def factor_defects(factor, x, norm=None):
+    """Reconstruction error over sigma_max, and the orthonormality defects of U and V,
+    in the Frobenius norm or in the matrix norm ``norm`` (``np.linalg.norm``'s ``ord``)."""
     u, s, v = factor.left_vectors, factor.singular_values, factor.right_vectors
-    rebuilt = np.linalg.norm((u * s) @ v.conj().T - x) / s[0]
+    rebuilt = np.linalg.norm((u * s) @ v.conj().T - x, norm) / s[0]
     eye = np.eye(s.size)
-    return rebuilt, np.linalg.norm(u.conj().T @ u - eye), np.linalg.norm(v.conj().T @ v - eye)
+    return (rebuilt, np.linalg.norm(u.conj().T @ u - eye, norm),
+            np.linalg.norm(v.conj().T @ v - eye, norm))
+
+
+def arrow_route(monkeypatch, factor, column):
+    """svd_append of the column, and the ``compute_uv`` of each ``np.linalg.svd`` it made:
+    ``[False]`` for the secular route, ``[True]`` for the dense SVD alone."""
+    calls, original = [], np.linalg.svd
+
+    def spy(matrix, *args, **kwargs):
+        calls.append(kwargs.get("compute_uv", True))
+        return original(matrix, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np.linalg, "svd", spy)
+        return svd_append(factor, column), calls
+
+
+def axis_factor(s, rows):
+    """The exact SVD of ``[diag(s); 0]`` (rows x s.size), with U and V columns of the identity."""
+    k = s.size
+    return SvdResult(np.eye(rows)[:, :k], s, np.eye(k), k, 1e-12)
 
 
 class TestSvdAppend:
@@ -118,6 +143,71 @@ class TestSvdAppend:
                 deviation = np.abs(factor.singular_values - want.singular_values).max()
                 assert deviation <= 1e-12 * want.singular_values[0], m
         assert max(factor_defects(factor, x)) < 1e-12
+
+    @pytest.mark.parametrize("complex_field", [False, True], ids=["real", "complex"])
+    @pytest.mark.parametrize("k", [ARROW_CROSSOVER, 100, 200])
+    @pytest.mark.parametrize("shape", ["growing", "square"])
+    def test_secular_route_matches_svd_of_the_wider_block(self, monkeypatch, complex_field,
+                                                          k, shape):
+        # the arrow's singular values from LAPACK, one Newton step and the
+        # closed-form vectors: no dense SVD.  Bounds as above, but in the
+        # spectral norm: the Frobenius defects of a fresh 200-column SVD are
+        # already 3e-14
+        rng = np.random.default_rng(k)
+        rows = k + 30 if shape == "growing" else k
+        x = random_matrix(rng, rows, k + 11 if shape == "square" else k + 1, complex_field)
+        cols = x.shape[1] - 1
+        got, calls = arrow_route(monkeypatch, svd(x[:, :cols]), x[:, cols])
+        assert calls == [False]
+        want = svd(x)
+        assert got.numerical_rank == want.numerical_rank
+        assert got.left_vectors.shape == want.left_vectors.shape
+        assert got.right_vectors.shape == want.right_vectors.shape
+        np.testing.assert_allclose(got.singular_values, want.singular_values,
+                                   rtol=0, atol=1e-14 * want.singular_values[0])
+        assert max(factor_defects(got, x, 2)) < 1e-14
+
+    @pytest.mark.parametrize("case", ["zero-weight", "repeated-value", "below-crossover"])
+    def test_dense_route_takes_no_values_first(self, monkeypatch, case):
+        # the O(k) deflation test and the size crossover send these arrows
+        # to the dense SVD before any SVD is taken
+        rng = np.random.default_rng(4)
+        k = ARROW_CROSSOVER - 1 if case == "below-crossover" else 60
+        s = np.sort(rng.uniform(1.0, 3.0, k))[::-1]
+        t = rng.standard_normal(k + 5)
+        if case == "zero-weight":
+            t[7] = 0.0
+        if case == "repeated-value":
+            s[9] = s[10]
+        got, calls = arrow_route(monkeypatch, axis_factor(s, k + 5), t)
+        assert calls == [True]
+        x = np.column_stack([np.vstack([np.diag(s), np.zeros((5, k))]), t])
+        assert max(factor_defects(got, x, 2)) < 1e-13
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(ARROW_CROSSOVER, 90),
+           grow=st.booleans(), near=st.lists(st.tuples(st.sampled_from(["weight", "gap"]),
+                                                        st.integers(0, 10**6),
+                                                        st.floats(0.25, 4.0)),
+                                              min_size=1, max_size=4))
+    def test_near_deflation_keeps_the_factor_exact(self, seed, k, grow, near):
+        # weights and pole gaps of about DEFLATION_TOL times the largest
+        # entry sit on either side of the deflation test: whichever route
+        # takes them, the factor rebuilds [X, t] and stays orthonormal
+        rng, grow = np.random.default_rng(seed), int(grow)
+        s = np.sort(rng.uniform(0.1, 1.0, k))[::-1]
+        t = rng.standard_normal(k + grow)
+        scale = DEFLATION_TOL * max(s[0], np.abs(t).max())
+        for kind, where, ratio in near:
+            i = where % k
+            if kind == "weight":
+                t[i] = ratio * scale
+            elif i + 1 < k:
+                s[i + 1] = s[i] - ratio * scale
+        s = np.sort(s)[::-1]
+        x = np.column_stack([np.vstack([np.diag(s), np.zeros((grow, k))]), t])
+        got = svd_append(axis_factor(s, k + grow), t)
+        assert max(factor_defects(got, x, 2)) < 1e-13
 
     def test_rank_follows_the_rule_of_svd(self):
         # a column of 1e-14 relative size sits below the threshold
