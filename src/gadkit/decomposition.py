@@ -71,13 +71,14 @@ U^H y_train, U^H (T_M theta_m), U^H (T_U theta_u) = W theta_u, and the
 Gram of W (W itself when W is taller than wide).  The fitted-signal
 identity is checked on them once per m, before any filter, which would only
 amplify their rounding (see :func:`_identity_residual`).  Each lambda is
-then only filter work on those products, and the LAPACK work of all
-lambdas is stacked into one values-only SVD call (the augmented-spectrum
-checks, on 2k x k blocks reduced by one QR of T_M, k = min(n, m); see
-:func:`_augmented`) and one ``eigvalsh`` call (the norms of A).  No
-lambda's arithmetic depends on the others in the list, so every row is
-exactly what a sweep over its lambda alone gives.  Each step's arrays, G
-and the carried factor aside, are freed before the next m is factored.
+then only filter work on those products.  When some lambda is active, the
+step takes one values-only SVD of T_M afresh, whose k = min(n, m) values
+check the ridge spectrum of every active lambda (see
+:func:`_ridge_spectrum`), and the norms of A of all lambdas are one stacked
+``eigvalsh`` call.  No lambda's arithmetic depends on the others in the
+list, so every row is exactly what a sweep over its lambda alone gives.
+Each step's arrays, G and the carried factor aside, are freed before the
+next m is factored.
 :func:`risk_and_errors` and :func:`ridge_panels` are the same route for one
 lambda.
 """
@@ -544,41 +545,31 @@ def _stacked(call, keys: list[int], stack: np.ndarray):
         return lambda key: call(stack[keys.index(key), None])[0]
 
 
-def _singular_values(stack: np.ndarray) -> np.ndarray:
-    return np.linalg.svd(stack, compute_uv=False)
-
-
 def _top_eigenvalue(stack: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(stack)[..., -1]
 
 
-def _augmented(panel: OperatorPanel, shifts: list[float]) -> np.ndarray:
-    """The reduced ridge blocks ``[R; sqrt(n*lambda) I]``, one per shift, stacked.
+def _ridge_spectrum(panel: OperatorPanel) -> np.ndarray:
+    """The k = min(n, m) singular values of T_M from a values-only LAPACK SVD of the held block.
 
-    R is the k x k triangle, k = min(n, m), of one Householder QR of T_M, or
-    of T_M^H when m > n.  It has the singular values of T_M, so each block
-    has the k singular values ``sqrt(sigma**2 + n*lambda)`` of the full
-    block ``[T_M; sqrt(n*lambda) I]``; the full block's other m - k equal
-    ``sqrt(n*lambda)`` exactly, since rank T_M <= n.  Every shift shares R,
-    which takes nothing from the panel's factor, so the spectrum check holds
-    the factor's singular values, carried or afresh, against a factorization
-    of its own.
+    One call serves every active lambda at the panel's m: the ridge block
+    ``[T_M; sqrt(n*lambda) I]`` has exactly the singular values
+    ``sqrt(sigma**2 + n*lambda)`` over these, and ``sqrt(n*lambda)`` for its
+    other m - k, since rank T_M <= n.  The call takes nothing from the
+    panel's factor, so :func:`_checked_pinv_norm` holds the factor's
+    singular values, carried or afresh, against a factorization of its own.
     """
-    x = panel.train_modeled
-    r = np.linalg.qr(x if x.shape[0] >= x.shape[1] else x.conj().T, mode="r")
-    k = r.shape[0]
-    aug = np.zeros((len(shifts), 2 * k, k), dtype=r.dtype)
-    aug[:, :k] = r
-    aug[:, k + np.arange(k), np.arange(k)] = np.sqrt(shifts)[:, None]
-    return aug
+    return np.linalg.svd(panel.train_modeled, compute_uv=False)
 
 
 def _checked_pinv_norm(panel: OperatorPanel, shift: float, s_aug: np.ndarray) -> float:
-    """``||pinv([T_M; sqrt(n*lambda) I])||`` off the reduced spectrum ``s_aug``, once it checks.
+    """``||pinv([T_M; sqrt(n*lambda) I])||`` off the k leading values ``s_aug``, once they check.
 
-    ``s_aug`` must match ``sqrt(sigma**2 + n*lambda)`` over the factor's k
-    singular values.  The full block's other m - k singular values equal
-    ``sqrt(n*lambda)``, so the norm is ``1 / sqrt(n*lambda)`` when m > n.
+    ``s_aug``, ``sqrt(sigma**2 + n*lambda)`` over the spectrum of
+    :func:`_ridge_spectrum`, must match ``sqrt(s**2 + n*lambda)`` over the
+    factor's k singular values s.  The full block's other m - k singular
+    values equal ``sqrt(n*lambda)``, so the norm is ``1 / sqrt(n*lambda)``
+    when m > n.
     """
     expected = np.sqrt(panel.factor.singular_values**2 + shift)
     scale = max(float(expected[0]), 1.0)
@@ -598,17 +589,16 @@ def _checked_pinv_norm(panel: OperatorPanel, shift: float, s_aug: np.ndarray) ->
 def ridge_panels(panel: OperatorPanel, lam: float) -> float:
     """Norm of the pseudoinverse of the augmented block ``[T_M; sqrt(n*lambda) I]``.
 
-    Asserts the shifted-spectrum identity on the reduced block of
-    :func:`_augmented`: its k = min(n, m) singular values equal
-    sqrt(sigma_i**2 + n*lambda) over the panel factor's singular values, to
-    1e-9 relative.  The norm is bounded by 1/sqrt(n*lambda) whenever lambda
-    is positive, and equals it when m > n; at lambda = 0 it is the norm of
-    pinv(T_M).
+    Asserts the shifted-spectrum identity: ``sqrt(sigma_i**2 + n*lambda)``
+    over the k = min(n, m) values of :func:`_ridge_spectrum` equals it over
+    the panel factor's singular values, to 1e-9 relative.  The norm is
+    bounded by 1/sqrt(n*lambda) whenever lambda is positive, and equals it
+    when m > n; at lambda = 0 it is the norm of pinv(T_M).
     """
     shift = _ridge_shift(panel, lam)
     if not shift:
         return panel.factor.pinv_norm()
-    return _checked_pinv_norm(panel, shift, _singular_values(_augmented(panel, [shift]))[0])
+    return _checked_pinv_norm(panel, shift, np.sqrt(_ridge_spectrum(panel)**2 + shift))
 
 
 def aliasing_operator(panel: OperatorPanel, lam: float = 0.0) -> np.ndarray:
@@ -736,15 +726,18 @@ def _lambda_rows(products: _SharedProducts, lams: list[float], norm_nescient: fl
                  independent: bool) -> list[SweepRecord]:
     """The record of every lambda at the products' model size; a lambda that fails gets an error row.
 
-    The augmented-spectrum SVDs of the active lambdas are one stacked call,
-    and the eigenvalue problems of every ``||A||`` another.
+    The active lambdas' spectrum checks share one :func:`_ridge_spectrum`,
+    taken only when some lambda is active; when it raises ``LinAlgError``,
+    every active lambda gets that error row.  The eigenvalue problems of
+    every ``||A||`` are one stacked call.
     """
     panel = products.panel
     shifts = [_ridge_shift(panel, lam) for lam in lams]
     filters = [_filter(panel, lam) for lam in lams]
-    active = [i for i, shift in enumerate(shifts) if shift]
-    spectra = (_stacked(_singular_values, active, _augmented(panel, [shifts[i] for i in active]))
-               if active else None)
+    try:
+        sigma = _ridge_spectrum(panel) if any(shifts) else None
+    except np.linalg.LinAlgError as exc:
+        sigma = exc
     alias = {i: gram for i, f in enumerate(filters)
              if (gram := _alias_gram(products, f)) is not None}
     tops = (_stacked(_top_eigenvalue, list(alias), np.stack([g for g, _ in alias.values()]))
@@ -752,7 +745,9 @@ def _lambda_rows(products: _SharedProducts, lams: list[float], norm_nescient: fl
     records = []
     for i, (lam, shift, f) in enumerate(zip(lams, shifts, filters)):
         try:
-            norm_pinv = (_checked_pinv_norm(panel, shift, spectra(i)) if shift
+            if shift and isinstance(sigma, np.linalg.LinAlgError):
+                raise sigma
+            norm_pinv = (_checked_pinv_norm(panel, shift, np.sqrt(sigma**2 + shift)) if shift
                          else panel.factor.pinv_norm())
             norm_A = scaled_root(float(tops(i)), alias[i][1]) if i in alias else 0.0
             report = _fit(products, lam, f, norm_A)
@@ -866,9 +861,9 @@ def sweep(basis: BasisSpec, design: SampleDesign, theta_spec: ParameterSpec,
     is of T_{m-1}, otherwise that of a values-only SVD of the column prefix.
     Each lambda then filters those products: the ridge pseudoinverse norm
     with its spectrum check, and the fit.  The spectrum checks of all active
-    lambdas share one QR of T_M and are one stacked values-only SVD of the
-    reduced blocks (see :func:`_augmented`), and the eigenvalue problems of
-    every ``||A||`` are another stacked call.
+    lambdas share one values-only SVD of T_M (see :func:`_ridge_spectrum`),
+    taken only when some lambda is active, and the eigenvalue problems of
+    every ``||A||`` are one stacked call.
 
     The module docstring states the route of the nescient side and what the
     sweep carries from one m to the next: the factor of T_M, the rank of
@@ -905,10 +900,12 @@ def sweep(basis: BasisSpec, design: SampleDesign, theta_spec: ParameterSpec,
     When ``||T_U||`` or the Gram of T_U, the panel or its factor check, the
     identity check or the flag fails at m, every lambda gets an error row
     there; the factor is kept once it has passed its check, so the flag at
-    m + 1 reads its rank whatever fails after it.  When one lambda's ridge
-    norm, ``||A||`` or fit fails, only that row gets an error; a stacked
-    call that raises ``LinAlgError`` is made again one lambda at a time, so
-    that only the lambdas whose matrix fails get an error row.  Records come
+    m + 1 reads its rank whatever fails after it.  When the SVD of T_M that
+    the ridge checks share raises ``LinAlgError``, every active lambda at m
+    gets an error row.  When one lambda's spectrum check, ``||A||`` or fit
+    fails, only that row gets an error; a stacked ``eigvalsh`` call that
+    raises ``LinAlgError`` is made again one lambda at a time, so that only
+    the lambdas whose matrix fails get an error row.  Records come
     back lambda-major, in the caller's lambda order (duplicates kept), each
     lambda sorted by m, and are deterministic for fixed seeds.
     """

@@ -87,7 +87,12 @@ def invertibility_operator(panel: OperatorPanel, lam: float = 0.0) -> np.ndarray
 
 
 def augmented_block(panel: OperatorPanel, lam: float) -> np.ndarray:
-    """The ridge block ``[T_M; sqrt(n*lambda) I]`` whose spectrum ``ridge_panels`` checks."""
+    """The dense ridge block ``[T_M; sqrt(n*lambda) I]``, which the sweep never forms.
+
+    Its singular values are ``sqrt(sigma**2 + n*lambda)`` over the spectrum
+    of T_M and ``sqrt(n*lambda)`` for the other m - min(n, m); ``ridge_panels``
+    reads its pseudoinverse norm off T_M's spectrum alone.
+    """
     x = panel.train_modeled
     return np.vstack([x, np.sqrt(panel.n_train * lam) * np.eye(panel.m, dtype=x.dtype)])
 

@@ -1,5 +1,6 @@
 """Panels, operators, risk breakdown, ridge variants, and the sweep engine."""
 
+import itertools
 import math
 import re
 import tracemalloc
@@ -356,13 +357,20 @@ class TestRidge:
                 call()
 
     def test_spectrum_shift_random(self):
+        # ridge_panels reads the norm off T_M's spectrum without forming the
+        # augmented block: it must equal 1/sigma_min of LAPACK's spectrum of
+        # the dense block, past m = n too, where that least value is
+        # sqrt(n*lambda) and not one shifted from T_M's spectrum
         rng = np.random.default_rng(9)
-        for lam in (1e-4, 1e-2, 1.0):
-            for _ in range(10):
-                rows = int(rng.integers(2, 12))
-                m = int(rng.integers(1, 12))
+        fixed = [(7, 4), (7, 7), (7, 11)]  # m < n, m = n, m > n
+        for dtype, lam in itertools.product((float, complex), (1e-4, 1e-2, 1.0)):
+            shapes = fixed + [(int(rng.integers(2, 12)), int(rng.integers(1, 12)))
+                              for _ in range(10)]
+            for rows, m in shapes:
                 design = direct_design(rng.standard_normal(rows), rng.standard_normal(2))
-                full = rng.standard_normal((rows + 2, max(m, 1)))
+                full = rng.standard_normal((rows + 2, m))
+                if dtype is complex:
+                    full = full + 1j * rng.standard_normal((rows + 2, m))
                 panel = build_panels(full, design, m)
                 pinv_norm = ridge_panels(panel, lam)
                 s_aug = np.linalg.svd(augmented_block(panel, lam), compute_uv=False)
@@ -370,6 +378,7 @@ class TestRidge:
                 s_base = np.linalg.svd(panel.train_modeled, compute_uv=False)
                 base[: s_base.size] = s_base
                 np.testing.assert_allclose(s_aug, np.sqrt(base**2 + rows * lam), rtol=1e-9)
+                assert pinv_norm == pytest.approx(1 / s_aug[-1], rel=1e-12, abs=0)
                 assert pinv_norm <= 1 / np.sqrt(rows * lam) + 1e-12
 
     def test_ridge_invertibility_norm_bound(self):
@@ -595,12 +604,39 @@ class TestSweep:
                    if i != failed[0])
         assert not prefix_svds
 
-    @pytest.mark.parametrize("target, bad", [("svd", 1), ("eigvalsh", 2)])
+    def test_failed_ridge_spectrum_fails_every_active_lambda(self, monkeypatch):
+        # at m = 7 the one values-only SVD of T_M that every active lambda's
+        # spectrum check reads raises.  Each active lambda there gets that
+        # error row; the lambda = 0 row and every other m are the clean
+        # sweep's exactly, since the carried factor never reads that SVD
+        basis, design, theta = self.small_setup(seed=29)
+        ms = range(1, 16)
+        clean = decomposition.sweep(basis, design, theta, ms, lambdas=self.LAMBDAS)
+        original = np.linalg.svd
+        planted = []
+
+        def flaky(a, *args, **kwargs):
+            if not kwargs.get("compute_uv", True) and np.shape(a) == (design.n_train, 7):
+                planted.append(1)
+                raise np.linalg.LinAlgError("planted")
+            return original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", flaky)
+        records = decomposition.sweep(basis, design, theta, ms, lambdas=self.LAMBDAS)
+        assert planted == [1]
+        assert [(r.lam, r.m) for r in records] == [(r.lam, r.m) for r in clean]
+        for got, want in zip(records, clean):
+            if got.m == 7 and got.lam > 0:
+                assert got.error == "LinAlgError: planted"
+                assert got.rank_TM == -1 and np.isnan(got.norm_pinv_TM)
+            else:
+                assert got == want
+
+    @pytest.mark.parametrize("target, bad", [("eigvalsh", 2)])
     def test_failed_stacked_call_fails_only_its_rows(self, monkeypatch, target, bad):
         # at m = 7 the stacked call over every lambda raises.  Each row then
         # makes it again on its own matrix, in lambda order, and there only
-        # the matrix of lambda = 1e-2 fails: the augmented SVDs stack the
-        # three active lambdas, the Grams of ||A|| all four
+        # the matrix of lambda = 1e-2 fails: the Grams of ||A|| stack all four
         basis, design, theta = self.small_setup(seed=29)
         ms = range(1, 16)
         clean = decomposition.sweep(basis, design, theta, ms, lambdas=self.LAMBDAS)
@@ -633,15 +669,18 @@ class TestSweep:
         assert all(got == want for i, (got, want) in enumerate(zip(records, clean))
                    if i != failed[0])
 
-    @pytest.mark.parametrize("lambdas", [(0.0,), LAMBDAS, (1e-2,) + LAMBDAS + (1e-2,)],
-                             ids=["one", "four", "six-with-duplicates"])
+    @pytest.mark.parametrize("lambdas", [(0.0,), (1e-2,), LAMBDAS, (1e-2,) + LAMBDAS + (1e-2,)],
+                             ids=["one", "one-active", "four", "six-with-duplicates"])
     def test_lambda_free_products_formed_once_per_m(self, monkeypatch, lambdas):
         # U^H T_U and the rest of the shared products are formed once per m,
         # however many lambdas read them, and so is the identity check, which
-        # no filter enters; the spectrum check runs for every active lambda
+        # no filter enters; so is the spectrum of T_M that the ridge checks
+        # read, when some lambda is active, and never on a lambda = 0 sweep.
+        # The spectrum check runs for every active lambda
         basis, design, theta = self.small_setup(seed=31)
         ms = range(5, 21)
-        counts = {"_shared_products": 0, "_identity_residual": 0, "_checked_pinv_norm": 0}
+        counts = {"_shared_products": 0, "_identity_residual": 0, "_ridge_spectrum": 0,
+                  "_checked_pinv_norm": 0}
         for name in counts:
             original = getattr(decomposition, name)
 
@@ -655,6 +694,7 @@ class TestSweep:
         active = sum(1 for lam in lambdas if lam > 0)
         assert counts == {"_shared_products": len(ms),
                           "_identity_residual": len(ms),
+                          "_ridge_spectrum": len(ms) if active else 0,
                           "_checked_pinv_norm": active * len(ms)}
 
     @pytest.mark.parametrize("stage", ["panel", "identity-check"])
@@ -741,7 +781,7 @@ class TestSweep:
     @pytest.mark.parametrize("target", [6, 12, 20], ids=["m<n", "m=n", "m>n"])
     def test_planted_spectrum_fault_fails_every_active_lambda(self, monkeypatch, target):
         # the ridge check compares the factor's k = min(n, m) singular values
-        # with the spectrum of the QR-reduced block.  The factor's largest,
+        # with a values-only SVD of T_M afresh.  The factor's largest,
         # scaled by 1 + 1e-8 at one m, must fail every active lambda there;
         # the lambda = 0 row and every other m take no check of it
         basis, design, theta = self.small_setup(seed=33)
