@@ -39,11 +39,12 @@ trace has shrunk 2**10-fold or strays from the exact squared norm of T_U.
 ||T_U||**2 is the largest eigenvalue of G and the core's Gram is
 K = U^H G U, so W is never formed.  Once T_U is thinner than n, G is
 dropped and each step takes ||T_U|| (:func:`linalg.spectral_norm`, 0 for
-an empty T_U) and W from T_U itself.  :meth:`_NescientGram.at` is the one
-place that makes this choice, for the sweep and for
-:func:`risk_and_errors` alike; the exact column norms that its drift check
-reads are summed when it first forms a Gram, so a range wholly on the thin
-side pays nothing for them.
+an empty T_U) and W from T_U itself, and each lambda's core Gram is
+:func:`linalg.gram` of its scaled core, on whichever side of the core is
+smaller.  :meth:`_NescientGram.at` is the one place that makes this
+choice, for the sweep and for :func:`risk_and_errors` alike; the exact
+column norms that its drift check reads are summed when it first forms a
+Gram, so a range wholly on the thin side pays nothing for them.
 
 T_M gains one column per step, and the sweep carries its factor up: the
 SVD of T_{m-1} takes column m by Brand's rank-one update
@@ -56,19 +57,20 @@ after a factor that raised or failed its check, where the update's residual
 is exactly 0, and at least every ``CARRY_LIMIT`` model sizes.  Every factor,
 afresh or carried, is checked against the held training rows before any
 step reads it (:func:`_checked_factor`, O(n m)); a failure makes every
-lambda at that m an error row, and only a factor that passed is kept.  The
-independence flag of column m compares the rank of T_M with that of
-T_{m-1}, which is the kept factor's when that factor is of T_{m-1}; only
-where none is held (at the first m of a range past m = 1, after a gap, after
-a failed factor) is it read off a values-only SVD of the column prefix.  So
-the sweep carries three things from one m to the next: the checked factor
-of T_M, the rank of T_{m-1} that the flag reads off it (both held by
-:class:`_FiniteOperator`), and the Gram of T_U (:class:`_NescientGram`).
-Lambda never touches them.
+lambda at that m an error row, and only a factor that passed is kept.  A
+chain ranks every factor at the ``rel_tol`` of the SVD afresh it started
+from.  The independence flag of column m compares the rank of T_M with
+that of T_{m-1}, which is recorded with each factor given: the rank of the
+kept factor when that is of T_{m-1}, 0 at m = 1, and otherwise (at the
+first m of a range past m = 1, after a gap, after a failed factor) that of
+a values-only SVD of the column prefix.  So the sweep carries three things
+from one m to the next: the checked factor of T_M, the rank of T_{m-1}
+recorded with it (both held by :class:`_FiniteOperator`), and the Gram of
+T_U (:class:`_NescientGram`).  Lambda never touches them.
 
 At each m one object holds the products of the factor that no lambda changes:
 U^H y_train, U^H (T_M theta_m), U^H (T_U theta_u) = W theta_u, and the
-Gram of W (W itself when W is taller than wide).  The fitted-signal
+Gram of W on the Gram side or W itself on the thin side.  The fitted-signal
 identity is checked on them once per m, before any filter, which would only
 amplify their rounding (see :func:`_identity_residual`).  Each lambda is
 then only filter work on those products.  When some lambda is active, the
@@ -226,10 +228,11 @@ class _SharedProducts:
       that :meth:`_NescientGram.at` gives, ``gram`` is ``K = U^H G U = W_s W_s^H``
       and ``row_scales`` its row norms ``sqrt(diag K)``.  W is never formed.
     - the thin side: W is formed and scaled so that its largest modulus lies
-      in [0.5, 1), and ``row_scales`` holds each row's largest modulus.  When
-      k <= p - m, ``gram`` is ``W_s W_s^H``; otherwise ``gram`` is None,
-      ``w_scaled`` is W_s, and each lambda forms the Gram of its own core on
-      the smaller, nescient side.
+      in [0.5, 1), and ``row_scales`` holds each row's largest modulus.
+      ``w_scaled`` is W_s, and each lambda takes the Gram of its own core
+      (see :func:`_alias_gram`).
+
+    So ``gram`` is None on the thin side and ``w_scaled`` None on the Gram side.
     """
 
     panel: OperatorPanel
@@ -260,18 +263,19 @@ class _FiniteOperator:
     that an evaluation error raises as it would from one call over all rows.
     :func:`build_panels` takes the object without checking it again, and
     asks it for the factor of T_M (:meth:`factor_at`).  The object carries
-    that factor, and with it the rank of T_{m-1}, from one model size to the
-    next as the module docstring states.
+    that factor from one model size to the next as the module docstring
+    states, and ``prior_rank`` is the rank of T_{m-1} at the last m it
+    gave a factor for.
     """
 
-    __slots__ = ("train", "pred", "y", "error", "_factor", "_carried", "_prior_rank")
+    __slots__ = ("train", "pred", "y", "error", "prior_rank", "_factor", "_carried")
 
     def __init__(self, basis: BasisSpec, design: SampleDesign, width: int, theta: np.ndarray):
         points = design.all_points
         self.error: InvalidInputError | None = None
         self._factor: SvdResult | None = None  # the last checked factor of T_M
         self._carried = 0  # how many updates it is from its SVD afresh
-        self._prior_rank: int | None = None  # the rank of T_{m-1} at the last factor_at(m)
+        self.prior_rank = 0  # the rank of T_{m-1} at the last factor_at(m)
         for rows in blocks(points.shape[0], BLOCK):
             # the block lives only in _keep, so it is freed before the next is evaluated
             self._keep(rows, evaluate_columns(basis, points[rows], (0, basis.column_budget)),
@@ -307,12 +311,16 @@ class _FiniteOperator:
         gives None, T_M is factored afresh.  Either way the factor must pass
         :func:`_checked_factor` before it is given and kept.  A factor that
         raises or fails its check is not kept, so the next m starts afresh.
+        Once the factor is kept, ``prior_rank`` is set to the rank of
+        T_{m-1}: the last factor's if it was of T_{m-1}, 0 at m = 1, and
+        otherwise that of a values-only SVD of the column prefix.  So a
+        prefix SVD that raises still leaves the factor kept for m + 1.
         """
         last, self._factor = self._factor, None
         block = self.train[:, :m]
         held = last is not None and last.right_vectors.shape[0] == m - 1
-        self._prior_rank = last.numerical_rank if held else None
-        factor = (svd_append(last, self.train[:, m - 1], rel_tol)
+        prior = last.numerical_rank if held else 0
+        factor = (svd_append(last, self.train[:, m - 1])
                   if held and self._carried < CARRY_LIMIT - 1 else None)
         del last  # freed before an SVD afresh
         if factor is None:
@@ -320,19 +328,10 @@ class _FiniteOperator:
         else:
             carried = self._carried + 1
         self._factor, self._carried = _checked_factor(block, factor), carried
+        if not held and m > 1:
+            prior = spectrum(self.train[:, : m - 1], rel_tol)[1]
+        self.prior_rank = prior
         return factor
-
-    def independent(self, panel: OperatorPanel, rel_tol: float) -> bool:
-        """Whether column m raised the rank, at the panel of the last :meth:`factor_at` call.
-
-        The rank of T_{m-1} is that of the factor held when the panel's was
-        made, if it was of T_{m-1}; otherwise a values-only SVD of the
-        column prefix gives it, and T_0 has rank 0.
-        """
-        prior = self._prior_rank
-        if prior is None:
-            prior = spectrum(self.train[:, : panel.m - 1], rel_tol)[1] if panel.m > 1 else 0
-        return panel.rank == prior + 1
 
 
 class _NescientGram:
@@ -476,20 +475,17 @@ def _shared_products(panel: OperatorPanel, theta, y_full,
     coefficients = np.stack([uh @ y[: panel.n_train], uh @ (panel.train_modeled @ theta_m),
                              uh @ (panel.train_nescient @ theta_u)], axis=1)
     residual = _identity_residual(coefficients, float(np.linalg.norm(y)))
-    w_scaled = None
+    w_scaled = k_gram = None
     if nescient is not None:
         g_u, exponent = nescient
         k_gram = uh @ (g_u @ u)
         scales = np.sqrt(np.maximum(k_gram.diagonal().real, 0.0))
     else:
-        w = uh @ panel.train_nescient
-        peaks = row_peaks(w)
+        w_scaled = uh @ panel.train_nescient
+        peaks = row_peaks(w_scaled)
         exponent = math.frexp(float(peaks.max(initial=0.0)))[1]
-        ldexp(w, -exponent, out=w)  # W_s, in the place of W
+        ldexp(w_scaled, -exponent, out=w_scaled)  # W_s, in the place of W
         scales = np.ldexp(peaks, -exponent)
-        wide = w.shape[0] <= w.shape[1]
-        k_gram = gram(w) if wide else None
-        w_scaled = None if wide else w
     return _SharedProducts(
         panel=panel,
         y=y,
@@ -617,8 +613,9 @@ def _alias_gram(products: _SharedProducts, f: np.ndarray) -> tuple[np.ndarray, i
 
     The core is scaled by a power of two that puts the largest of its row
     scales in [0.5, 1): ``g`` is f so rescaled, and the Gram is ``g K g`` on
-    the factor side, or the core's own Gram on the nescient side when that is
-    smaller.  Returns the Gram and the exponent that scales its root back.
+    the Gram side and :func:`linalg.gram` of ``g W_s`` on the thin side,
+    which takes the smaller side of that core.  Returns the Gram and the
+    exponent that scales its root back.
     """
     peak = float(np.max(np.abs(f) * products.row_scales, initial=0.0))
     if peak == 0.0:
@@ -626,11 +623,10 @@ def _alias_gram(products: _SharedProducts, f: np.ndarray) -> tuple[np.ndarray, i
     exponent = math.frexp(peak)[1]
     g = np.ldexp(f, -exponent)
     if products.gram is not None:
-        gram = (g[:, None] * products.gram) * g
+        core_gram = (g[:, None] * products.gram) * g
     else:
-        core = g[:, None] * products.w_scaled
-        gram = core.conj().T @ core
-    return gram, exponent + products.w_exponent
+        core_gram = gram(g[:, None] * products.w_scaled)
+    return core_gram, exponent + products.w_exponent
 
 
 def _identity_residual(coefficients: np.ndarray, y_norm: float) -> float:
@@ -789,9 +785,9 @@ def _step(operator: _FiniteOperator, design: SampleDesign, m: int, theta: np.nda
         norm_nescient, gram = nescient.at(m)
         panel = build_panels(operator, design, m, rel_tol)
         products = _shared_products(panel, theta, operator.y, gram)
-        independent = operator.independent(panel, rel_tol)
     except (GadkitError, np.linalg.LinAlgError) as exc:
         return None, [_error_record(m, lam, exc) for lam in lams]
+    independent = panel.rank == operator.prior_rank + 1
     return panel, _lambda_rows(products, lams, norm_nescient, independent)
 
 
@@ -853,26 +849,25 @@ def sweep(basis: BasisSpec, design: SampleDesign, theta_spec: ParameterSpec,
     The rows of :func:`sweep_steps`, put lambda-major; each step's panel is
     dropped as soon as its rows are kept.  The operator is evaluated once,
     in row blocks, and every entry is checked for finite values.  Each step
-    over m takes ``||T_U||``, bringing the held Gram of T_U to m on the Gram
-    side, builds the panel, whose one SVD every lambda shares, forms the
-    lambda-free products of that factor and checks the fitted-signal
-    identity on them, and reads the independence flag of column m off the
-    rank of T_{m-1}: the rank of the factor kept from m - 1 when that factor
-    is of T_{m-1}, otherwise that of a values-only SVD of the column prefix.
-    Each lambda then filters those products: the ridge pseudoinverse norm
-    with its spectrum check, and the fit.  The spectrum checks of all active
-    lambdas share one values-only SVD of T_M (see :func:`_ridge_spectrum`),
-    taken only when some lambda is active, and the eigenvalue problems of
-    every ``||A||`` are one stacked call.
+    over m takes ``||T_U||``, builds the panel, whose one SVD every lambda
+    shares, forms the lambda-free products of that factor, and checks the
+    fitted-signal identity on them.  Each lambda then filters those
+    products: the ridge pseudoinverse norm with its spectrum check, and the
+    fit.  The spectrum checks of all active lambdas share one values-only
+    SVD of T_M (see :func:`_ridge_spectrum`), taken only when some lambda is
+    active, and the eigenvalue problems of every ``||A||`` are one stacked
+    call.
 
-    The module docstring states the route of the nescient side and what the
-    sweep carries from one m to the next: the factor of T_M, the rank of
-    T_{m-1} with it, and the Gram of T_U, which a strided range downdates by
-    all of a gap's columns at once.  The Gram advances before the panel is
-    built, so a step that fails leaves every other step's Gram as it would
-    have been.  A failure past the factor (the identity check, one lambda's
-    fit) keeps the factor, so every other row stays as it would have been; a
-    failed factor ends the chain, and the rows after it move by rounding.
+    The module docstring states the route of the nescient side and, in its
+    paragraph on the carried factor, what the sweep carries from one m to
+    the next and where the independence flag reads the rank of T_{m-1}.  A
+    strided range downdates the Gram of T_U by all of a gap's columns at
+    once.  The Gram advances before the panel is built, so a step that
+    fails leaves every other step's Gram as it would have been.  A failure
+    past the factor (the prefix SVD of the flag, the identity check, one
+    lambda's fit) keeps the factor, so every other row stays as it would
+    have been; a failed factor ends the chain, and the rows after it move
+    by rounding.
     So does where the range starts: a window of a sweep matches the whole
     sweep's rows to rounding, not bit for bit, with ranks, flags and errors
     exactly.
@@ -897,10 +892,10 @@ def sweep(basis: BasisSpec, design: SampleDesign, theta_spec: ParameterSpec,
     sweep: it yields a record carrying the error message.  A non-finite
     entry anywhere in the operator, in a column the sweep does not keep
     too, gives every (lambda, m) the error row of that check.
-    When ``||T_U||`` or the Gram of T_U, the panel or its factor check, the
-    identity check or the flag fails at m, every lambda gets an error row
-    there; the factor is kept once it has passed its check, so the flag at
-    m + 1 reads its rank whatever fails after it.  When the SVD of T_M that
+    When ``||T_U||`` or the Gram of T_U, the panel, its factor check or the
+    prefix SVD of the flag, or the identity check fails at m, every lambda
+    gets an error row there; the factor is kept once it has passed its
+    check, so the flag at m + 1 reads its rank whatever fails after it.  When the SVD of T_M that
     the ridge checks share raises ``LinAlgError``, every active lambda at m
     gets an error row.  When one lambda's spectrum check, ``||A||`` or fit
     fails, only that row gets an error; a stacked ``eigvalsh`` call that

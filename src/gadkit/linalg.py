@@ -161,8 +161,7 @@ def svd(matrix, rel_tol: float = DEFAULT_REL_TOL) -> SvdResult:
     return SvdResult(u, s, vh.conj().T, rank, rel_tol)
 
 
-def svd_append(factor: SvdResult, column: np.ndarray,
-               rel_tol: float = DEFAULT_REL_TOL) -> SvdResult | None:
+def svd_append(factor: SvdResult, column: np.ndarray) -> SvdResult | None:
     """The reduced SVD of ``[X, t]`` from the reduced SVD of X, or None where that fails.
 
     Brand's rank-one column update (Linear Algebra Appl. 415, 2006): with
@@ -178,7 +177,8 @@ def svd_append(factor: SvdResult, column: np.ndarray,
     SVD ``X sigma Y^T`` of that arrow gives ``U <- [U D, r/rho] X`` and
     ``V <- [[V D, 0], [0, 1]] Y``.  None when rho is exactly 0, where
     ``r/rho`` has no direction, or when ``REORTHOGONALIZATIONS`` passes do
-    not settle.  The rank is the rule of :func:`svd` over the new shape.
+    not settle.  The rank is the rule of :func:`svd` over the new shape, at
+    the factor's own ``rel_tol``, which the result keeps.
 
     The arrow's SVD takes one of two routes (:func:`_arrow_svd`), chosen
     from the inputs.  An arrow that carries at least ``ARROW_CROSSOVER``
@@ -192,7 +192,6 @@ def svd_append(factor: SvdResult, column: np.ndarray,
     cost is O((rows + cols) k**2) for k singular values and one values-only
     SVD of the arrow, against O(rows cols k) for an SVD afresh.
     """
-    rel_tol = _check_rel_tol(rel_tol)
     u, s, v = factor.left_vectors, factor.singular_values, factor.right_vectors
     n, k = u.shape
     t = as_vector(column, length=n)
@@ -220,8 +219,8 @@ def svd_append(factor: SvdResult, column: np.ndarray,
         left += np.outer(r / rho, x[k])
     right = np.concatenate([v @ (phase[:, None] * yt[:, :k].T), yt[None, :, k]])
     shape = (n, v.shape[0] + 1)
-    rank = int(np.count_nonzero(sigma > _rank_threshold(sigma, shape, rel_tol)))
-    return SvdResult(left, sigma, right, rank, rel_tol)
+    rank = int(np.count_nonzero(sigma > _rank_threshold(sigma, shape, factor.rel_tol)))
+    return SvdResult(left, sigma, right, rank, factor.rel_tol)
 
 
 def _arrow_svd(s: np.ndarray, modulus: np.ndarray,

@@ -778,6 +778,29 @@ class TestSweep:
             (m, whole[m].rank_TM, whole[m].new_col_independent) for m in ms]
         assert {r.new_col_independent for r in records} == {True, False}
 
+    def test_failed_prefix_rank_svd_keeps_the_factor(self, monkeypatch):
+        # the prefix SVD of the flag at the range start m = 5 raises: every
+        # lambda there gets its error row, but the factor of T_5 passed its
+        # check and is kept, so m = 6 carries it and reads its rank, and
+        # every later row is the clean sweep's exactly
+        basis, design, theta = self.small_setup(seed=43)
+        ms = range(5, 12)
+        clean = decomposition.sweep(basis, design, theta, ms, lambdas=self.LAMBDAS)
+        prefix_widths = []
+
+        def flaky(block, *args, **kwargs):
+            prefix_widths.append(block.shape[1])
+            raise np.linalg.LinAlgError("planted")
+
+        monkeypatch.setattr(decomposition, "spectrum", flaky)
+        records = decomposition.sweep(basis, design, theta, ms, lambdas=self.LAMBDAS)
+        assert prefix_widths == [4]
+        for got, want in zip(records, clean):
+            if got.m == 5:
+                assert got.error == "LinAlgError: planted" and got.rank_TM == -1
+            else:
+                assert got == want
+
     @pytest.mark.parametrize("target", [6, 12, 20], ids=["m<n", "m=n", "m>n"])
     def test_planted_spectrum_fault_fails_every_active_lambda(self, monkeypatch, target):
         # the ridge check compares the factor's k = min(n, m) singular values

@@ -217,6 +217,16 @@ class TestSvdAppend:
         assert svd(np.column_stack([x, 1e-14 * t])).numerical_rank == 4
         assert svd_append(svd(x), 1e-10 * t).numerical_rank == 5
 
+    def test_keeps_the_tolerance_of_its_factor(self):
+        # a column of 1e-8 relative size clears the default threshold of the
+        # 5-column block but not 1e-6 * sigma_max * 6: a chain ranks every
+        # factor at the tolerance it started with
+        x, t = np.eye(6)[:, :4], 1e-8 * np.eye(6)[:, 4]
+        got = svd_append(svd(x, rel_tol=1e-6), t)
+        assert got.rel_tol == 1e-6 and got.numerical_rank == 4
+        assert svd(np.column_stack([x, t]), rel_tol=1e-6).numerical_rank == 4
+        assert svd_append(svd(x), t).numerical_rank == 5
+
 
 class TestPseudoinverse:
     def test_invertible_square(self):

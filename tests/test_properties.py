@@ -9,6 +9,7 @@ these properties hold it against routes that do not share that factor.
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -186,6 +187,37 @@ def test_sweep_alias_core_matches_dense_aliasing_operator(block, offset, drawn, 
         alias_error = np.linalg.norm(aliasing @ theta[record.m :])
         for got, want in ((record.norm_A, norm_a), (record.alias_error, alias_error)):
             assert abs(got - want) <= 1e-9 * max(got, want), (record.lam, got, want)
+
+
+@pytest.mark.parametrize("complex_field", [False, True], ids=["real", "complex"])
+def test_thin_alias_core_on_both_sides_of_the_gram(complex_field):
+    # n = 6 and p = 9: T_U is thinner than n past m = 3, so the sweep forms the
+    # scaled core W_s and each lambda hands g W_s to linalg.gram.  At m = 4 the
+    # core is 4 x 5 (k <= p - m) and gram takes C C^H; at m = 7 it is 6 x 2 and
+    # gram takes C^H C.  The draws above may never reach the wide case
+    rng = np.random.default_rng(9)
+    block = rng.standard_normal((6, 9))
+    if complex_field:
+        block = block + 1j * rng.standard_normal((6, 9))
+    full, design = system_of(block)
+    lambdas = (0.0, 1e-2)
+    shapes, original = [], decomposition.gram
+
+    def spy(x):
+        shapes.append(x.shape)
+        return original(x)
+
+    with mock.patch.object(decomposition, "gram", spy):
+        records, theta = sweep_of(full, design, [4, 7], lambdas)
+    assert shapes == [(4, 5), (4, 5), (6, 2), (6, 2)]
+    assert [(r.lam, r.m) for r in records] == [(lam, m) for lam in lambdas for m in (4, 7)]
+    for record in records:
+        assert record.error is None
+        aliasing = aliasing_operator(build_panels(full, design, record.m), record.lam)
+        norm_a = np.linalg.svd(aliasing, compute_uv=False)[0]
+        alias_error = np.linalg.norm(aliasing @ theta[record.m :])
+        for got, want in ((record.norm_A, norm_a), (record.alias_error, alias_error)):
+            assert abs(got - want) <= 1e-9 * max(got, want), (record.m, record.lam, got, want)
 
 
 @PROPERTY
