@@ -97,8 +97,9 @@ import numpy as np
 from .bases import BasisSpec, evaluate_columns
 from .designs import ParameterSpec, SampleDesign, make_theta
 from .errors import DecompositionMismatchError, GadkitError, InvalidInputError
-from .linalg import (BLOCK, DEFAULT_REL_TOL, SvdResult, as_matrix, as_vector, blocks, gram, ldexp,
-                     row_peaks, scaled_gram, scaled_root, spectral_norm, spectrum, svd, svd_append)
+from .linalg import (BLOCK, DEFAULT_REL_TOL, SvdResult, _check_rel_tol, as_matrix, as_vector,
+                     blocks, gram, ldexp, row_peaks, scaled_gram, scaled_root, spectral_norm,
+                     spectrum, svd, svd_append)
 from .linalg import kernel_projector, pseudoinverse  # noqa: F401  (perfbench/spans.py wraps these)
 
 # tolerance of the fitted-signal identity that every model size checks, relative to ||y||
@@ -174,7 +175,11 @@ class OperatorPanel:
 
 @dataclass(frozen=True)
 class SweepRecord:
-    """One row of the risk anatomy at a given model size."""
+    """One row of the risk anatomy at a given model size.
+
+    Its fields, in order and by their declared types, are the frozen columns
+    of ``sweep.csv`` (see :func:`experiments.format_record`).
+    """
 
     m: int
     norm_A: float
@@ -195,9 +200,12 @@ class SweepRecord:
 class RiskReport:
     """Risk and error-term breakdown for one fitted model size.
 
-    ``norm_A`` is the spectral norm of the aliasing operator, taken from the
-    same core that gives ``alias_error``.  ``identity_residual`` is the
-    model size's, read off the products before the filter.
+    The five error and risk fields are the ones :func:`_fit` gives a sweep
+    row, and ``theta_hat`` is its fit over the modeled columns, zero over the
+    rest of the budget.  ``norm_A`` is the spectral norm of the aliasing
+    operator, taken from the same core that gives ``alias_error``.
+    ``identity_residual`` is the model size's, read off the products before
+    the filter.
     """
 
     theta_hat: np.ndarray
@@ -512,13 +520,12 @@ def _ridge_shift(panel: OperatorPanel, lam: float) -> float:
     return panel.n_train * _check_lambda(lam)
 
 
-def _filter(panel: OperatorPanel, lam: float) -> np.ndarray:
+def _filter(panel: OperatorPanel, shift: float) -> np.ndarray:
     """The filter f of the fit map ``V diag(f) U^H``, one entry per singular value.
 
-    Unregularized, f = 1/s over the numerical rank and 0 past it; under
-    ridge, f = s / (s**2 + n*lambda).
+    Unregularized (``shift`` = 0), f = 1/s over the numerical rank and 0 past
+    it; under ridge, f = s / (s**2 + shift) with ``shift`` = n*lambda.
     """
-    shift = _ridge_shift(panel, lam)
     s = panel.factor.singular_values
     if shift:
         return s / (s**2 + shift)
@@ -603,7 +610,7 @@ def aliasing_operator(panel: OperatorPanel, lam: float = 0.0) -> np.ndarray:
     The fit map is pinv(T_M) unregularized; under ridge it equals
     pinv([T_M; sqrt(n*lambda) I]) applied to zero-padded labels.
     """
-    f = _filter(panel, lam)
+    f = _filter(panel, _ridge_shift(panel, lam))
     factor = panel.factor
     return ((factor.right_vectors * f) @ factor.left_vectors.conj().T) @ panel.train_nescient
 
@@ -643,8 +650,16 @@ def _identity_residual(coefficients: np.ndarray, y_norm: float) -> float:
     return residual
 
 
-def _fit(products: _SharedProducts, lam: float, f: np.ndarray, norm_A: float) -> RiskReport:
-    """One lambda's filter work on the checked products: theta_hat, its fit, risks, errors."""
+def _fit(products: _SharedProducts, lam: float,
+         f: np.ndarray) -> tuple[np.ndarray, dict[str, float]]:
+    """One lambda's filter work on the checked products: its fit, risks and errors.
+
+    Returns theta_hat over the m modeled columns and the five fit fields of
+    the row, keyed by their :class:`SweepRecord` names: ``risk_all``,
+    ``risk_prediction_only``, ``alias_error``, ``bias_error`` and
+    ``nescience_error``.  A sweep row and :class:`RiskReport` both take them
+    from here.
+    """
     panel = products.panel
     n, v = panel.n_train, panel.factor.right_vectors
     filtered = f[:, None] * products.coefficients
@@ -664,19 +679,14 @@ def _fit(products: _SharedProducts, lam: float, f: np.ndarray, norm_A: float) ->
     else:
         v_r = v[:, : panel.rank]
         bias_vec = theta_m - v_r @ (v_r.conj().T @ theta_m)
-    theta_hat = np.zeros(panel.budget, dtype=theta_m_hat.dtype)
-    theta_hat[: panel.m] = theta_m_hat
     sq = np.abs(products.y - y_hat) ** 2
-    return RiskReport(
-        theta_hat=theta_hat,
-        norm_A=norm_A,
-        risk_all=float(sq.mean()),
-        risk_prediction_only=float(sq[n:].mean()) if sq[n:].size else 0.0,
-        alias_error=float(np.linalg.norm(filtered[:, 2])),
-        bias_error=float(np.linalg.norm(bias_vec)),
-        nescience_error=products.nescience,
-        identity_residual=products.identity_residual,
-    )
+    return theta_m_hat, {
+        "risk_all": float(sq.mean()),
+        "risk_prediction_only": float(sq[n:].mean()) if sq[n:].size else 0.0,
+        "alias_error": float(np.linalg.norm(filtered[:, 2])),
+        "bias_error": float(np.linalg.norm(bias_vec)),
+        "nescience_error": products.nescience,
+    }
 
 
 def risk_and_errors(panel: OperatorPanel, theta, y_full, lam: float = 0.0) -> RiskReport:
@@ -695,10 +705,14 @@ def risk_and_errors(panel: OperatorPanel, theta, y_full, lam: float = 0.0) -> Ri
     """
     _, nescient = _NescientGram(panel.train).at(panel.m)
     products = _shared_products(panel, theta, y_full, nescient)
-    f = _filter(panel, lam)
+    f = _filter(panel, _ridge_shift(panel, lam))
     alias = _alias_gram(products, f)
     norm_A = 0.0 if alias is None else scaled_root(float(_top_eigenvalue(alias[0])), alias[1])
-    return _fit(products, lam, f, norm_A)
+    theta_m_hat, fit = _fit(products, lam, f)
+    theta_hat = np.zeros(panel.budget, dtype=theta_m_hat.dtype)
+    theta_hat[: panel.m] = theta_m_hat
+    return RiskReport(theta_hat=theta_hat, norm_A=norm_A,
+                      identity_residual=products.identity_residual, **fit)
 
 
 def expected_unstructured_error(sigma2: float, dim_kernel: int, dim_nescient: int) -> float:
@@ -728,8 +742,8 @@ def _lambda_rows(products: _SharedProducts, lams: list[float], norm_nescient: fl
     every ``||A||`` are one stacked call.
     """
     panel = products.panel
-    shifts = [_ridge_shift(panel, lam) for lam in lams]
-    filters = [_filter(panel, lam) for lam in lams]
+    shifts = [panel.n_train * lam for lam in lams]
+    filters = [_filter(panel, shift) for shift in shifts]
     try:
         sigma = _ridge_spectrum(panel) if any(shifts) else None
     except np.linalg.LinAlgError as exc:
@@ -746,24 +760,13 @@ def _lambda_rows(products: _SharedProducts, lams: list[float], norm_nescient: fl
             norm_pinv = (_checked_pinv_norm(panel, shift, np.sqrt(sigma**2 + shift)) if shift
                          else panel.factor.pinv_norm())
             norm_A = scaled_root(float(tops(i)), alias[i][1]) if i in alias else 0.0
-            report = _fit(products, lam, f, norm_A)
+            _, fit = _fit(products, lam, f)
         except (GadkitError, np.linalg.LinAlgError) as exc:
             records.append(_error_record(panel.m, lam, exc))
             continue
-        records.append(SweepRecord(
-            m=panel.m,
-            norm_A=report.norm_A,
-            norm_pinv_TM=norm_pinv,
-            norm_M_TU=norm_nescient,
-            alias_error=report.alias_error,
-            bias_error=report.bias_error,
-            nescience_error=report.nescience_error,
-            risk_all=report.risk_all,
-            risk_prediction_only=report.risk_prediction_only,
-            rank_TM=panel.rank,
-            new_col_independent=independent,
-            lam=lam,
-        ))
+        records.append(SweepRecord(m=panel.m, norm_A=norm_A, norm_pinv_TM=norm_pinv,
+                                   norm_M_TU=norm_nescient, rank_TM=panel.rank,
+                                   new_col_independent=independent, lam=lam, **fit))
     return records
 
 
@@ -831,6 +834,7 @@ def sweep_steps(basis: BasisSpec, design: SampleDesign, theta_spec: ParameterSpe
     if not lambdas:
         raise InvalidInputError("empty lambda list")
     lams = [_check_lambda(lam) for lam in lambdas]
+    _check_rel_tol(rel_tol)
     theta = make_theta(theta_spec)
     operator = _FiniteOperator(basis, design, ms[-1], theta)
     return _steps(operator, design, ms, theta, lams, rel_tol)
@@ -885,9 +889,10 @@ def sweep(basis: BasisSpec, design: SampleDesign, theta_spec: ParameterSpec,
     one Gram's temporary, and W on the thin side), plus the last U and V
     while the update forms the next, however many model sizes it walks.
 
-    An empty or out-of-budget m range, an empty lambda list, or a negative or
-    non-finite lambda raises :class:`InvalidInputError` before the operator
-    is evaluated; -0.0 is reported as 0.0.  An error that evaluating the
+    An empty or out-of-budget m range, an empty lambda list, a negative or
+    non-finite lambda, or a ``rel_tol`` outside (0, 1) raises
+    :class:`InvalidInputError` before the operator is evaluated; -0.0 is
+    reported as 0.0.  An error that evaluating the
     operator raises is raised.  Past those checks a failure never aborts the
     sweep: it yields a record carrying the error message.  A non-finite
     entry anywhere in the operator, in a column the sweep does not keep

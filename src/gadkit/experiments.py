@@ -1,10 +1,10 @@
 """Named experiment recipes producing CSV and JSON artifacts with provenance.
 
-Every run writes ``sweep.csv`` (one row per sweep record, frozen column
-order), ``meta.json`` (config echo, per-seed details, tool version, grid
-convention, numerical stack), and an experiment-specific summary where the
-recipe defines one.  Output is byte-identical for identical config and seeds
-on one machine.
+Every run writes ``sweep.csv`` (one row per :class:`SweepRecord`, whose
+fields, in order, are its frozen columns), ``meta.json`` (config echo,
+per-seed details, tool version, grid convention, numerical stack), and an
+experiment-specific summary where the recipe defines one.  Output is
+byte-identical for identical config and seeds on one machine.
 
 The run-level seed shifts the basis, theta, and design seeds together, so a
 ``seeds`` list in the config yields independent replicates of the same
@@ -19,7 +19,7 @@ import io
 import json
 import numbers
 import os
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -41,22 +41,6 @@ from .designs import ParameterSpec, SampleDesign, make_design
 from .errors import ConfigError, GadkitError, InvalidInputError
 from .linalg import kernel_projector  # noqa: F401  (perfbench/spans.py wraps this)
 
-CSV_COLUMNS = (
-    "m",
-    "norm_A",
-    "norm_pinv_TM",
-    "norm_M_TU",
-    "alias_error",
-    "bias_error",
-    "nescience_error",
-    "risk_all",
-    "risk_prediction_only",
-    "rank_TM",
-    "new_col_independent",
-    "lambda",
-    "error",
-)
-
 GRID_CONVENTION = (
     "risk is the mean squared prediction error over the evaluation grid; "
     "risk_all averages training plus prediction rows, risk_prediction_only "
@@ -71,25 +55,22 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
+# how a field of SweepRecord is written, by its declared type, which ``field.type``
+# holds as written since decomposition postpones annotations: a missing error is empty
+_WRITERS = {"int": str, "float": _fmt, "bool": lambda flag: "true" if flag else "false",
+            "str | None": lambda error: error or ""}
+# each field of SweepRecord, in declaration order, with its writer
+_FIELDS = tuple((field.name, _WRITERS[field.type]) for field in fields(SweepRecord))
+
+# the fields of SweepRecord in order, ``lam`` written as ``lambda``
+CSV_COLUMNS = tuple("lambda" if name == "lam" else name for name, _ in _FIELDS)
+
+
 def format_record(record: SweepRecord) -> str:
     """One CSV row without its line ending; fields are quoted only where they need it."""
-    fields = (
-        str(record.m),
-        _fmt(record.norm_A),
-        _fmt(record.norm_pinv_TM),
-        _fmt(record.norm_M_TU),
-        _fmt(record.alias_error),
-        _fmt(record.bias_error),
-        _fmt(record.nescience_error),
-        _fmt(record.risk_all),
-        _fmt(record.risk_prediction_only),
-        str(record.rank_TM),
-        "true" if record.new_col_independent else "false",
-        _fmt(record.lam),
-        record.error or "",
-    )
     row = io.StringIO()
-    csv.writer(row, lineterminator="\n").writerow(fields)
+    csv.writer(row, lineterminator="\n").writerow(
+        [write(getattr(record, name)) for name, write in _FIELDS])
     return row.getvalue()[:-1]
 
 

@@ -198,10 +198,12 @@ class TestValueErrorsNameTheirLine:
          "[design] strategy: sphere_uniform requires dim"),
         ("ising_sweep_physical.cfg", [("n_train = 200", "n_train = 900")], "n_train = 900",
          "[design] n_train: n_train + grid_size = 1724 exceeds the 1024 spin configurations"),
+        ("ridge_sweep.cfg", [("rel_tol = 1e-12", "rel_tol = 0")], "rel_tol = 0",
+         "[run] rel_tol: expected a number in (0, 1), got '0'"),
     ], ids=["bad-integer", "non-finite", "family-not-allowed", "ordering-not-allowed",
             "negative-seed", "dim-against-input-dim", "dim-against-1d-family",
             "1d-strategy-against-input-dim", "dim-against-default-input-dim", "sphere-without-dim",
-            "ising-design-too-large"])
+            "ising-design-too-large", "rel-tol-out-of-range"])
     def test_exits_two_at_the_line_of_the_key(self, tmp_path, capsys, name, edits, fault, message):
         text = replaced(name, *edits).replace("output_dir = out/", f"output_dir = {tmp_path}/")
         line = text.splitlines().index(fault) + 1

@@ -509,17 +509,23 @@ class TestSweep:
         with pytest.raises(InvalidInputError, match="threads must be 1"):
             decomposition.sweep(basis, design, theta, range(1, 21), threads=2)
 
-    @pytest.mark.parametrize("ms, lambdas", [
-        ([0, 5], (0.0,)),
-        ([5, 41], (0.0,)),
-        ([], (0.0,)),
-        (range(1, 6), ()),
-        (range(1, 6), (0.0, -1e-3)),
-        (range(1, 6), (float("nan"),)),
-        (range(1, 6), (1e-2, float("inf"))),
+    @pytest.mark.parametrize("ms, lambdas, rel_tol", [
+        ([0, 5], (0.0,), 1e-12),
+        ([5, 41], (0.0,), 1e-12),
+        ([], (0.0,), 1e-12),
+        (range(1, 6), (), 1e-12),
+        (range(1, 6), (0.0, -1e-3), 1e-12),
+        (range(1, 6), (float("nan"),), 1e-12),
+        (range(1, 6), (1e-2, float("inf")), 1e-12),
+        (range(1, 6), (0.0,), 0.0),
+        (range(1, 6), (0.0,), 1.0),
+        (range(1, 6), (0.0,), 2.0),
+        (range(1, 6), (0.0,), float("nan")),
     ], ids=["m-zero", "m-over-budget", "empty-range", "no-lambda", "negative-lambda",
-            "nan-lambda", "inf-lambda"])
-    def test_bad_input_rejected_before_columns_are_evaluated(self, monkeypatch, ms, lambdas):
+            "nan-lambda", "inf-lambda", "rel-tol-zero", "rel-tol-one", "rel-tol-two",
+            "rel-tol-nan"])
+    def test_bad_input_rejected_before_columns_are_evaluated(self, monkeypatch, ms, lambdas,
+                                                             rel_tol):
         basis, design, theta = self.small_setup(seed=11)
 
         def never(*args, **kwargs):
@@ -527,7 +533,7 @@ class TestSweep:
 
         monkeypatch.setattr(decomposition, "evaluate_columns", never)
         with pytest.raises(InvalidInputError):
-            decomposition.sweep(basis, design, theta, ms, lambdas=lambdas)
+            decomposition.sweep(basis, design, theta, ms, lambdas=lambdas, rel_tol=rel_tol)
 
     def test_negative_zero_lambda_writes_the_zero_rows(self, tmp_path):
         basis, design, theta = self.small_setup(seed=21)

@@ -215,6 +215,22 @@ class TestSweepCsv:
         line = experiments.format_record(self.record("LinAlgError: SVD did not converge"))
         assert line == "3," + "nan," * 8 + "-1,false,0.0,LinAlgError: SVD did not converge"
 
+    def test_header_is_frozen(self):
+        assert CSV_COLUMNS == (
+            "m", "norm_A", "norm_pinv_TM", "norm_M_TU", "alias_error", "bias_error",
+            "nescience_error", "risk_all", "risk_prediction_only", "rank_TM",
+            "new_col_independent", "lambda", "error",
+        )
+
+    def test_fields_are_written_by_their_declared_types(self):
+        # an integral norm_A is still a float column, written 2.0
+        record = SweepRecord(m=7, norm_A=2, norm_pinv_TM=0.5, norm_M_TU=0.25, alias_error=0.125,
+                             bias_error=0.0, nescience_error=1.5, risk_all=3.0,
+                             risk_prediction_only=4.0, rank_TM=6, new_col_independent=True,
+                             lam=0.01)
+        assert experiments.format_record(record) == (
+            "7,2.0,0.5,0.25,0.125,0.0,1.5,3.0,4.0,6,true,0.01,")
+
 
 class TestFourierRecipe:
     def test_summary_deviation_tiny(self, tmp_path):
