@@ -6,9 +6,12 @@ Usage::
 
 The config file names the experiment and all its parameters; the flags
 override the output directory, replace the seed list with a single seed,
-and raise sweep dimensions to the reference scale.  The sweep runs in one
-process; the BLAS library is its only source of parallelism.  Exit status
-0 on success, 1 on a failed run, 2 on a config or usage problem.
+and raise sweep dimensions to the reference scale.  Full scale is applied
+once, as the config is parsed, so that model sizes are checked against the
+budget the run will have; ``meta.json`` reads ``full_scale`` off the config
+that ran, so a recipe the flag does not raise records ``false``.  The sweep
+runs in one process; the BLAS library is its only source of parallelism.
+Exit status 0 on success, 1 on a failed run, 2 on a config or usage problem.
 """
 
 from __future__ import annotations
@@ -45,12 +48,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     try:
-        paths = run_config(
-            config,
-            out_dir=args.out,
-            seed_override=seed,
-            full_scale=args.full_scale,
-        )
+        paths = run_config(config, out_dir=args.out, seed_override=seed)
     except (GadkitError, OSError) as exc:  # OSError: an unusable --out or dataset_path, say
         print(f"run failed: {exc}", file=sys.stderr)
         return 1

@@ -5,7 +5,10 @@ lines, ``#`` comments, and whitespace-separated tokens for list values.
 One table, ``_SCHEMA``, states each key once: its parser, the values it may
 take and whether a file must set it.  A key the file leaves out takes the
 default of the dataclass field it fills, and :func:`serialize_config` walks
-the same table, so configurations round-trip losslessly.
+the same table, so configurations round-trip losslessly.  A second table,
+``_EXPERIMENTS``, states each experiment's contract once: the ``[sweep]`` key
+that must list the sizes it steps over, the settings it fixes, and whether
+``--full-scale`` raises it.
 
 Unknown sections or keys are errors (nothing is silently ignored), and
 missing required keys are reported by name.  Every diagnostic about a key
@@ -35,14 +38,28 @@ from .designs import STRATEGIES, THETA_SCHEMES, ParameterSpec
 from .errors import ConfigError, InvalidInputError
 from .linalg import DEFAULT_REL_TOL
 
-EXPERIMENTS = (
-    "sweep",
-    "fourier_check",
-    "gauss_compare",
-    "ridge_sweep",
-    "ising_sweep",
-    "unstructured_eb",
-)
+
+class _Experiment(NamedTuple):
+    """What an experiment requires of a config, and whether ``--full-scale`` raises it."""
+
+    sizes: str | None = None  # the [sweep] key that must list the sizes it steps over
+    fixed: tuple[tuple[str, str, str], ...] = ()  # the (section, key, value) settings it fixes
+    raised: bool = False  # whether --full-scale raises it
+
+
+_EXPERIMENTS = {
+    "sweep": _Experiment("m_range", raised=True),
+    # fourier_check's one model size defaults to base_frequencies
+    "fourier_check": _Experiment(fixed=(("basis", "family", "fourier_discrete"),
+                                        ("design", "strategy", "equispaced"),
+                                        ("basis", "ordering", "natural"))),
+    "gauss_compare": _Experiment("n_values", (("basis", "family", "legendre"),)),
+    "ridge_sweep": _Experiment("m_range", raised=True),
+    "ising_sweep": _Experiment("m_range", (("basis", "family", "cluster_ising"),
+                                           ("design", "strategy", "from_dataset"))),
+    "unstructured_eb": _Experiment("m_values", (("theta", "scheme", "unstructured_iid"),)),
+}
+EXPERIMENTS = tuple(_EXPERIMENTS)
 
 ROW_ORDERS = ("size_lex", "seeded")
 DATASET_FORMATS = ("idx", "cifar_bin")
@@ -85,6 +102,11 @@ class RunConfig:
     rel_tol: float = DEFAULT_REL_TOL
     n_values: tuple[int, ...] | None = None
     mc_draws: int = 2000
+
+    @property
+    def full_scale(self) -> bool:
+        """Whether ``--full-scale`` raises this recipe and it already stands at that scale."""
+        return _EXPERIMENTS[self.experiment].raised and apply_full_scale(self) == self
 
 
 def _parse_str(text: str, where: str) -> str:
@@ -314,7 +336,9 @@ def parse_config_text(text: str, origin: str = "<config>", full_scale: bool = Fa
 
     With ``full_scale`` the config is raised to the reference scale (see
     :func:`apply_full_scale`) before it is validated, so that model sizes
-    are checked against the column budget the run will have.
+    are checked against the column budget the run will have.  This is the
+    one place full scale is applied; :attr:`RunConfig.full_scale` reads it
+    back off the result.
     """
     sections = _read_sections(text, origin)
     for name in ("run", "basis", "design", "theta"):
@@ -355,7 +379,7 @@ def apply_full_scale(config: RunConfig) -> RunConfig:
     new budget.  ``m_values`` is kept, so that it can pick a window of the
     full-scale sweep.
     """
-    if config.experiment not in ("sweep", "ridge_sweep"):
+    if not _EXPERIMENTS[config.experiment].raised:
         return config
     basis = replace(config.basis, column_budget=max(config.basis.column_budget,
                                                     FULL_SCALE["column_budget"]))
@@ -378,19 +402,10 @@ def _validate_experiment(config: RunConfig, origin: str, sections: _Sections) ->
         raise ConfigError(f"{at('sweep', 'm_range')} must lie in [1, column_budget = {budget}]")
     if config.m_values is not None and not all(1 <= m <= budget for m in config.m_values):
         raise ConfigError(f"{at('sweep', 'm_values')} must lie in [1, column_budget = {budget}]")
-    needed = {"sweep": "m_range", "ridge_sweep": "m_range", "ising_sweep": "m_range",
-              "gauss_compare": "n_values", "unstructured_eb": "m_values"}.get(exp)
-    if needed and getattr(config, needed) is None:
-        raise ConfigError(f"{at('run', 'experiment')}: {exp} requires [sweep] {needed}")
-    fixed = {
-        "fourier_check": (("basis", "family", "fourier_discrete"),
-                          ("design", "strategy", "equispaced"), ("basis", "ordering", "natural")),
-        "gauss_compare": (("basis", "family", "legendre"),),
-        "ising_sweep": (("basis", "family", "cluster_ising"),
-                        ("design", "strategy", "from_dataset")),
-        "unstructured_eb": (("theta", "scheme", "unstructured_iid"),),
-    }
-    for name, key, value in fixed.get(exp, ()):
+    sizes, fixed, _ = _EXPERIMENTS[exp]
+    if sizes and getattr(config, sizes) is None:
+        raise ConfigError(f"{at('run', 'experiment')}: {exp} requires [sweep] {sizes}")
+    for name, key, value in fixed:
         if getattr(getattr(config, name), key) != value:
             raise ConfigError(f"{at(name, key)}: {exp} requires {key} = {value}")
     if exp == "fourier_check":

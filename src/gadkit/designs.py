@@ -3,14 +3,16 @@
 A design couples a finite training set with a finite held-out grid that
 stands in for the rest of the domain; risk curves are means over that grid.
 Prediction points never coincide with training points (exact coordinate
-comparison).  Every constructor is deterministic per seed; when a random
-draw produces duplicate training points, the seed is bumped and the retry is
-recorded on the result.
+comparison).  Every constructor is deterministic per seed.  One retry rule
+serves every random draw: the training rows are drawn at the seed, then at
+seed + 1, seed + 2, ... until they are distinct, and the seed that drew
+them is recorded on the result as its effective seed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -27,7 +29,7 @@ STRATEGIES = (
 
 THETA_SCHEMES = ("unstructured_iid", "power_decay", "explicit")
 
-_MAX_RETRIES = 64  # duplicate-draw retries before giving up
+_MAX_RETRIES = 64  # draws before giving up on distinct rows
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,28 +89,38 @@ def _row_key(row: np.ndarray) -> bytes:
     return row.tobytes()
 
 
-def _has_duplicates(points: np.ndarray) -> bool:
-    seen = set()
-    for row in points:
+def _fresh(rows: np.ndarray, taken: set[bytes]) -> list[np.ndarray]:
+    """The rows whose coordinates are not yet taken, in order; each one kept is taken."""
+    kept = []
+    for row in rows:
         key = _row_key(row)
-        if key in seen:
-            return True
-        seen.add(key)
-    return False
+        if key not in taken:
+            taken.add(key)
+            kept.append(row)
+    return kept
+
+
+def _distinct_draw(draw: Callable[[np.random.Generator], np.ndarray], seed: int,
+                   failure: str) -> tuple[np.ndarray, np.random.Generator, int]:
+    """The first draw of distinct rows at seed, seed + 1, ...; its generator and seed with it."""
+    for effective in range(seed, seed + _MAX_RETRIES):
+        rng = np.random.default_rng(effective)
+        rows = draw(rng)
+        if len(_fresh(rows, set())) == rows.shape[0]:
+            return rows, rng, effective
+    raise InvalidInputError(failure)
 
 
 def _interval_grid(a: float, b: float, grid_size: int, exclude: np.ndarray,
                    half_open: bool = False) -> np.ndarray:
     """Equispaced fill of [a, b] (or [a, b)) skipping excluded coordinates."""
-    taken = {_row_key(row) for row in exclude}
     count = grid_size + exclude.shape[0]
     while True:
         if half_open:
             candidates = a + (np.arange(count) + 0.5) * (b - a) / count
         else:
             candidates = np.linspace(a, b, count)
-        rows = candidates[:, None]
-        keep = [row for row in rows if _row_key(row) not in taken]
+        keep = _fresh(candidates[:, None], {_row_key(row) for row in exclude})
         if len(keep) >= grid_size:
             return np.vstack(keep[:grid_size])
         count = 2 * count + 1
@@ -146,50 +158,32 @@ def make_design(strategy: str, n: int, grid_size: int, *, seed: int = 0,
         a, b = float(interval[0]), float(interval[1])
         if not a < b:
             raise InvalidInputError(f"invalid interval [{a}, {b}]")
-        effective = seed
-        for _ in range(_MAX_RETRIES):
-            rng = np.random.default_rng(effective)
-            train = rng.uniform(a, b, n)[:, None]
-            if not _has_duplicates(train):
-                break
-            effective += 1
-        else:
-            raise InvalidInputError(f"could not draw {n} distinct points on [{a}, {b}]")
+        train, _, effective = _distinct_draw(lambda rng: rng.uniform(a, b, n)[:, None], seed,
+                                             f"could not draw {n} distinct points on [{a}, {b}]")
         grid = _interval_grid(a, b, grid_size, train)
         return SampleDesign(train, grid, strategy, seed, effective)
 
     if strategy == "sphere_uniform":
         if dim is None or dim < 1:
             raise InvalidInputError("sphere_uniform requires a positive dim")
-        effective = seed
-        for _ in range(_MAX_RETRIES):
-            rng = np.random.default_rng(effective)
-            raw = rng.standard_normal((n, dim))
-            train = raw / np.linalg.norm(raw, axis=1, keepdims=True) * np.sqrt(dim)
-            if not _has_duplicates(train):
-                break
-            effective += 1
-        else:
-            raise InvalidInputError(f"could not draw {n} distinct points on the dim-{dim} sphere")
+
+        def sphere(rng: np.random.Generator, count: int) -> np.ndarray:
+            raw = rng.standard_normal((count, dim))
+            return raw / np.linalg.norm(raw, axis=1, keepdims=True) * np.sqrt(dim)
+
+        train, rng, effective = _distinct_draw(
+            lambda rng: sphere(rng, n), seed,
+            f"could not draw {n} distinct points on the dim-{dim} sphere")
+        # the grid is drawn on from the generator that drew the training rows
         taken = {_row_key(row) for row in train}
-        grid_rows = []
+        grid_rows: list[np.ndarray] = []
         for _ in range(_MAX_RETRIES):
-            raw = rng.standard_normal((grid_size, dim))
-            fresh = raw / np.linalg.norm(raw, axis=1, keepdims=True) * np.sqrt(dim)
-            for row in fresh:
-                key = _row_key(row)
-                if key not in taken:
-                    grid_rows.append(row)
-                    taken.add(key)
-                if len(grid_rows) == grid_size:
-                    break
-            if len(grid_rows) == grid_size:
-                break
-        else:
-            raise InvalidInputError(
-                f"could not fill a {grid_size}-point prediction grid on the dim-{dim} sphere"
-            )
-        return SampleDesign(train, np.vstack(grid_rows), strategy, seed, effective)
+            grid_rows += _fresh(sphere(rng, grid_size), taken)
+            if len(grid_rows) >= grid_size:
+                return SampleDesign(train, np.vstack(grid_rows[:grid_size]), strategy, seed,
+                                    effective)
+        raise InvalidInputError(
+            f"could not fill a {grid_size}-point prediction grid on the dim-{dim} sphere")
 
     # from_dataset: seeded shuffle, skipping exact coordinate duplicates of the
     # training selection (retrying the seed cannot remove dataset duplicates)

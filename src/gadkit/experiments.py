@@ -26,7 +26,7 @@ import numpy as np
 
 from ._version import __version__
 from .bases import BasisSpec, evaluate_columns, fourier_frequency
-from .config import DesignConfig, RunConfig, apply_full_scale, serialize_config
+from .config import DesignConfig, RunConfig, serialize_config
 from .datasets import load_cifar_bin, load_idx
 from .decomposition import (
     SweepRecord,
@@ -38,7 +38,7 @@ from .decomposition import (
     sweep_steps,
 )
 from .designs import ParameterSpec, SampleDesign, make_design
-from .errors import ConfigError, GadkitError, InvalidInputError
+from .errors import GadkitError, InvalidInputError
 from .linalg import kernel_projector  # noqa: F401  (perfbench/spans.py wraps this)
 
 GRID_CONVENTION = (
@@ -97,27 +97,20 @@ def _model_sizes(config: RunConfig) -> list[int]:
     return list(range(lo, hi + 1, step))
 
 
-def _load_dataset_points(design: DesignConfig) -> np.ndarray:
-    if design.dataset_path is None:
-        raise ConfigError("from_dataset strategy requires dataset_path")
-    loader = load_idx if design.dataset_format == "idx" else load_cifar_bin
-    return loader(design.dataset_path, scale_policy=design.scale_policy)
-
-
 def materialize_design(design: DesignConfig, run_seed: int) -> SampleDesign:
-    """Build the sample design declared in a config, shifted by the run seed."""
-    kwargs: dict[str, object] = {"seed": run_seed}
-    if design.strategy == "uniform_interval":
-        kwargs["interval"] = design.interval
-    elif design.strategy == "equispaced":
-        kwargs["period"] = design.period
-    elif design.strategy == "sphere_uniform":
-        if design.dim is None:
-            raise ConfigError("sphere_uniform strategy requires dim")
-        kwargs["dim"] = design.dim
-    elif design.strategy == "from_dataset":
-        kwargs["points"] = _load_dataset_points(design)
-    return make_design(design.strategy, design.n_train, design.grid_size, **kwargs)
+    """Build the sample design declared in a config, shifted by the run seed.
+
+    Every field :func:`make_design` takes is passed as it stands, and the
+    strategy reads the ones it needs; a ``from_dataset`` pool is loaded here.
+    Parsing has already checked that the fields the strategy reads are set.
+    """
+    points = None
+    if design.strategy == "from_dataset":
+        loader = load_idx if design.dataset_format == "idx" else load_cifar_bin
+        points = loader(design.dataset_path, scale_policy=design.scale_policy)
+    return make_design(design.strategy, design.n_train, design.grid_size, seed=run_seed,
+                       interval=design.interval, period=design.period, dim=design.dim,
+                       points=points)
 
 
 def _theta_spec(config: RunConfig, run_seed: int, basis: BasisSpec) -> ParameterSpec:
@@ -327,14 +320,16 @@ def _blas_build() -> str:
 
 
 def run_config(config: RunConfig, *, out_dir: str | None = None,
-               seed_override: int | None = None, threads: int = 1,
-               full_scale: bool = False) -> list[Path]:
-    """Execute a validated config and return the written artifact paths."""
+               seed_override: int | None = None, threads: int = 1) -> list[Path]:
+    """Execute a validated config and return the written artifact paths.
+
+    The config runs at the scale it was parsed at: ``parse_config(path,
+    full_scale=True)`` is what raises it, and ``meta.json`` records
+    :attr:`RunConfig.full_scale`.
+    """
     # runs are serial; ``threads`` stays only because perfbench/child.py passes it
     if threads != 1:
         raise InvalidInputError(f"runs are serial; threads must be 1, got {threads}")
-    if full_scale:
-        config = apply_full_scale(config)
     if seed_override is not None:
         config = replace(config, seeds=(seed_override,))
     # the basis and theta specs reject a negative seed when they are made, and
@@ -368,7 +363,7 @@ def run_config(config: RunConfig, *, out_dir: str | None = None,
         "config": serialize_config(config),
         "seeds": list(config.seeds),
         "rel_tol": config.rel_tol,
-        "full_scale": full_scale,
+        "full_scale": config.full_scale,
         "grid_convention": GRID_CONVENTION,
         "numpy": np.__version__,
         "blas": _blas_build(),

@@ -6,7 +6,8 @@ from pathlib import Path
 import pytest
 
 from gadkit.cli import main
-from gadkit.config import _SCHEMA, parse_config, parse_config_text, serialize_config
+from gadkit.config import EXPERIMENTS, _SCHEMA, parse_config, parse_config_text, serialize_config
+from gadkit.experiments import _RUNNERS
 from gadkit.errors import ConfigError
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -52,6 +53,8 @@ class TestShippedConfigs:
             "sweep", "fourier_check", "gauss_compare", "ridge_sweep",
             "ising_sweep", "unstructured_eb",
         }
+        # every experiment the config table states has a runner, and no other
+        assert set(_RUNNERS) == set(EXPERIMENTS)
 
 
 class TestParsing:
@@ -200,10 +203,42 @@ class TestValueErrorsNameTheirLine:
          "[design] n_train: n_train + grid_size = 1724 exceeds the 1024 spin configurations"),
         ("ridge_sweep.cfg", [("rel_tol = 1e-12", "rel_tol = 0")], "rel_tol = 0",
          "[run] rel_tol: expected a number in (0, 1), got '0'"),
+        # each setting an experiment fixes, and the [sweep] key it must set; an
+        # edit that would trip an earlier check removes the keys in its way
+        ("fourier_check.cfg", [("family = fourier_discrete", "family = legendre"),
+                               ("period = 1.0", ""), ("base_frequencies = 8", "")],
+         "family = legendre", "[basis] family: fourier_check requires family = fourier_discrete"),
+        ("fourier_check.cfg", [("strategy = equispaced", "strategy = uniform_interval")],
+         "strategy = uniform_interval",
+         "[design] strategy: fourier_check requires strategy = equispaced"),
+        ("fourier_check.cfg", [("ordering = natural", "ordering = seeded_permutation")],
+         "ordering = seeded_permutation",
+         "[basis] ordering: fourier_check requires ordering = natural"),
+        ("gauss_compare.cfg", [("family = legendre", "family = chebyshev")], "family = chebyshev",
+         "[basis] family: gauss_compare requires family = legendre"),
+        ("ising_sweep_physical.cfg", [("family = cluster_ising", "family = rff"),
+                                      ("ordering = physical_cluster", "ordering = natural"),
+                                      ("chain_length = 10", "")],
+         "family = rff", "[basis] family: ising_sweep requires family = cluster_ising"),
+        ("ising_sweep_physical.cfg", [("strategy = from_dataset", "strategy = equispaced")],
+         "strategy = equispaced",
+         "[design] strategy: ising_sweep requires strategy = from_dataset"),
+        ("unstructured_eb.cfg", [("scheme = unstructured_iid", "scheme = power_decay")],
+         "scheme = power_decay",
+         "[theta] scheme: unstructured_eb requires scheme = unstructured_iid"),
+        ("ridge_sweep.cfg", [("m_range = 1 150", "")], "experiment = ridge_sweep",
+         "[run] experiment: ridge_sweep requires [sweep] m_range"),
+        ("ising_sweep_physical.cfg", [("m_range = 1 1024", "")], "experiment = ising_sweep",
+         "[run] experiment: ising_sweep requires [sweep] m_range"),
+        ("unstructured_eb.cfg", [("m_values = 10 30 45", "")], "experiment = unstructured_eb",
+         "[run] experiment: unstructured_eb requires [sweep] m_values"),
     ], ids=["bad-integer", "non-finite", "family-not-allowed", "ordering-not-allowed",
             "negative-seed", "dim-against-input-dim", "dim-against-1d-family",
             "1d-strategy-against-input-dim", "dim-against-default-input-dim", "sphere-without-dim",
-            "ising-design-too-large", "rel-tol-out-of-range"])
+            "ising-design-too-large", "rel-tol-out-of-range", "fourier-check-family",
+            "fourier-check-strategy", "fourier-check-ordering", "gauss-compare-family",
+            "ising-family", "ising-strategy", "unstructured-eb-scheme", "ridge-without-m-range",
+            "ising-without-m-range", "unstructured-eb-without-m-values"])
     def test_exits_two_at_the_line_of_the_key(self, tmp_path, capsys, name, edits, fault, message):
         text = replaced(name, *edits).replace("output_dir = out/", f"output_dir = {tmp_path}/")
         line = text.splitlines().index(fault) + 1

@@ -71,11 +71,16 @@ class TestMakeDesign:
         with pytest.raises(InvalidInputError):
             make_design("equispaced", 4, 0)
 
-    def test_sphere_with_too_few_distinct_points_fails(self):
-        # a 1-D sphere has exactly two points, so three distinct draws
-        # cannot exist and the retry loop must give up cleanly
-        with pytest.raises(InvalidInputError):
-            make_design("sphere_uniform", 3, 2, dim=1, seed=0)
+    @pytest.mark.parametrize("n, grid_size, message", [
+        (3, 2, "could not draw 3 distinct points on the dim-1 sphere"),
+        (2, 1, "could not fill a 1-point prediction grid on the dim-1 sphere"),
+    ], ids=["training", "grid"])
+    def test_sphere_with_too_few_distinct_points_fails(self, n, grid_size, message):
+        # a 1-D sphere has exactly two points: three distinct training draws
+        # cannot exist, and two training points leave none for the grid; each
+        # retry loop must give up cleanly
+        with pytest.raises(InvalidInputError, match=f"^{message}$"):
+            make_design("sphere_uniform", n, grid_size, dim=1, seed=0)
 
 
 class TestMakeTheta:

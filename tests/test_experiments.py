@@ -14,7 +14,7 @@ from dense_reference import local_maxima
 from gadkit import ConfigError, GadkitError, InvalidInputError
 from gadkit import experiments
 from gadkit.cli import main
-from gadkit.config import parse_config_text
+from gadkit.config import apply_full_scale, parse_config_text
 from gadkit.decomposition import SweepRecord
 from gadkit.experiments import CSV_COLUMNS, run_config
 
@@ -650,8 +650,6 @@ class TestDatasetSweep:
 
 class TestFullScale:
     def test_sweep_dimensions_raised(self):
-        from gadkit.experiments import apply_full_scale
-
         config = parse_config_text(SMALL_SWEEP.format(out="out/x"))
         scaled = apply_full_scale(config)
         assert scaled.basis.column_budget == 6000
@@ -661,10 +659,23 @@ class TestFullScale:
         assert scaled.m_range == (1, 6000, 1)
 
     def test_other_experiments_untouched(self):
-        from gadkit.experiments import apply_full_scale
-
         config = parse_config_text(FOURIER.format(out="out/x"))
         assert apply_full_scale(config) == config
+
+    def test_a_config_parsed_at_full_scale_is_recorded_as_full_scale(self, tmp_path,
+                                                                    monkeypatch):
+        # the runner is stubbed, so no full-scale sweep runs
+        monkeypatch.setitem(experiments._RUNNERS, "sweep", lambda config, seed, out: ([], {}))
+        config = parse_config_text(SMALL_SWEEP.format(out="out/x"), full_scale=True)
+        assert config.full_scale is True
+        run_config(config, out_dir=tmp_path)
+        meta = json.loads((tmp_path / "meta.json").read_text(encoding="utf-8"))
+        assert meta["full_scale"] is True
+        assert parse_config_text(SMALL_SWEEP.format(out="out/x")).full_scale is False
+        # --full-scale does not raise fourier_check, so it is not recorded as raised
+        assert parse_config_text(FOURIER.format(out="out/x"), full_scale=True).full_scale is False
+        for path in sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.cfg")):
+            assert parse_config_text(path.read_text(encoding="utf-8")).full_scale is False, path
 
     WINDOW = "m_range = 1 48\nm_values = 1000 1001 1002"
 
@@ -675,7 +686,7 @@ class TestFullScale:
         config = parse_config_text(text, full_scale=True)
         assert config.basis.column_budget == 6000
         assert config.m_values == (1000, 1001, 1002)
-        assert experiments.apply_full_scale(config) == config
+        assert apply_full_scale(config) == config
         with pytest.raises(ConfigError, match=r"\[sweep\] m_values .* column_budget = 6000"):
             parse_config_text(text.replace("1002", "6001"), full_scale=True)
 
@@ -694,7 +705,7 @@ class TestFullScale:
                        .format(out=tmp_path / "out"))
         assert main(["--config", str(cfg), "--full-scale"]) == 0
         [(config, kwargs)] = calls
-        assert kwargs["full_scale"] is True
+        assert config.full_scale is True
         assert config.basis.column_budget == 6000 and config.design.n_train == 1000
         assert experiments._model_sizes(config) == [1000, 1001, 1002]
 
