@@ -105,8 +105,18 @@ class RunConfig:
 
     @property
     def full_scale(self) -> bool:
-        """Whether ``--full-scale`` raises this recipe and it already stands at that scale."""
-        return _EXPERIMENTS[self.experiment].raised and apply_full_scale(self) == self
+        """Whether ``--full-scale`` raises this recipe and it already stands at that scale.
+
+        Read off the numbers :func:`apply_full_scale` raises, without building
+        the raised specs, so that no recipe can fail here.
+        """
+        budget = self.basis.column_budget
+        return (_EXPERIMENTS[self.experiment].raised
+                and budget >= FULL_SCALE["column_budget"]
+                and self.design.n_train >= FULL_SCALE["n_train"]
+                and self.design.grid_size >= FULL_SCALE["grid_size"]
+                and self.theta.length == budget
+                and (self.m_range is None or self.m_range[1] >= budget))
 
 
 def _parse_str(text: str, where: str) -> str:
@@ -413,8 +423,8 @@ def _validate_experiment(config: RunConfig, origin: str, sections: _Sections) ->
         if design.n_train != n_base:
             raise ConfigError(f"{at('design', 'n_train')}: fourier_check requires "
                               f"n_train = base_frequencies ({n_base})")
-        sizes = config.m_values or config.m_range[:2]
-        if sizes[0] != n_base or sizes[-1] != n_base:
+        ends = config.m_values or config.m_range[:2]
+        if ends[0] != n_base or ends[-1] != n_base:
             raise ConfigError(f"{at('sweep', 'm_values' if config.m_values else 'm_range')}: "
                               "fourier_check requires the model size to equal "
                               f"base_frequencies ({n_base})")

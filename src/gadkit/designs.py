@@ -113,14 +113,19 @@ def _distinct_draw(draw: Callable[[np.random.Generator], np.ndarray], seed: int,
 
 def _interval_grid(a: float, b: float, grid_size: int, exclude: np.ndarray,
                    half_open: bool = False) -> np.ndarray:
-    """Equispaced fill of [a, b] (or [a, b)) skipping excluded coordinates."""
+    """Equispaced fill of [a, b] (or [a, b)) skipping excluded coordinates.
+
+    Only ``exclude`` is skipped: on an interval with too few floats the
+    candidates repeat, and the repeats are kept.
+    """
+    taken = {_row_key(row) for row in exclude}
     count = grid_size + exclude.shape[0]
     while True:
         if half_open:
             candidates = a + (np.arange(count) + 0.5) * (b - a) / count
         else:
             candidates = np.linspace(a, b, count)
-        keep = _fresh(candidates[:, None], {_row_key(row) for row in exclude})
+        keep = [row for row in candidates[:, None] if _row_key(row) not in taken]
         if len(keep) >= grid_size:
             return np.vstack(keep[:grid_size])
         count = 2 * count + 1

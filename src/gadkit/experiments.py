@@ -101,11 +101,13 @@ def materialize_design(design: DesignConfig, run_seed: int) -> SampleDesign:
     """Build the sample design declared in a config, shifted by the run seed.
 
     Every field :func:`make_design` takes is passed as it stands, and the
-    strategy reads the ones it needs; a ``from_dataset`` pool is loaded here.
-    Parsing has already checked that the fields the strategy reads are set.
+    strategy reads the ones it needs; a ``from_dataset`` pool is loaded here,
+    from ``dataset_path``, which must be set.
     """
     points = None
     if design.strategy == "from_dataset":
+        if design.dataset_path is None:
+            raise InvalidInputError("from_dataset strategy requires dataset_path")
         loader = load_idx if design.dataset_format == "idx" else load_cifar_bin
         points = loader(design.dataset_path, scale_policy=design.scale_policy)
     return make_design(design.strategy, design.n_train, design.grid_size, seed=run_seed,

@@ -82,6 +82,14 @@ class TestMakeDesign:
         with pytest.raises(InvalidInputError, match=f"^{message}$"):
             make_design("sphere_uniform", n, grid_size, dim=1, seed=0)
 
+    def test_grid_on_an_interval_of_five_floats_repeats_the_one_left(self):
+        # (0, 2e-323) holds five floats; training takes four, and the grid is
+        # filled with repeats of the fifth rather than searched for more
+        design = make_design("uniform_interval", 4, 2, interval=(0.0, 2e-323), seed=0)
+        assert design.effective_seed == 3
+        assert sorted(design.train_points.ravel()) == [0.0, 5e-324, 1e-323, 1.5e-323]
+        assert design.prediction_points.ravel().tolist() == [2e-323, 2e-323]
+
 
 class TestMakeTheta:
     def test_explicit(self):

@@ -647,6 +647,12 @@ class TestDatasetSweep:
             parse_config_text(text)
         assert "dataset_path" in str(info.value)
 
+    def test_a_design_built_by_hand_without_a_path_fails_as_input(self):
+        # a DesignConfig made without parsing skips the parse-time check
+        design = experiments.DesignConfig(strategy="from_dataset", n_train=4, grid_size=4)
+        with pytest.raises(InvalidInputError, match="dataset_path"):
+            experiments.materialize_design(design, 0)
+
 
 class TestFullScale:
     def test_sweep_dimensions_raised(self):
@@ -676,6 +682,20 @@ class TestFullScale:
         assert parse_config_text(FOURIER.format(out="out/x"), full_scale=True).full_scale is False
         for path in sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.cfg")):
             assert parse_config_text(path.read_text(encoding="utf-8")).full_scale is False, path
+
+    def test_an_explicit_theta_sweep_finishes_at_default_scale(self, tmp_path):
+        # full scale cannot raise explicit values to 6000 entries; reading the
+        # flag must not try to, and the run records that it was not raised
+        values = " ".join(["0.5"] * 48)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(SMALL_SWEEP.replace("m_range = 1 48", "m_range = 1 48 16")
+                       .replace("scheme = unstructured_iid\nvariance = 1.0",
+                                f"scheme = explicit\nvalues = {values}")
+                       .format(out=tmp_path / "out"))
+        assert parse_config_text(cfg.read_text()).theta.scheme == "explicit"
+        assert main(["--config", str(cfg)]) == 0
+        meta = json.loads((tmp_path / "out" / "meta.json").read_text(encoding="utf-8"))
+        assert meta["full_scale"] is False
 
     WINDOW = "m_range = 1 48\nm_values = 1000 1001 1002"
 
