@@ -4,8 +4,10 @@ A basis family plus a column budget defines the full ordered column set of
 the operator mapping coefficients to sampled function values.  Polynomial
 families use their standard three-term recurrences, the discrete Fourier
 family uses the synthesis convention exp(2*pi*i*k*t/T), the random feature
-families draw their projection vectors once per seed, and the periodic-chain
-spin family uses products of site spins over clusters.
+families draw their projection vectors once per seed (random Fourier
+features are exp(i*pi*x.w), taken with the phase reduced by whole half
+turns), and the periodic-chain spin family uses products of site spins over
+clusters.
 """
 
 from __future__ import annotations
@@ -241,7 +243,8 @@ def _phase_columns(phase: np.ndarray, scale: float, out: np.ndarray) -> None:
 
     Writing cos and sin of the scaled phase into the real and imaginary
     parts gives the same bits as numpy's complex exponential of the
-    purely imaginary argument, without the complex temporary.
+    purely imaginary argument, without the complex temporary.  The discrete
+    Fourier family takes its columns this way.
     """
     phase *= scale
     # the imaginary part of 1j * scale * phase is phase * scale + 0 * 0,
@@ -249,6 +252,36 @@ def _phase_columns(phase: np.ndarray, scale: float, out: np.ndarray) -> None:
     phase += 0.0
     np.cos(phase, out=out.real)
     np.sin(phase, out=out.imag)
+
+
+def _half_turn_columns(turns: np.ndarray, out: np.ndarray) -> None:
+    """``exp(1j * pi * turns)`` into ``out`` by whole half turns; ``turns`` is overwritten.
+
+    With ``k = rint(turns)``, ``turns - k`` is exact and at most 1/2 in
+    modulus, so cos and sin see angles within pi/2, and
+    ``exp(1j * pi * turns) = (-1)**k exp(1j * pi * (turns - k))``.  Each
+    part is then within about one ulp of the modulus 1, where the angle
+    ``pi * turns`` itself would carry the rounding of an angle up to
+    ``pi * max|turns|``.  On the way ``turns`` holds the sign ``(-1)**k``
+    and the parts of ``out`` hold k, ``turns - k`` and the angle, so no
+    array is made.  A zero sine is +0.0, as from numpy's complex
+    exponential of ``1j * pi * -0.0``.
+    """
+    k = np.rint(turns, out=out.real)
+    rest = np.subtract(turns, k, out=out.imag)
+    # (-1)**k = 1 - 2 (k - 2 floor(k/2))
+    sign = np.multiply(k, 0.5, out=turns)
+    np.floor(sign, out=sign)
+    sign += sign
+    np.subtract(k, sign, out=sign)
+    sign *= -2.0
+    sign += 1.0
+    angle = np.multiply(rest, np.pi, out=out.real)
+    np.sin(angle, out=out.imag)
+    np.cos(angle, out=out.real)
+    out.imag *= sign
+    out.imag += 0.0  # -0.0, a zero sine times -1, becomes +0.0
+    out.real *= sign
 
 
 def evaluate_columns(spec: BasisSpec, points, col_range: tuple[int, int]) -> np.ndarray:
@@ -260,7 +293,11 @@ def evaluate_columns(spec: BasisSpec, points, col_range: tuple[int, int]) -> np.
     ``gadkit.linalg.BLOCK`` rows (see :func:`gadkit.linalg.blocks`), so that
     no temporary grows with the number of points.  Each block takes the same
     arithmetic as the one-shot formula over all rows, so the entries have the
-    same bits, on every shipped config among others.  The one caveat is the
+    same bits, on every shipped config among others.  Discrete Fourier
+    columns have the bits of numpy's complex exponential
+    (:func:`_phase_columns`); random Fourier features are reduced by whole
+    half turns first (:func:`_half_turn_columns`), which holds each entry
+    within about one ulp of the exact exponential.  The one caveat is the
     random-feature projections, one BLAS product per block: a BLAS may round
     a small product differently from a large one (OpenBLAS 0.3.31 does so
     with 32 input dimensions below about 1200 entries per block, and for a
@@ -293,7 +330,7 @@ def evaluate_columns(spec: BasisSpec, points, col_range: tuple[int, int]) -> np.
                        dtype=complex if spec.family == "rff" else float)
         for rows in blocks(pts.shape[0], BLOCK):
             if spec.family == "rff":
-                _phase_columns(pts[rows] @ features, np.pi, out[rows])
+                _half_turn_columns(pts[rows] @ features, out[rows])
             else:
                 block = np.matmul(pts[rows], features, out=out[rows])
                 # (0.0, x), not (x, 0.0): the order decides the sign of a zero

@@ -15,7 +15,8 @@ missing required keys are reported by name.  Every diagnostic about a key
 carries the line that sets it, as ``origin:LINE: [section] key: ...``.  Past
 single values, a config is checked whole before anything runs: model sizes
 against the column budget, what each experiment requires, the dimension of
-the design's points against the one the basis family reads, and an Ising
+the design's points against the one the basis family reads, a uniform
+design's interval against the distinct points it must hold, and an Ising
 design against its ``2**chain_length`` spin configurations.
 
 Seed priority: an explicit ``seeds`` key wins; otherwise the ``GADKIT_SEED``
@@ -34,7 +35,7 @@ from typing import Callable, NamedTuple
 
 from .bases import FAMILIES, ORDERINGS, BasisSpec
 from .datasets import SCALE_POLICIES
-from .designs import STRATEGIES, THETA_SCHEMES, ParameterSpec
+from .designs import STRATEGIES, THETA_SCHEMES, ParameterSpec, check_interval
 from .errors import ConfigError, InvalidInputError
 from .linalg import DEFAULT_REL_TOL
 
@@ -443,6 +444,11 @@ def _validate_experiment(config: RunConfig, origin: str, sections: _Sections) ->
                           "(ising_sweep generates its own configurations)")
     if design.strategy == "sphere_uniform" and design.dim is None:
         raise ConfigError(f"{at('design', 'strategy')}: sphere_uniform requires dim")
+    if design.strategy == "uniform_interval":
+        try:
+            check_interval(*design.interval, design.n_train + design.grid_size)
+        except InvalidInputError as exc:
+            raise ConfigError(f"{at('design', 'interval')}: {exc}") from None
     # the dimension of the design's points against the one the family reads; a
     # dataset's points are known only once the run loads them, and ising_sweep's
     # spin configurations have chain_length = input_dim entries, as BasisSpec checks

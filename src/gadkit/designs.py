@@ -111,23 +111,49 @@ def _distinct_draw(draw: Callable[[np.random.Generator], np.ndarray], seed: int,
     raise InvalidInputError(failure)
 
 
+def _float_position(x: float) -> int:
+    """The place of x among the floats in order: neighbours differ by 1, and both zeros are 0."""
+    bits = int(np.float64(x).view(np.int64))
+    return bits if bits >= 0 else -(bits & 0x7FFF_FFFF_FFFF_FFFF)
+
+
+def _floats_in(a: float, b: float, half_open: bool = False) -> int:
+    """How many floats lie in [a, b], or in [a, b) when half open, for a <= b."""
+    return _float_position(b) - _float_position(a) + (not half_open)
+
+
+def check_interval(a: float, b: float, points: int) -> None:
+    """Raise InvalidInputError unless a < b and [a, b] holds ``points`` distinct floats."""
+    if not a < b:
+        raise InvalidInputError(f"invalid interval [{a}, {b}]")
+    floats = _floats_in(a, b)
+    if floats < points:
+        raise InvalidInputError(f"[{a}, {b}] holds {floats} floats, fewer than the {points} "
+                                "distinct training and grid points")
+
+
 def _interval_grid(a: float, b: float, grid_size: int, exclude: np.ndarray,
                    half_open: bool = False) -> np.ndarray:
-    """Equispaced fill of [a, b] (or [a, b)) skipping excluded coordinates.
+    """Equispaced fill of [a, b] (or [a, b)) with distinct points, skipping excluded coordinates.
 
-    Only ``exclude`` is skipped: on an interval with too few floats the
-    candidates repeat, and the repeats are kept.
+    The candidates double until ``grid_size`` of them are new.  Once they
+    number more than twice the floats in the interval, where equispaced
+    candidates reach every float, a grid still short raises InvalidInputError.
     """
     taken = {_row_key(row) for row in exclude}
+    floats = _floats_in(a, b, half_open)
     count = grid_size + exclude.shape[0]
     while True:
         if half_open:
             candidates = a + (np.arange(count) + 0.5) * (b - a) / count
         else:
             candidates = np.linspace(a, b, count)
-        keep = [row for row in candidates[:, None] if _row_key(row) not in taken]
+        keep = _fresh(candidates[:, None], set(taken))
         if len(keep) >= grid_size:
             return np.vstack(keep[:grid_size])
+        if count > 2 * floats:
+            raise InvalidInputError(f"could not fill a {grid_size}-point prediction grid on "
+                                    f"[{a}, {b}{')' if half_open else ']'}")
         count = 2 * count + 1
 
 
@@ -161,8 +187,7 @@ def make_design(strategy: str, n: int, grid_size: int, *, seed: int = 0,
 
     if strategy == "uniform_interval":
         a, b = float(interval[0]), float(interval[1])
-        if not a < b:
-            raise InvalidInputError(f"invalid interval [{a}, {b}]")
+        check_interval(a, b, n + grid_size)
         train, _, effective = _distinct_draw(lambda rng: rng.uniform(a, b, n)[:, None], seed,
                                              f"could not draw {n} distinct points on [{a}, {b}]")
         grid = _interval_grid(a, b, grid_size, train)

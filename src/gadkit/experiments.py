@@ -66,18 +66,25 @@ _FIELDS = tuple((field.name, _WRITERS[field.type]) for field in fields(SweepReco
 CSV_COLUMNS = tuple("lambda" if name == "lam" else name for name, _ in _FIELDS)
 
 
+def _csv_fields(record: SweepRecord) -> list[str]:
+    return [write(getattr(record, name)) for name, write in _FIELDS]
+
+
 def format_record(record: SweepRecord) -> str:
     """One CSV row without its line ending; fields are quoted only where they need it."""
     row = io.StringIO()
-    csv.writer(row, lineterminator="\n").writerow(
-        [write(getattr(record, name)) for name, write in _FIELDS])
+    csv.writer(row, lineterminator="\n").writerow(_csv_fields(record))
     return row.getvalue()[:-1]
 
 
 def write_sweep_csv(path: Path, records: list[SweepRecord]) -> Path:
-    lines = [",".join(CSV_COLUMNS)]
-    lines.extend(format_record(record) for record in records)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    """The header and one row per record, each as :func:`format_record` writes it,
+    through one CSV writer for the whole file."""
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(CSV_COLUMNS)
+    writer.writerows(map(_csv_fields, records))
+    path.write_text(text.getvalue(), encoding="utf-8")
     return path
 
 

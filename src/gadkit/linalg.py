@@ -12,7 +12,8 @@ underflowing.  Peaks and Grams are taken in blocks of at most ``BLOCK``
 rows, so neither makes a temporary the size of its input.
 
 :func:`svd_append` carries an SVD across one appended column through the
-SVD of a small real arrow.  Where the arrow carries at least
+SVD of a small real arrow, whose real vectors update a complex factor by
+real GEMMs.  Where the arrow carries at least
 ``ARROW_CROSSOVER`` singular values and an O(k) deflation test finds no
 weight and no pole gap within ``DEFLATION_TOL`` times its largest entry,
 that SVD comes from the arrow's secular equation: LAPACK's values-only SVD,
@@ -175,7 +176,9 @@ def svd_append(factor: SvdResult, column: np.ndarray) -> SvdResult | None:
     ``D = diag(c/|c|)``, 1 where c is 0, makes K real,
     ``K = diag(D, 1) [[diag(s), |c|], [0, rho]] diag(D, 1)^H``, so one real
     SVD ``X sigma Y^T`` of that arrow gives ``U <- [U D, r/rho] X`` and
-    ``V <- [[V D, 0], [0, 1]] Y``.  None when rho is exactly 0, where
+    ``V <- [[V D, 0], [0, 1]] Y``; for complex U and V each product is one
+    real GEMM on their float views, and its result is column-major
+    (:func:`_updated_vectors`).  None when rho is exactly 0, where
     ``r/rho`` has no direction, or when ``REORTHOGONALIZATIONS`` passes do
     not settle.  The rank is the rule of :func:`svd` over the new shape, at
     the factor's own ``rel_tol``, which the result keeps.
@@ -213,14 +216,44 @@ def svd_append(factor: SvdResult, column: np.ndarray) -> SvdResult | None:
     modulus = np.abs(c)
     phase = np.divide(c, modulus, out=np.ones_like(c), where=modulus > 0)
     x, sigma, yt = _arrow_svd(s, modulus, rho if grow else None)
-    # U D X as U (D X) and V D Y as V (D Y): the phase scales the small factor, not U or V
-    left = u @ (phase[:, None] * x[:k])
-    if grow:
-        left += np.outer(r / rho, x[k])
-    right = np.concatenate([v @ (phase[:, None] * yt[:, :k].T), yt[None, :, k]])
+    left, right = _updated_vectors(u, v, phase, r / rho if grow else None, x, yt)
     shape = (n, v.shape[0] + 1)
     rank = int(np.count_nonzero(sigma > _rank_threshold(sigma, shape, factor.rel_tol)))
     return SvdResult(left, sigma, right, rank, factor.rel_tol)
+
+
+def _updated_vectors(u: np.ndarray, v: np.ndarray, phase: np.ndarray, last: np.ndarray | None,
+                     x: np.ndarray, yt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``[U D, last] X`` and ``[[V D, 0], [0, 1]] Y`` for the arrow's real X and Y.
+
+    ``last`` is ``r/rho`` of a growing U and X has a row for it; with None,
+    U is square.  Real U and V take ``U (D X)`` and ``V (D Y)``: the phase
+    scales the small factor, not U or V.  Complex U and V take one real GEMM
+    each, half the flops of a complex product with the complex ``D X``: the
+    transpose ``[U D, last]^T`` is formed with contiguous rows, so its float
+    view holds each row's real and imaginary parts side by side, and ``X^T``
+    times that view is the float view of ``([U D, last] X)^T``.  These
+    results are the transposes read back as complex, in column-major order.
+    """
+    k = phase.size
+    if not np.iscomplexobj(u):
+        left = u @ (phase[:, None] * x[:k])
+        if last is not None:
+            left += np.outer(last, x[k])
+        return left, np.concatenate([v @ (phase[:, None] * yt[:, :k].T), yt[None, :, k]])
+    scaled = np.empty((x.shape[0], u.shape[0]), dtype=complex)
+    np.multiply(phase[:, None], u.T, out=scaled[:k])
+    if last is not None:
+        scaled[k] = last
+    left = (x.T @ scaled.view(float)).view(complex).T
+    del scaled  # before the next one, so that one is held at a time
+    scaled = np.empty((k, v.shape[0]), dtype=complex)
+    np.multiply(phase[:, None], v.T, out=scaled)
+    # the new V's last row is Y's last row, that of the appended column
+    right = np.empty((yt.shape[0], v.shape[0] + 1), dtype=complex)
+    np.matmul(yt[:, :k], scaled.view(float), out=right[:, :-1].view(float))
+    right[:, -1] = yt[:, k]
+    return left, right.T
 
 
 def _arrow_svd(s: np.ndarray, modulus: np.ndarray,

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from gadkit import bases
 from gadkit.bases import (
     FAMILIES,
     BasisSpec,
@@ -124,6 +125,39 @@ class TestRandomFeatures:
         assert np.all(out >= 0)
 
 
+class TestHalfTurnPhases:
+    def test_within_two_ulp_of_the_exact_exponential(self):
+        # reference: exp(1j pi p) with pi and the angle in long double; 2 ulp
+        # of the modulus 1 bounds each part.  The angle pi * p itself rounds by
+        # up to half an ulp of 60 pi, so cos and sin of it, the discrete
+        # Fourier family's route, miss the bound
+        if np.finfo(np.longdouble).nmant < 63:
+            pytest.skip("long double is no wider than double here")
+        p = np.random.default_rng(0).uniform(-60.0, 60.0, (300, 400))
+        angle = np.longdouble("3.14159265358979323846264338327950288") * p.astype(np.longdouble)
+        bound = 2 * np.finfo(float).eps
+
+        def error(out):
+            return float(max(np.abs(out.real - np.cos(angle)).max(),
+                             np.abs(out.imag - np.sin(angle)).max()))
+
+        out = np.empty(p.shape, dtype=complex)
+        bases._half_turn_columns(p.copy(), out)
+        assert error(out) <= bound
+        bases._phase_columns(p.copy(), np.pi, out)
+        assert error(out) > 10 * bound
+
+    def test_a_zero_sine_is_positive(self):
+        # at -0.0, and at odd whole turns, where (-1)**k times sin(+0.0) is -0.0
+        p = np.array([[-0.0, 0.0, -3.0, 3.0, -1.0, 2.0, -2.0, 0.5]])
+        out = np.empty(p.shape, dtype=complex)
+        bases._half_turn_columns(p.copy(), out)
+        assert out.real[0, :7].tolist() == [1.0, 1.0, -1.0, -1.0, -1.0, 1.0, 1.0]
+        assert out.imag[0, :7].tolist() == [0.0] * 7
+        assert not np.signbit(out.imag).any()
+        assert out[0, 7] == np.cos(np.pi / 2) + 1j
+
+
 class TestClusterFamily:
     def spec(self, length=4, ordering="natural", budget=None):
         return BasisSpec(
@@ -231,7 +265,14 @@ def one_shot(spec, points, col_range):
         weights = feature_weights(spec.column_budget, spec.input_dim, spec.seed)
         projections = points @ weights[indices].T
         if spec.family == "rff":
-            return np.exp(1j * np.pi * projections)
+            # exp(1j pi p) = (-1)**k exp(1j pi (p - k)) with k = rint(p)
+            k = np.rint(projections)
+            sign = 1.0 - 2.0 * (k - 2.0 * np.floor(k / 2.0))
+            angles = np.pi * (projections - k)
+            out = np.empty(projections.shape, dtype=complex)
+            out.real = sign * np.cos(angles)
+            out.imag = sign * np.sin(angles) + 0.0
+            return out
         return np.maximum(0.0, projections)
     if spec.family == "monomial":
         return np.power(points[:, None], indices[None, :]).astype(float)

@@ -203,6 +203,13 @@ class TestValueErrorsNameTheirLine:
          "[design] n_train: n_train + grid_size = 1724 exceeds the 1024 spin configurations"),
         ("ridge_sweep.cfg", [("rel_tol = 1e-12", "rel_tol = 0")], "rel_tol = 0",
          "[run] rel_tol: expected a number in (0, 1), got '0'"),
+        # a 1-D sweep whose interval holds five floats, for 522 distinct points
+        ("gauss_compare.cfg", [("experiment = gauss_compare", "experiment = sweep"),
+                               ("strategy = legendre_gauss", "strategy = uniform_interval"),
+                               ("grid_size = 512", "grid_size = 512\ninterval = 0 2e-323")],
+         "interval = 0 2e-323",
+         "[design] interval: [0.0, 2e-323] holds 5 floats, fewer than the 522 distinct "
+         "training and grid points"),
         # each setting an experiment fixes, and the [sweep] key it must set; an
         # edit that would trip an earlier check removes the keys in its way
         ("fourier_check.cfg", [("family = fourier_discrete", "family = legendre"),
@@ -235,7 +242,8 @@ class TestValueErrorsNameTheirLine:
     ], ids=["bad-integer", "non-finite", "family-not-allowed", "ordering-not-allowed",
             "negative-seed", "dim-against-input-dim", "dim-against-1d-family",
             "1d-strategy-against-input-dim", "dim-against-default-input-dim", "sphere-without-dim",
-            "ising-design-too-large", "rel-tol-out-of-range", "fourier-check-family",
+            "ising-design-too-large", "rel-tol-out-of-range", "interval-too-narrow",
+            "fourier-check-family",
             "fourier-check-strategy", "fourier-check-ordering", "gauss-compare-family",
             "ising-family", "ising-strategy", "unstructured-eb-scheme", "ridge-without-m-range",
             "ising-without-m-range", "unstructured-eb-without-m-values"])

@@ -82,13 +82,24 @@ class TestMakeDesign:
         with pytest.raises(InvalidInputError, match=f"^{message}$"):
             make_design("sphere_uniform", n, grid_size, dim=1, seed=0)
 
-    def test_grid_on_an_interval_of_five_floats_repeats_the_one_left(self):
-        # (0, 2e-323) holds five floats; training takes four, and the grid is
-        # filled with repeats of the fifth rather than searched for more
-        design = make_design("uniform_interval", 4, 2, interval=(0.0, 2e-323), seed=0)
-        assert design.effective_seed == 3
-        assert sorted(design.train_points.ravel()) == [0.0, 5e-324, 1e-323, 1.5e-323]
-        assert design.prediction_points.ravel().tolist() == [2e-323, 2e-323]
+    def test_interval_of_five_floats_cannot_hold_six_points(self):
+        # (0, 2e-323) holds five floats; four training points and a two-point
+        # grid need six distinct ones, where the grid once repeated the fifth
+        with pytest.raises(InvalidInputError, match=r"^\[0.0, 2e-323\] holds 5 floats, fewer "
+                                                    r"than the 6 distinct training and grid"):
+            make_design("uniform_interval", 4, 2, interval=(0.0, 2e-323), seed=0)
+
+    def test_interval_of_five_floats_holds_five_distinct_points(self):
+        design = make_design("uniform_interval", 3, 2, interval=(0.0, 2e-323), seed=0)
+        points = np.concatenate([design.train_points, design.prediction_points]).ravel()
+        assert sorted(points) == [0.0, 5e-324, 1e-323, 1.5e-323, 2e-323]
+
+    def test_grid_that_the_floats_cannot_fill_fails(self):
+        # [0, 5e-324) holds the one float 0, which training takes; the
+        # candidates double past twice the floats and then give up
+        with pytest.raises(InvalidInputError,
+                           match=r"^could not fill a 2-point prediction grid on \[0.0, 5e-324\)$"):
+            make_design("equispaced", 1, 2, period=5e-324)
 
 
 class TestMakeTheta:

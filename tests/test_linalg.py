@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dense_reference import append_column, interleaving_check
+from gadkit import linalg
 from gadkit.errors import InvalidInputError
 from gadkit.linalg import (ARROW_CROSSOVER, BLOCK, DEFLATION_TOL, SvdResult, gram,
                            kernel_projector, pseudoinverse, row_peaks, spectral_norm, svd,
@@ -92,6 +93,17 @@ def arrow_route(monkeypatch, factor, column):
     with monkeypatch.context() as patch:
         patch.setattr(np.linalg, "svd", spy)
         return svd_append(factor, column), calls
+
+
+def product_formula(u, v, phase, last, x, yt):
+    """``[U D, last] X`` as ``U (D X)`` plus the last row's outer product, and
+    ``[[V D, 0], [0, 1]] Y`` as ``V (D Y)`` over Y's last row: the phase scales the
+    small factor, and a complex U meets the complex ``D X``."""
+    k = phase.size
+    left = u @ (phase[:, None] * x[:k])
+    if last is not None:
+        left += np.outer(last, x[k])
+    return left, np.concatenate([v @ (phase[:, None] * yt[:, :k].T), yt[None, :, k]])
 
 
 def axis_factor(s, rows):
@@ -208,6 +220,34 @@ class TestSvdAppend:
         x = np.column_stack([np.vstack([np.diag(s), np.zeros((grow, k))]), t])
         got = svd_append(axis_factor(s, k + grow), t)
         assert max(factor_defects(got, x, 2)) < 1e-13
+
+    @pytest.mark.parametrize("complex_field", [False, True], ids=["real", "complex"])
+    @pytest.mark.parametrize("k, route", [(ARROW_CROSSOVER - 1, [True]),
+                                          (ARROW_CROSSOVER, [False]), (100, [False])],
+                             ids=["dense", "secular", "secular-100"])
+    @pytest.mark.parametrize("shape", ["growing", "square"])
+    def test_products_follow_the_product_formula(self, monkeypatch, complex_field, k, route,
+                                                 shape):
+        # complex factors take real GEMMs on the float views: they agree with
+        # the complex products to rounding.  Real factors keep the formula,
+        # bit for bit and in its memory layout
+        rng = np.random.default_rng(k)
+        rows = k + 30 if shape == "growing" else k
+        x = random_matrix(rng, rows, k + 11 if shape == "square" else k + 1, complex_field)
+        cols = x.shape[1] - 1
+        seen, original = [], linalg._updated_vectors
+        monkeypatch.setattr(linalg, "_updated_vectors",
+                            lambda *args: seen.append((args, original(*args))) or seen[-1][1])
+        got, calls = arrow_route(monkeypatch, svd(x[:, :cols]), x[:, cols])
+        assert calls == route
+        (args, vectors), = seen
+        assert got.left_vectors is vectors[0] and got.right_vectors is vectors[1]
+        for have, want in zip(vectors, product_formula(*args)):
+            assert have.shape == want.shape and have.dtype == want.dtype
+            if complex_field:
+                assert np.linalg.norm(have - want) <= 1e-13 * np.linalg.norm(want)
+            else:
+                assert have.tobytes() == want.tobytes() and have.strides == want.strides
 
     def test_rank_follows_the_rule_of_svd(self):
         # a column of 1e-14 relative size sits below the threshold
