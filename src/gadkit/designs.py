@@ -2,17 +2,22 @@
 
 A design couples a finite training set with a finite held-out grid that
 stands in for the rest of the domain; risk curves are means over that grid.
-Prediction points never coincide with training points (exact coordinate
-comparison).  Every constructor is deterministic per seed.  One retry rule
-serves every random draw: the training rows are drawn at the seed, then at
-seed + 1, seed + 2, ... until they are distinct, and the seed that drew
-them is recorded on the result as its effective seed.
+No two points of a design coincide (exact coordinate comparison): one
+rule, :func:`_fresh`, decides which rows are distinct, for random draws,
+equispaced grids and dataset pools alike.  Every constructor is
+deterministic per seed.  One retry rule serves every random draw: the
+training rows are drawn at the seed, then at seed + 1, seed + 2, ... until
+they are distinct, and the seed that drew them is recorded on the result as
+its effective seed.  A dataset pool is not redrawn: its seeded shuffle is
+read once, skipping repeats, and a spin-chain design (:func:`ising_design`)
+is such a draw over the enumerated configurations, or their ordered slice.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from itertools import islice
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -89,15 +94,13 @@ def _row_key(row: np.ndarray) -> bytes:
     return row.tobytes()
 
 
-def _fresh(rows: np.ndarray, taken: set[bytes]) -> list[np.ndarray]:
-    """The rows whose coordinates are not yet taken, in order; each one kept is taken."""
-    kept = []
+def _fresh(rows: Iterable[np.ndarray], taken: set[bytes]) -> Iterator[np.ndarray]:
+    """The rows whose coordinates are not yet taken, in order; each one yielded is taken."""
     for row in rows:
         key = _row_key(row)
         if key not in taken:
             taken.add(key)
-            kept.append(row)
-    return kept
+            yield row
 
 
 def _distinct_draw(draw: Callable[[np.random.Generator], np.ndarray], seed: int,
@@ -106,7 +109,7 @@ def _distinct_draw(draw: Callable[[np.random.Generator], np.ndarray], seed: int,
     for effective in range(seed, seed + _MAX_RETRIES):
         rng = np.random.default_rng(effective)
         rows = draw(rng)
-        if len(_fresh(rows, set())) == rows.shape[0]:
+        if len(list(_fresh(rows, set()))) == rows.shape[0]:
             return rows, rng, effective
     raise InvalidInputError(failure)
 
@@ -148,9 +151,9 @@ def _interval_grid(a: float, b: float, grid_size: int, exclude: np.ndarray,
             candidates = a + (np.arange(count) + 0.5) * (b - a) / count
         else:
             candidates = np.linspace(a, b, count)
-        keep = _fresh(candidates[:, None], set(taken))
-        if len(keep) >= grid_size:
-            return np.vstack(keep[:grid_size])
+        keep = list(islice(_fresh(candidates[:, None], set(taken)), grid_size))
+        if len(keep) == grid_size:
+            return np.vstack(keep)
         if count > 2 * floats:
             raise InvalidInputError(f"could not fill a {grid_size}-point prediction grid on "
                                     f"[{a}, {b}{')' if half_open else ']'}")
@@ -165,6 +168,12 @@ def make_design(strategy: str, n: int, grid_size: int, *, seed: int = 0,
     ``interval`` bounds the 1-D strategies, ``period`` sets the half-open
     domain for equispaced sampling, ``dim`` is the ambient dimension for the
     sphere, and ``points`` supplies the candidate pool for ``from_dataset``.
+
+    ``from_dataset`` shuffles the pool at ``seed`` and reads it once through
+    the distinct-rows rule, skipping every repeat of a row already read: the
+    first n distinct rows train and the next ``grid_size`` form the grid, so
+    the grid repeats neither a training row nor itself at any seed.  A pool
+    with fewer distinct rows fails, the same way at every seed.
     """
     if strategy not in STRATEGIES:
         raise InvalidInputError(f"unknown design strategy {strategy!r}")
@@ -215,38 +224,49 @@ def make_design(strategy: str, n: int, grid_size: int, *, seed: int = 0,
         raise InvalidInputError(
             f"could not fill a {grid_size}-point prediction grid on the dim-{dim} sphere")
 
-    # from_dataset: seeded shuffle, skipping exact coordinate duplicates of the
-    # training selection (retrying the seed cannot remove dataset duplicates)
+    # from_dataset: the distinct rows of a seeded shuffle of the pool, training
+    # rows first (retrying the seed cannot remove dataset duplicates)
     if points is None:
         raise InvalidInputError("from_dataset requires a points array")
     pool = np.asarray(points, dtype=float)
     if pool.ndim != 2:
         raise InvalidInputError(f"expected a 2-D point pool, got shape {pool.shape}")
-    rng = np.random.default_rng(seed)
-    order = rng.permutation(pool.shape[0])
-    train_rows: list[np.ndarray] = []
-    taken: set[bytes] = set()
-    rest: list[np.ndarray] = []
-    for idx in order:
-        row = pool[idx]
-        key = _row_key(row)
-        if len(train_rows) < n:
-            if key in taken:
-                continue
-            train_rows.append(row)
-            taken.add(key)
-        else:
-            rest.append(row)
-    if len(train_rows) < n:
+    order = np.random.default_rng(seed).permutation(pool.shape[0])
+    rows = list(islice(_fresh((pool[i] for i in order), set()), n + grid_size))
+    if len(rows) < n:
+        raise InvalidInputError(f"dataset has only {len(rows)} distinct points, {n} requested")
+    if len(rows) < n + grid_size:
         raise InvalidInputError(
-            f"dataset has only {len(train_rows)} distinct points, {n} requested"
+            f"dataset leaves only {len(rows) - n} prediction points, {grid_size} requested"
         )
-    grid_rows = [row for row in rest if _row_key(row) not in taken][:grid_size]
-    if len(grid_rows) < grid_size:
+    return SampleDesign(np.vstack(rows[:n]), np.vstack(rows[n:]), strategy, seed, seed)
+
+
+def _spin_configurations(chain_length: int) -> np.ndarray:
+    """Every configuration of the chain's spins, +1 or -1, row c spelling the bits of c."""
+    bits = (np.arange(1 << chain_length)[:, None] >> np.arange(chain_length)) & 1
+    return np.where(bits, 1.0, -1.0)
+
+
+def ising_design(chain_length: int, n_train: int, grid_size: int,
+                 row_order: str, run_seed: int) -> SampleDesign:
+    """Training rows from the enumerated spin configurations of a periodic chain.
+
+    ``size_lex`` orders configurations by up-spin count then integer code, so
+    training rows are the smallest configurations; ``seeded`` is the
+    ``from_dataset`` draw over the configurations at the run seed.
+    """
+    configs = _spin_configurations(chain_length)
+    count = configs.shape[0]
+    if n_train + grid_size > count:
         raise InvalidInputError(
-            f"dataset leaves only {len(grid_rows)} prediction points, {grid_size} requested"
+            f"n_train + grid_size = {n_train + grid_size} exceeds the {count} configurations"
         )
-    return SampleDesign(np.vstack(train_rows), np.vstack(grid_rows), strategy, seed, seed)
+    if row_order != "size_lex":
+        return make_design("from_dataset", n_train, grid_size, seed=run_seed, points=configs)
+    ordered = configs[np.argsort((configs > 0).sum(axis=1), kind="stable")]
+    return SampleDesign(ordered[:n_train], ordered[n_train : n_train + grid_size],
+                        "from_dataset", run_seed, run_seed)
 
 
 def make_theta(spec: ParameterSpec) -> np.ndarray:

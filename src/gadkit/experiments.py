@@ -9,6 +9,11 @@ byte-identical for identical config and seeds on one machine.
 The run-level seed shifts the basis, theta, and design seeds together, so a
 ``seeds`` list in the config yields independent replicates of the same
 recipe.
+
+Every design comes from :mod:`designs`: :func:`materialize_design` loads a
+config's dataset pool and passes its fields to ``make_design``, and the
+Ising recipe calls ``ising_design`` by its name in this module, where
+``perfbench/spans.py`` wraps it.
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ from .decomposition import (
     sweep,
     sweep_steps,
 )
-from .designs import ParameterSpec, SampleDesign, make_design
+from .designs import ParameterSpec, SampleDesign, ising_design, make_design
 from .errors import GadkitError, InvalidInputError
 from .linalg import kernel_projector  # noqa: F401  (perfbench/spans.py wraps this)
 
@@ -138,42 +143,6 @@ def _seed_name(config: RunConfig, run_seed: int, name: str) -> str:
         return name
     stem, dot, suffix = name.partition(".")
     return f"{stem}_seed{run_seed}{dot}{suffix}"
-
-
-def _spin_configurations(chain_length: int) -> np.ndarray:
-    count = 1 << chain_length
-    configs = np.empty((count, chain_length))
-    for site in range(chain_length):
-        configs[:, site] = np.where((np.arange(count) >> site) & 1, 1.0, -1.0)
-    return configs
-
-
-def ising_design(chain_length: int, n_train: int, grid_size: int,
-                 row_order: str, run_seed: int) -> SampleDesign:
-    """Training rows from the enumerated spin configurations of a periodic chain.
-
-    ``size_lex`` orders configurations by up-spin count then integer code, so
-    training rows are the smallest configurations; ``seeded`` shuffles rows.
-    """
-    configs = _spin_configurations(chain_length)
-    count = configs.shape[0]
-    if n_train + grid_size > count:
-        raise InvalidInputError(
-            f"n_train + grid_size = {n_train + grid_size} exceeds the {count} configurations"
-        )
-    if row_order == "size_lex":
-        sizes = np.array([int(c).bit_count() for c in range(count)])
-        order = np.lexsort((np.arange(count), sizes))
-    else:
-        order = np.random.default_rng(run_seed).permutation(count)
-    ordered = configs[order]
-    return SampleDesign(
-        train_points=ordered[:n_train],
-        prediction_points=ordered[n_train : n_train + grid_size],
-        strategy="from_dataset",
-        seed=run_seed,
-        effective_seed=run_seed,
-    )
 
 
 def fourier_alias_expectation(n_base: int, m: int, budget: int) -> np.ndarray:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from gadkit import InvalidInputError, ParameterSpec, make_design, make_theta
+from gadkit.designs import _spin_configurations, ising_design
 
 
 class TestMakeDesign:
@@ -61,6 +62,23 @@ class TestMakeDesign:
         with pytest.raises(InvalidInputError):
             make_design("from_dataset", 2, 2, seed=0, points=pool)
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_from_dataset_counts_distinct_rows_at_every_seed(self, seed):
+        # two distinct rows: one trains and one is left for a two-point grid,
+        # whichever copy of the repeated row the shuffle reads first
+        with pytest.raises(InvalidInputError,
+                           match=r"^dataset leaves only 1 prediction points, 2 requested$"):
+            make_design("from_dataset", 1, 2, seed=seed, points=[[0.0], [1.0], [1.0]])
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_from_dataset_grid_never_repeats_a_planted_row(self, seed):
+        distinct = np.random.default_rng(7).standard_normal((12, 3))
+        pool = np.repeat(distinct, [1, 2, 3, 4] * 3, axis=0)  # 30 rows, 12 distinct
+        design = make_design("from_dataset", 4, 8, seed=seed, points=pool)
+        keys = [row.tobytes() for row in design.all_points]
+        assert len(set(keys)) == len(keys) == 12
+        assert set(keys) == {row.tobytes() for row in distinct}
+
     def test_unknown_strategy(self):
         with pytest.raises(InvalidInputError):
             make_design("lattice", 4, 4)
@@ -100,6 +118,45 @@ class TestMakeDesign:
         with pytest.raises(InvalidInputError,
                            match=r"^could not fill a 2-point prediction grid on \[0.0, 5e-324\)$"):
             make_design("equispaced", 1, 2, period=5e-324)
+
+
+class TestIsingDesign:
+    @staticmethod
+    def spins(chain: int) -> np.ndarray:
+        """Row c holds +1 where bit `site` of c is set and -1 elsewhere."""
+        return np.array([[1.0 if (c >> site) & 1 else -1.0 for site in range(chain)]
+                         for c in range(1 << chain)])
+
+    @pytest.mark.parametrize("chain, n, grid", [(6, 20, 44), (6, 5, 7), (10, 200, 824)])
+    @pytest.mark.parametrize("seed", range(10))
+    def test_seeded_is_the_dataset_draw_over_the_configurations(self, chain, n, grid, seed):
+        design = ising_design(chain, n, grid, "seeded", seed)
+        draw = make_design("from_dataset", n, grid, seed=seed,
+                           points=_spin_configurations(chain))
+        np.testing.assert_array_equal(design.train_points, draw.train_points)
+        np.testing.assert_array_equal(design.prediction_points, draw.prediction_points)
+        assert (design.strategy, design.seed, design.effective_seed) == (
+            "from_dataset", seed, seed)
+        # the configurations are distinct, so the draw is the shuffle's first rows
+        shuffled = self.spins(chain)[np.random.default_rng(seed).permutation(1 << chain)]
+        np.testing.assert_array_equal(design.all_points, shuffled[: n + grid])
+
+    @pytest.mark.parametrize("chain, n, grid", [(6, 20, 44), (6, 5, 7), (10, 200, 824)])
+    @pytest.mark.parametrize("seed", range(10))
+    def test_size_lex_orders_by_up_spins_then_code(self, chain, n, grid, seed):
+        design = ising_design(chain, n, grid, "size_lex", seed)
+        codes = sorted(range(1 << chain), key=lambda c: (c.bit_count(), c))
+        ordered = self.spins(chain)[codes]
+        np.testing.assert_array_equal(design.train_points, ordered[:n])
+        np.testing.assert_array_equal(design.prediction_points, ordered[n : n + grid])
+        assert (design.strategy, design.seed, design.effective_seed) == (
+            "from_dataset", seed, seed)
+
+    @pytest.mark.parametrize("row_order", ["size_lex", "seeded"])
+    def test_more_rows_than_configurations_fails(self, row_order):
+        with pytest.raises(InvalidInputError,
+                           match=r"^n_train \+ grid_size = 65 exceeds the 64 configurations$"):
+            ising_design(6, 60, 5, row_order, 0)
 
 
 class TestMakeTheta:
