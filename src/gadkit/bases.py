@@ -5,9 +5,9 @@ the operator mapping coefficients to sampled function values.  Polynomial
 families use their standard three-term recurrences, the discrete Fourier
 family uses the synthesis convention exp(2*pi*i*k*t/T), the random feature
 families draw their projection vectors once per seed (random Fourier
-features are exp(i*pi*x.w), taken with the phase reduced by whole half
-turns), and the periodic-chain spin family uses products of site spins over
-clusters.
+features are exp(i*pi*x.w), read from a table of the phase by half-turn
+steps and turned through the rest by short Taylor series), and the
+periodic-chain spin family uses products of site spins over clusters.
 """
 
 from __future__ import annotations
@@ -254,34 +254,103 @@ def _phase_columns(phase: np.ndarray, scale: float, out: np.ndarray) -> None:
     np.sin(phase, out=out.imag)
 
 
-def _half_turn_columns(turns: np.ndarray, out: np.ndarray) -> None:
-    """``exp(1j * pi * turns)`` into ``out`` by whole half turns; ``turns`` is overwritten.
+# Random Fourier feature entries, exp(1j * pi * turns), are read from a
+# table of PHASE_STEPS points per half turn and turned through the rest of
+# the step by short Taylor series, about PHASE_ENTRIES entries at a time, in
+# whole rows and at most PHASE_ROWS of them, so that the temporaries stay in
+# L2 and, at six floats an entry, under the half of a linalg.BLOCK-row
+# complex block that the projections leave.  On one core of a Xeon with
+# 2 MiB of L2 (one BLAS thread), the kernel over the 2100 x 400 operator of
+# sweep_rff_sphere took 10.2-12.4 ms against 32.8-34.5 ms for libm's cos and
+# sin of the reduced angle; 16, 24, 48 and 64 rows at a time took 11.3,
+# 10.6, 15.7 and 17.2 ms where 32 took 10.2.  Over the 3000 x 6000 operator
+# of --full-scale it took 254 ms against 873-901 ms, and 401 ms with 32 rows
+# at a time
+PHASE_STEPS = 1024
+PHASE_ENTRIES = 12800
+PHASE_ROWS = 32
+# adding 1.5 * 2**52 to a float of modulus below 2**51 rounds it to a whole
+# number j, as rint does, and leaves 2**51 + j in the low bits of the
+# mantissa, so that an int64 view masked to the table's length indexes it.
+# An integer remainder of j in its place took 1.7 ms a 256 x 400 block,
+# about as long as the whole kernel takes over that block
+_SHIFT = 1.5 * 2.0**52
+_STEP = np.pi / PHASE_STEPS
 
-    With ``k = rint(turns)``, ``turns - k`` is exact and at most 1/2 in
-    modulus, so cos and sin see angles within pi/2, and
-    ``exp(1j * pi * turns) = (-1)**k exp(1j * pi * (turns - k))``.  Each
-    part is then within about one ulp of the modulus 1, where the angle
-    ``pi * turns`` itself would carry the rounding of an angle up to
-    ``pi * max|turns|``.  On the way ``turns`` holds the sign ``(-1)**k``
-    and the parts of ``out`` hold k, ``turns - k`` and the angle, so no
-    array is made.  A zero sine is +0.0, as from numpy's complex
-    exponential of ``1j * pi * -0.0``.
+
+def _phase_table() -> np.ndarray:
+    """``exp(1j * pi * j / PHASE_STEPS)`` for j in [0, 2 PHASE_STEPS), read-only.
+
+    Each angle is reduced by whole half turns first, as
+    ``exp(1j * pi * t) = (-1)**k exp(1j * pi * (t - k))`` with ``k = rint(t)``,
+    so libm's cos and sin see angles within pi/2 and each part, whole and
+    half turns included, is within an ulp.  A zero sine is +0.0.  The table
+    is built once, at import.
     """
-    k = np.rint(turns, out=out.real)
-    rest = np.subtract(turns, k, out=out.imag)
-    # (-1)**k = 1 - 2 (k - 2 floor(k/2))
-    sign = np.multiply(k, 0.5, out=turns)
-    np.floor(sign, out=sign)
-    sign += sign
-    np.subtract(k, sign, out=sign)
-    sign *= -2.0
-    sign += 1.0
-    angle = np.multiply(rest, np.pi, out=out.real)
-    np.sin(angle, out=out.imag)
-    np.cos(angle, out=out.real)
-    out.imag *= sign
-    out.imag += 0.0  # -0.0, a zero sine times -1, becomes +0.0
-    out.real *= sign
+    turns = np.arange(2 * PHASE_STEPS) / PHASE_STEPS
+    whole = np.rint(turns)
+    angle = np.pi * (turns - whole)
+    sign = 1.0 - 2.0 * (whole % 2.0)
+    table = np.empty(turns.size, dtype=complex)
+    table.real = sign * np.cos(angle)
+    table.imag = sign * np.sin(angle) + 0.0
+    table.flags.writeable = False
+    return table
+
+
+_PHASE_TABLE = _phase_table()
+
+
+def _half_turn_columns(turns: np.ndarray, out: np.ndarray) -> None:
+    """``exp(1j * pi * turns)`` into ``out`` from the phase table; ``turns`` is overwritten.
+
+    ``r = turns - 2 rint(turns / 2)`` is exact and within [-1, 1], and so is
+    ``r = (j + f) / PHASE_STEPS`` with ``j = rint(r * PHASE_STEPS)`` and
+    ``|f| <= 1/2``.  The entry is the table's ``T = exp(1j * pi * j / PHASE_STEPS)``
+    turned by ``exp(1j * x)``, ``x = pi * f / PHASE_STEPS``, taken as
+    ``T + T (cos x - 1 + 1j sin x)`` with cos and sin as Taylor series
+    through x**4 and x**5: with ``|x| <= pi / 2048`` the first term left out
+    is below 1e-19.  Each part is within 2 ulp of the modulus 1 (at most
+    1.0 ulp measured, against 0.86 for libm's cos and sin of the reduced
+    angle).  A sine can be zero only at a table point, where x is 0 and the
+    entry has the table's bits, +0.0 among them.  The product with T is
+    numpy's complex multiply, which may fuse its multiply-adds, so the bits
+    off the table points follow the numpy build, not the block.
+    """
+    cols = turns.shape[1]
+    rows = min(PHASE_ROWS, max(1, PHASE_ENTRIES // max(cols, 1)))
+    temps = np.empty((3, rows, cols))
+    rotations = np.empty((rows, cols), dtype=complex)
+    cells = np.empty((rows, cols), dtype=np.int64)
+    for lo in range(0, turns.shape[0], rows):
+        t = turns[lo : lo + rows]
+        a, b, c = temps[:, : t.shape[0]]
+        rotation, cell = rotations[: t.shape[0]], cells[: t.shape[0]]
+        # whole turns off, then t = r * PHASE_STEPS, within [-PHASE_STEPS, PHASE_STEPS]
+        np.multiply(t, 0.5, out=a)
+        np.rint(a, out=a)
+        a += a
+        t -= a
+        t *= PHASE_STEPS
+        # a = j, the nearest table point, and its table index; t = x
+        np.add(t, _SHIFT, out=a)
+        np.bitwise_and(a.view(np.int64), 2 * PHASE_STEPS - 1, out=cell)
+        a -= _SHIFT
+        t -= a
+        t *= _STEP
+        # rotation = cos x - 1 + 1j sin x, from a = x**2
+        np.multiply(t, t, out=a)
+        np.multiply(a, 1.0 / 24.0, out=b)
+        b -= 0.5
+        np.multiply(b, a, out=rotation.real)
+        np.multiply(a, 1.0 / 120.0, out=c)
+        c -= 1.0 / 6.0
+        c *= a
+        c *= t
+        np.add(c, t, out=rotation.imag)
+        block = np.take(_PHASE_TABLE, cell, out=out[lo : lo + rows], mode="clip")
+        rotation *= block
+        block += rotation
 
 
 def evaluate_columns(spec: BasisSpec, points, col_range: tuple[int, int]) -> np.ndarray:
@@ -295,13 +364,13 @@ def evaluate_columns(spec: BasisSpec, points, col_range: tuple[int, int]) -> np.
     arithmetic as the one-shot formula over all rows, so the entries have the
     same bits, on every shipped config among others.  Discrete Fourier
     columns have the bits of numpy's complex exponential
-    (:func:`_phase_columns`); random Fourier features are reduced by whole
-    half turns first (:func:`_half_turn_columns`), which holds each entry
-    within about one ulp of the exact exponential.  The one caveat is the
-    random-feature projections, one BLAS product per block: a BLAS may round
-    a small product differently from a large one (OpenBLAS 0.3.31 does so
-    with 32 input dimensions below about 1200 entries per block, and for a
-    single column).
+    (:func:`_phase_columns`); random Fourier features come from a table of
+    the phase by half-turn steps (:func:`_half_turn_columns`), which holds
+    each entry within 2 ulp of the exact exponential, at most 1.0 ulp
+    measured.  The one caveat is the random-feature projections, one BLAS
+    product per block: a BLAS may round a small product differently from a
+    large one (OpenBLAS 0.3.31 does so with 32 input dimensions below about
+    1200 entries per block, and for a single column).
     """
     j_lo, j_hi = int(col_range[0]), int(col_range[1])
     if j_lo < 0 or j_hi < j_lo:

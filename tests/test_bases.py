@@ -126,26 +126,63 @@ class TestRandomFeatures:
 
 
 class TestHalfTurnPhases:
+    @staticmethod
+    def error(p, fill=bases._half_turn_columns):
+        """The largest error of either part of ``fill``'s exp(1j pi p), against long double."""
+        if np.finfo(np.longdouble).nmant < 63:
+            pytest.skip("long double is no wider than double here")
+        angle = np.longdouble("3.14159265358979323846264338327950288") * p.astype(np.longdouble)
+        out = np.empty(p.shape, dtype=complex)
+        fill(p.copy(), out)
+        return float(max(np.abs(out.real - np.cos(angle)).max(),
+                         np.abs(out.imag - np.sin(angle)).max()))
+
     def test_within_two_ulp_of_the_exact_exponential(self):
         # reference: exp(1j pi p) with pi and the angle in long double; 2 ulp
         # of the modulus 1 bounds each part.  The angle pi * p itself rounds by
         # up to half an ulp of 60 pi, so cos and sin of it, the discrete
         # Fourier family's route, miss the bound
-        if np.finfo(np.longdouble).nmant < 63:
-            pytest.skip("long double is no wider than double here")
         p = np.random.default_rng(0).uniform(-60.0, 60.0, (300, 400))
-        angle = np.longdouble("3.14159265358979323846264338327950288") * p.astype(np.longdouble)
         bound = 2 * np.finfo(float).eps
+        assert self.error(p) <= bound
+        assert self.error(p, lambda q, out: bases._phase_columns(q, np.pi, out)) > 10 * bound
 
-        def error(out):
-            return float(max(np.abs(out.real - np.cos(angle)).max(),
-                             np.abs(out.imag - np.sin(angle)).max()))
+    def test_cell_edges_within_two_ulp(self):
+        # halfway between table points the Taylor series run furthest, to
+        # |x| = pi / (2 PHASE_STEPS); ties go to the even cell, and a step
+        # either side to the nearer one
+        steps = bases.PHASE_STEPS
+        edges = (np.arange(-3 * steps, 3 * steps) + 0.5) / steps
+        p = np.stack([np.nextafter(edges, -np.inf), edges, np.nextafter(edges, np.inf)])
+        assert self.error(p) <= 2 * np.finfo(float).eps
 
+    def test_table_is_the_libm_half_turn_route(self):
+        # the table holds (-1)**k (cos + i sin)(pi (t - k)), k = rint(t), at
+        # t = j / PHASE_STEPS, bit for bit; at every table point, over many
+        # turns, the kernel gives the table's bits
+        steps = bases.PHASE_STEPS
+        t = np.arange(2 * steps) / steps
+        k = np.rint(t)
+        sign = 1.0 - 2.0 * (k - 2.0 * np.floor(k / 2.0))
+        table = bases._PHASE_TABLE
+        assert table.real.tobytes() == (sign * np.cos(np.pi * (t - k))).tobytes()
+        assert table.imag.tobytes() == (sign * np.sin(np.pi * (t - k)) + 0.0).tobytes()
+        j = np.arange(-8 * steps, 8 * steps + 1)
+        p = np.stack([j / steps, j / steps + 2.0**30, j / steps - 2.0**30])
         out = np.empty(p.shape, dtype=complex)
         bases._half_turn_columns(p.copy(), out)
-        assert error(out) <= bound
-        bases._phase_columns(p.copy(), np.pi, out)
-        assert error(out) > 10 * bound
+        assert out.tobytes() == np.tile(table[j % (2 * steps)], (3, 1)).tobytes()
+
+    def test_whole_turns_of_huge_phases_are_exact(self):
+        # the whole turns come off exactly however large the phase: 2**52 + 1
+        # is an odd number of half turns, the others even
+        p = np.array([[2.0**40, 2.0**52 + 1, 2.0**53 + 2, 1e300]])
+        p = np.concatenate([p, -p])
+        out = np.empty(p.shape, dtype=complex)
+        bases._half_turn_columns(p.copy(), out)
+        assert out.real.tolist() == [[1.0, -1.0, 1.0, 1.0]] * 2
+        assert out.imag.tolist() == [[0.0] * 4] * 2
+        assert not np.signbit(out.imag).any()
 
     def test_a_zero_sine_is_positive(self):
         # at -0.0, and at odd whole turns, where (-1)**k times sin(+0.0) is -0.0
@@ -265,14 +302,19 @@ def one_shot(spec, points, col_range):
         weights = feature_weights(spec.column_budget, spec.input_dim, spec.seed)
         projections = points @ weights[indices].T
         if spec.family == "rff":
-            # exp(1j pi p) = (-1)**k exp(1j pi (p - k)) with k = rint(p)
-            k = np.rint(projections)
-            sign = 1.0 - 2.0 * (k - 2.0 * np.floor(k / 2.0))
-            angles = np.pi * (projections - k)
-            out = np.empty(projections.shape, dtype=complex)
-            out.real = sign * np.cos(angles)
-            out.imag = sign * np.sin(angles) + 0.0
-            return out
+            # exp(1j pi p) from the phase table: p = 2 k + (j + f) / S with
+            # the cell j = rint((p - 2 k) S), then Taylor series in x = pi f / S
+            steps = bases.PHASE_STEPS
+            rest = (projections - 2.0 * np.rint(projections / 2.0)) * steps
+            j = np.rint(rest)
+            x = (rest - j) * (np.pi / steps)
+            x2 = x * x
+            cos_less_one = (x2 * (1.0 / 24.0) - 0.5) * x2
+            sin = (x2 * (1.0 / 120.0) - 1.0 / 6.0) * x2 * x + x
+            rotation = np.empty(projections.shape, dtype=complex)
+            rotation.real, rotation.imag = cos_less_one, sin
+            table = bases._PHASE_TABLE[j.astype(np.int64) % (2 * steps)]
+            return table + rotation * table
         return np.maximum(0.0, projections)
     if spec.family == "monomial":
         return np.power(points[:, None], indices[None, :]).astype(float)
